@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate quick experiments examples cover fuzz metrics-smoke serve-smoke clean
+.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
 
 all: build vet lint test conformance
 
@@ -46,9 +46,9 @@ race:
 
 # the parallel kernels under a fixed worker budget: GOMAXPROCS=4 makes
 # the gate/fallback split deterministic so the race detector exercises
-# the same schedule shape on every machine. core/exact/steiner carry
-# the PR-9 construction kernels (refresh rows, Gabow branches, BKST
-# pair seeding).
+# the same schedule shape on every machine. geom and graph carry the
+# kernels (matrix fill, fallback sort), engine the parallel sweep;
+# core/exact/steiner are serial and run here as their consumers.
 race-parallel:
 	GOMAXPROCS=4 $(GO) test -race ./internal/geom ./internal/graph ./internal/engine ./internal/core ./internal/exact ./internal/steiner
 
@@ -59,7 +59,7 @@ bench:
 # machine-readable record of the lazy-stream / parallel-kernel
 # benchmarks (tools/benchjson parses the go test output into JSON)
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUS(Stream|Eager)' -benchmem ./internal/core/ && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSweepParallel|BenchmarkBKRUSSweep' -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchmem ./internal/geom/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchmem ./internal/graph/ ; } \
@@ -73,9 +73,10 @@ bench-json-pr8:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUS(Sparse|Dense)' -benchmem -timeout 30m ./internal/core/ \
 	| $(GO) run ./tools/benchjson -o BENCH_PR8.json
 
-# machine-readable record of the parallel-refresh benchmarks: the BKRUS
-# per-merge refresh (dense n=1000 and sparse n=10000) at workers 1 and
-# 4, the hot-path rows the bench-gate target protects (DESIGN.md §14)
+# machine-readable record of the BKRUS refresh benchmarks (dense n=1000
+# and sparse n=10000; the rows keep their workers=1 names from when the
+# refresh had a worker knob), the hot-path rows the bench-gate target
+# protects (DESIGN.md §14)
 bench-json-pr9:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSRefresh' -benchmem -timeout 20m ./internal/core/ \
 	| $(GO) run ./tools/benchjson -o BENCH_PR9.json
@@ -85,7 +86,7 @@ bench-json-pr9:
 # 1x run is too noisy to gate on. The PR8 diff skips the n=10⁵ row
 # (bench-smoke runs it) but still compares ns/op and B/op on the rest.
 bench-diff:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUS(Stream|Eager)' -benchtime 1x -benchmem ./internal/core/ && \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSweepParallel|BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x -benchmem ./internal/graph/ ; } \
@@ -109,16 +110,22 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSRefresh' -benchmem -timeout 20m ./internal/core/ \
 	| $(GO) run ./tools/benchjson -o /tmp/bench_head_pr9.json
 	$(GO) run ./tools/benchjson -diff -fail-over $(BENCH_GATE_OVER) \
-	    -require 'BenchmarkBKRUSRefresh/n=1000/workers=1,BenchmarkBKRUSRefresh/n=1000/workers=4,BenchmarkBKRUSRefreshSparse/n=10000/workers=1,BenchmarkBKRUSRefreshSparse/n=10000/workers=4' \
+	    -require 'BenchmarkBKRUSRefresh/n=1000/workers=1,BenchmarkBKRUSRefreshSparse/n=10000/workers=1' \
 	    BENCH_PR9.json /tmp/bench_head_pr9.json
 
 # one-iteration smoke over the same benchmarks, cheap enough for CI
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkBKRUS(Stream|Eager)' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepParallel' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
+
+# the benchmark in perfbench/ is a module of its own, so the root
+# `go build ./...` never compiles it; vet and test it here so removing
+# a program symbol it uses fails loudly
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # every table and figure at reduced size (seconds)
 quick:

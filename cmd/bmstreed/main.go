@@ -9,7 +9,7 @@
 // Usage:
 //
 //	bmstreed [-addr :8344] [-workers N] [-queue N] [-cache-size N]
-//	         [-cache-bytes N] [-sweep-workers N] [-refresh-workers N]
+//	         [-cache-bytes N] [-sweep-workers N]
 //	         [-default-timeout 5s] [-max-timeout 60s] [-drain 15s]
 //
 // Endpoints: POST /v1/build (batch construction), GET /v1/algos,
@@ -48,7 +48,6 @@ func main() {
 		cacheSize  = flag.Int("cache-size", serve.DefaultCacheSize, "resident instance-cache entries (-1 = disable the cache)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "byte budget for resident instance-cache state (0 = unbounded, entry count only)")
 		sweepW     = flag.Int("sweep-workers", 0, "workers per eps_sweep net (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		refreshW   = flag.Int("refresh-workers", 0, "construction inner-loop workers per build (0 = layer default, 1 = serial kernels; trees are identical)")
 
 		defTimeout = flag.Duration("default-timeout", serve.DefaultTimeout, "per-request deadline when the request carries no timeout_ms")
 		maxTimeout = flag.Duration("max-timeout", serve.DefaultMaxWait, "upper clamp on client-requested timeouts")
@@ -67,7 +66,6 @@ func main() {
 		CacheSize:      normalize(*cacheSize),
 		CacheBytes:     *cacheBytes,
 		SweepWorkers:   *sweepW,
-		RefreshWorkers: *refreshW,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBatch:       *maxBatch,

@@ -8,29 +8,25 @@ import (
 )
 
 // TestPartitionKernelsProved is the static half of the partition
-// property pact (the dynamic half lives in the kernel packages'
-// partition_prop_test.go files): indexbound must classify the
-// subscripts inside the three strided partition kernels — the BKRUS
-// refresh rows, the Gabow branch pool, the BKST seed strides — as
-// PROVED, not merely fail to report them through a data/guarded
-// exemption. If a kernel edit demotes a partition subscript to
-// "unknown" the invariant still lints clean (the positive-evidence
-// doctrine stays quiet), but this test fails, which is the point:
-// ROADMAP item 2 gates kernel changes on the proofs, not the silence.
+// property pact (the dynamic half is TestParallelSortEdgesMatchesSerial
+// in internal/graph): indexbound must classify the subscripts inside
+// the split-and-merge edge sort kernel as PROVED, not merely fail to
+// report them through a data/guarded exemption. If a kernel edit
+// demotes a partition subscript to "unknown" the invariant still lints
+// clean (the positive-evidence doctrine stays quiet), but this test
+// fails, which is the point: kernel changes are gated on the proofs,
+// not the silence.
 func TestPartitionKernelsProved(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: loads three real packages with dependencies")
+		t.Skip("short mode: loads a real package with dependencies")
 	}
-	mod, err := LoadModule(filepath.Join("..", ".."),
-		"./internal/core", "./internal/exact", "./internal/steiner")
+	mod, err := LoadModule(filepath.Join("..", ".."), "./internal/graph")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// kernelFile -> classification counts observed inside it.
 	kernels := map[string]map[string]int{
-		filepath.Join("core", "parallel.go"):    {},
-		filepath.Join("exact", "parallel.go"):   {},
-		filepath.Join("steiner", "parallel.go"): {},
+		filepath.Join("graph", "psort.go"): {},
 	}
 	for _, pkg := range mod.Pkgs {
 		fset := pkg.Fset

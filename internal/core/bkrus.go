@@ -138,23 +138,11 @@ type Config struct {
 	// re-allocated. The scratch must not be shared between concurrent
 	// constructions.
 	Scratch *Scratch
-	// EagerSort forces the historical behaviour of fully sorting the
-	// complete edge list up front instead of streaming it lazily. The
-	// resulting tree is byte-identical either way (the edge order is a
-	// strict total order, so the sorted sequence is unique); the knob
-	// exists for conformance tests and A/B benchmarks.
-	EagerSort bool
 	// Geometry selects the geometric substrate: dense (materialized
 	// matrix + complete edge list, the historical behaviour) or sparse
 	// (distance oracle + octant neighbor graph, no O(n²) state). The
 	// zero value GeomAuto resolves by instance size (SparseThreshold).
 	Geometry Geometry
-	// RefreshWorkers bounds the workers of the per-merge P-matrix/radius
-	// refresh (dense) and the per-candidate DFS pair (sparse). 0 defers
-	// to the package knob (SetRefreshWorkers), which itself defaults to
-	// runtime.GOMAXPROCS; 1 forces the serial path. Trees are
-	// byte-identical for every setting.
-	RefreshWorkers int
 }
 
 // BKRUSBuild is the full-control entry point behind every BKRUS variant:
@@ -187,17 +175,13 @@ type Scratch struct {
 	ds      *graph.DisjointSet
 
 	// Sparse-mode buffers: forest adjacency, source paths, DFS path
-	// scratch and DFS stacks (the second stack pair serves the
-	// concurrent side of fillPathsPair). Untouched by dense
-	// constructions.
-	adj        [][]graph.Adj
-	distS      []float64
-	pathU      []float64
-	pathV      []float64
-	stackNode  []int32
-	stackPar   []int32
-	stackNode2 []int32
-	stackPar2  []int32
+	// scratch and DFS stacks. Untouched by dense constructions.
+	adj       [][]graph.Adj
+	distS     []float64
+	pathU     []float64
+	pathV     []float64
+	stackNode []int32
+	stackPar  []int32
 
 	stream       *graph.EdgeStream
 	streamFor    *inst.Instance
@@ -244,7 +228,7 @@ func (s *Scratch) Release() {
 // pinned scratches.
 func (s *Scratch) MemBytes() int64 {
 	b := int64(cap(s.p)+cap(s.r)+cap(s.baseKey)+cap(s.distS)+cap(s.pathU)+cap(s.pathV)) * 8
-	b += int64(cap(s.stackNode)+cap(s.stackPar)+cap(s.stackNode2)+cap(s.stackPar2)) * 4
+	b += int64(cap(s.stackNode)+cap(s.stackPar)) * 4
 	b += int64(cap(s.byBase)) * 24
 	for i := range s.byBase {
 		b += int64(cap(s.byBase[i])) * 8
@@ -311,7 +295,6 @@ func (s *Scratch) attachSparse(e *engine, n int) {
 	s.distS[graph.Source] = 0
 	e.adj, e.distS, e.pathU, e.pathV = s.adj, s.distS, s.pathU, s.pathV
 	e.stackNode, e.stackPar = s.stackNode, s.stackPar
-	e.stackNode2, e.stackPar2 = s.stackNode2, s.stackPar2
 }
 
 func (s *Scratch) attachCommon(e *engine, n int) {
@@ -366,20 +349,12 @@ type engine struct {
 	byBase [][]int
 	// Sparse-substrate state (nil on the dense path): the partial
 	// forest's adjacency, the immutable-once-set source paths, and the
-	// DFS scratch that replaces P-matrix rows (two stack pairs so
-	// fillPathsPair can run both sides' DFS concurrently). See
-	// sparse.go.
+	// DFS scratch that replaces P-matrix rows. See sparse.go.
 	adj          [][]graph.Adj
 	distS        []float64
 	pathU, pathV []float64
 	stackNode    []int32
 	stackPar     []int32
-	stackNode2   []int32
-	stackPar2    []int32
-	// refreshW is the resolved worker count for the construction inner
-	// loops: per-build Config.RefreshWorkers, else the SetRefreshWorkers
-	// knob, else runtime.GOMAXPROCS. 1 pins the serial path.
-	refreshW int
 }
 
 func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
@@ -423,9 +398,6 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 			e.byBase[x] = []int{x}
 		}
 	}
-	if cfg.EagerSort {
-		e.stream.DrainSort()
-	}
 	// Opportunistic instrumentation: when no explicit counter set was
 	// given and a binary has installed a process-wide registry,
 	// accumulate counters into its core scope.
@@ -433,10 +405,6 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 		if sc := obs.DefaultScope(ScopeName); sc != nil {
 			e.c = NewCounters(sc)
 		}
-	}
-	e.refreshW = resolveRefreshWorkers(cfg.RefreshWorkers)
-	if e.c != nil {
-		e.c.RefreshWorkers.Set(float64(e.refreshW))
 	}
 	return e
 }
@@ -471,7 +439,6 @@ func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 		// to the pooled scratch so the next run starts at steady state.
 		if e.scratch != nil && e.sparse {
 			e.scratch.stackNode, e.scratch.stackPar = e.stackNode, e.stackPar
-			e.scratch.stackNode2, e.scratch.stackPar2 = e.stackNode2, e.stackPar2
 		}
 	}()
 	for len(t.Edges) < e.n-1 {
@@ -621,10 +588,6 @@ func (e *engine) merge(ed graph.Edge) {
 	u, v, w := ed.U, ed.V, ed.W
 	mu := e.ds.Members(u)
 	mv := e.ds.Members(v)
-	if nw := e.refreshW; nw > 1 && len(mu)*len(mv) >= parallelMergeMin {
-		e.mergeParallel(u, v, w, mu, mv, nw)
-		return
-	}
 	n := e.n
 	for _, x := range mu {
 		px := e.p[x*n+u] + w // path(x,u) + dist(u,v)

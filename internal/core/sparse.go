@@ -38,19 +38,13 @@ import (
 // fillPaths runs an iterative DFS over the partial forest from root,
 // writing the in-tree path length root→x into out[x] for every member
 // x of root's tree. Entries of out outside root's tree keep stale
-// values; callers only index out by current members.
+// values; callers only index out by current members. The stacks grow
+// by append in the engine's scratch and are reused across calls.
 func (e *engine) fillPaths(root int, out []float64) {
-	fillPathsInto(e.adj, root, out, &e.stackNode, &e.stackPar)
-}
-
-// fillPathsInto is the DFS body behind fillPaths, parameterized over
-// its stack scratch so two fills over disjoint output arrays can run
-// concurrently (fillPathsPair): each call owns the stacks it is handed
-// and grows them in place through the pointers.
-func fillPathsInto(adj [][]graph.Adj, root int, out []float64, snp, spp *[]int32) {
+	adj := e.adj
 	out[root] = 0
-	sn := (*snp)[:0]
-	sp := (*spp)[:0]
+	sn := e.stackNode[:0]
+	sp := e.stackPar[:0]
 	//lint:ignore intwidth root is a vertex id < n, and newEngine guards n <= MaxInt32 (guardVertexIDSpace, pinned by TestVertexIDSpaceGuard)
 	sn = append(sn, int32(root))
 	sp = append(sp, -1)
@@ -74,14 +68,15 @@ func fillPathsInto(adj [][]graph.Adj, root int, out []float64, snp, spp *[]int32
 			sp = append(sp, int32(x))
 		}
 	}
-	*snp, *spp = sn, sp
+	e.stackNode, e.stackPar = sn, sp
 }
 
 // witnessExistsSparse is condition (3-b) on the sparse substrate: the
 // same byBase scan as the dense path, with P-matrix rows replaced by a
 // DFS from each endpoint. The base-sorted member order still gives the
-// early exit, and the DFS is skipped entirely when even the
-// smallest-base member fails the bound.
+// early exit, the DFS is skipped entirely when even the smallest-base
+// member fails the bound, and side v's DFS never runs when side u
+// already witnessed.
 func (e *engine) witnessExistsSparse(ed graph.Edge) bool {
 	u, v, w := ed.U, ed.V, ed.W
 	scans := int64(0)
@@ -90,45 +85,10 @@ func (e *engine) witnessExistsSparse(ed graph.Edge) bool {
 			e.c.WitnessScans.Add(scans)
 		}
 	}()
-	// Parallel prefetch: when both sides clear their first-member bound
-	// precheck, both DFS fills are about to run anyway, so run them
-	// concurrently and scan over the ready arrays. The scan order, its
-	// early exits, and the witness-scan counts are exactly the serial
-	// path's; only the DFS wall-clock overlaps. Gated so the serial
-	// configuration keeps the historical lazy flow (side v's DFS never
-	// runs when side u already witnessed).
-	membersU := e.byBase[e.ds.Find(u)]
-	membersV := e.byBase[e.ds.Find(v)]
-	if nw := e.refreshW; nw > 1 && len(membersU)+len(membersV) >= parallelFillMin &&
-		len(membersU) > 0 && e.b.WithinUpper(e.witnessBase(membersU[0])) &&
-		len(membersV) > 0 && e.b.WithinUpper(e.witnessBase(membersV[0])) {
-		e.fillPathsPair(u, v, len(membersU), len(membersV))
-		if e.scanSideFilled(membersU, w, e.pathU, e.r[v], &scans) {
-			return true
-		}
-		return e.scanSideFilled(membersV, w, e.pathV, e.r[u], &scans)
-	}
 	if e.scanSideSparse(u, v, w, e.pathU, &scans) {
 		return true
 	}
 	return e.scanSideSparse(v, u, w, e.pathV, &scans)
-}
-
-// scanSideFilled is scanSideSparse for a side whose path array was
-// already filled (and whose first-member precheck already passed): the
-// member loop and its counting are identical, only the fill is skipped.
-func (e *engine) scanSideFilled(members []int, w float64, path []float64, rOther float64, scans *int64) bool {
-	for _, x := range members {
-		*scans++
-		if !e.b.WithinUpper(e.witnessBase(x)) {
-			break
-		}
-		rM := math.Max(e.r[x], path[x]+w+rOther)
-		if e.witnessOK(x, rM) {
-			return true
-		}
-	}
-	return false
 }
 
 // scanSideSparse scans u's tree for a witness of the tentative merge
@@ -167,7 +127,8 @@ func (e *engine) mergeSparse(ed graph.Edge) {
 	u, v, w := ed.U, ed.V, ed.W
 	mu := e.ds.Members(u)
 	mv := e.ds.Members(v)
-	e.fillPathsPair(u, v, len(mu), len(mv))
+	e.fillPaths(u, e.pathU)
+	e.fillPaths(v, e.pathV)
 	ru, rv := e.r[u], e.r[v]
 	for _, x := range mu {
 		if nr := e.pathU[x] + w + rv; nr > e.r[x] {

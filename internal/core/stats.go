@@ -28,13 +28,9 @@ const (
 	CtrStreamFallbacks = "stream_fallback_sorts"
 )
 
-// Gauge names of the core scope.
-const (
-	// GaugeRefreshWorkers reports the resolved worker count of the most
-	// recent construction's per-merge refresh (dense P-matrix rows /
-	// sparse DFS pair). 1 means the serial path was pinned.
-	GaugeRefreshWorkers = "refresh_workers"
-)
+// GaugeRefreshWorkers is no longer recorded: the per-merge refresh is
+// serial. The name stays because the perfbench module still reads it.
+const GaugeRefreshWorkers = "refresh_workers"
 
 // Counters is the BKRUS engine's obs-backed counter set. Construct with
 // NewCounters; a set resolved from a shared scope accumulates across
@@ -50,7 +46,6 @@ type Counters struct {
 	WitnessScans    *obs.Counter // nodes visited by (3-b) witness searches
 	StreamBatches   *obs.Counter // sorted batches the lazy edge stream produced
 	StreamFallbacks *obs.Counter // whole-tail fallback sorts the stream took
-	RefreshWorkers  *obs.Gauge   // resolved per-merge refresh worker count (1 = serial)
 }
 
 // NewCounters resolves the core counter set inside sc. A nil scope
@@ -65,7 +60,6 @@ func NewCounters(sc *obs.Scope) *Counters {
 		WitnessScans:    sc.Counter(CtrWitnessScans),
 		StreamBatches:   sc.Counter(CtrStreamBatches),
 		StreamFallbacks: sc.Counter(CtrStreamFallbacks),
-		RefreshWorkers:  sc.Gauge(GaugeRefreshWorkers),
 	}
 }
 

@@ -116,3 +116,21 @@ func TestDefaultRegistryPickup(t *testing.T) {
 		t.Errorf("WithStats leaked into the default scope: %d -> %d", before, after)
 	}
 }
+
+// TestRefreshGaugeRetired pins that the retired refresh_workers gauge
+// is no longer recorded: the per-merge refresh is serial, so a
+// construction leaves no such gauge in its scope.
+func TestRefreshGaugeRetired(t *testing.T) {
+	in := bench.P3()
+	reg := obs.NewRegistry()
+	if _, err := BKRUSBuild(context.Background(), in, UpperOnly(in, 0.2), Config{Counters: NewCounters(reg.Scope(ScopeName))}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range reg.Snapshot().Scopes {
+		for _, g := range sc.Gauges {
+			if g.Name == GaugeRefreshWorkers {
+				t.Errorf("scope %s records gauge %s = %g", sc.Name, g.Name, g.Value)
+			}
+		}
+	}
+}

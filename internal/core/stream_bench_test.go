@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// The stream-vs-eager pair measures what the lazy tentpole buys: an
-// eager build pays O(n² log n) to sort every complete-graph edge before
-// the scan starts, while the streamed build only orders the prefix the
-// scan actually consumes. edges/op reports that consumed prefix (the
+// BenchmarkBKRUSStream measures dense BKRUS over the lazy edge stream,
+// which orders only the prefix of the complete-graph edges the scan
+// actually consumes. edges/op reports that consumed prefix (the
 // candidate edges examined per construction) next to the ~n²/2 total.
-func benchmarkBKRUSBuild(b *testing.B, nodes int, eps float64, eager bool) {
+func benchmarkBKRUSBuild(b *testing.B, nodes int, eps float64) {
 	in := randomInstance(rand.New(rand.NewSource(13)), nodes-1, 1000)
 	in.DistMatrix() // prebuild: measure construction, not geometry setup
 	bounds := UpperOnly(in, eps)
@@ -20,7 +19,7 @@ func benchmarkBKRUSBuild(b *testing.B, nodes int, eps float64, eager bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Counters: c, EagerSort: eager}); err != nil {
+		if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Counters: c}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,15 +36,7 @@ var benchEps = []float64{0.2, 0.5}
 func BenchmarkBKRUSStream(b *testing.B) {
 	for _, nodes := range []int{100, 250, 500, 1000} {
 		for _, eps := range benchEps {
-			b.Run(fmt.Sprintf("n=%d/eps=%g", nodes, eps), func(b *testing.B) { benchmarkBKRUSBuild(b, nodes, eps, false) })
-		}
-	}
-}
-
-func BenchmarkBKRUSEager(b *testing.B) {
-	for _, nodes := range []int{100, 250, 500, 1000} {
-		for _, eps := range benchEps {
-			b.Run(fmt.Sprintf("n=%d/eps=%g", nodes, eps), func(b *testing.B) { benchmarkBKRUSBuild(b, nodes, eps, true) })
+			b.Run(fmt.Sprintf("n=%d/eps=%g", nodes, eps), func(b *testing.B) { benchmarkBKRUSBuild(b, nodes, eps) })
 		}
 	}
 }

@@ -38,45 +38,6 @@ func sameTree(t *testing.T, label string, got, want *graph.Tree) {
 	}
 }
 
-// TestBKRUSStreamMatchesEagerSort pins the tentpole identity: the lazily
-// streamed edge order is the unique sorted order, so the constructed
-// tree is byte-identical to the historical eager-sort build — with and
-// without pooled scratch, for both metrics and several bound windows.
-func TestBKRUSStreamMatchesEagerSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, m := range []geom.Metric{geom.Manhattan, geom.Euclidean} {
-		for trial := 0; trial < 6; trial++ {
-			in := randomInstanceMetric(rng, 5+rng.Intn(60), 100, m)
-			for _, eps := range []float64{0, 0.1, 0.5, math.Inf(1)} {
-				b := UpperOnly(in, eps)
-				eager, err := BKRUSBuild(context.Background(), in, b, Config{EagerSort: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				lazy, err := BKRUSBuild(context.Background(), in, b, Config{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTree(t, "no scratch", lazy, eager)
-
-				var s Scratch
-				pooled, err := BKRUSBuild(context.Background(), in, b, Config{Scratch: &s})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTree(t, "fresh scratch", pooled, eager)
-				// Second run on the same scratch re-serves the cached
-				// partially drained stream.
-				again, err := BKRUSBuild(context.Background(), in, b, Config{Scratch: &s})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameTree(t, "reused scratch", again, eager)
-			}
-		}
-	}
-}
-
 // TestScratchStreamCachePerInstance verifies the sweep-reuse contract:
 // one scratch serves many builds on one instance through a single
 // stream, rebuilds on an instance switch, and drops everything on

@@ -45,15 +45,9 @@ func baselineCounters(p Params) *baseline.Counters {
 	return nil
 }
 
-// exactOptions wires Params into the exact layer's search options:
-// budget, branch worker pin, and counters (explicit registry if set;
-// the exact layer's own default-registry pickup covers the rest).
+// exactOptions wires Params into the exact layer's search options.
 func exactOptions(p Params) exact.Options {
-	opt := exact.Options{MaxTrees: p.GabowBudget, BranchWorkers: p.RefreshWorkers}
-	if p.Obs != nil {
-		opt.Counters = exact.NewCounters(p.Obs.Scope(exact.ScopeName))
-	}
-	return opt
+	return exact.Options{MaxTrees: p.GabowBudget}
 }
 
 func spanning(t *graph.Tree, err error) (Result, error) {

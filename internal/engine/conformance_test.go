@@ -109,18 +109,6 @@ func TestConformance(t *testing.T) {
 				if edgeString(first) != edgeString(second) {
 					t.Errorf("two runs differ:\n  %s\n  %s", edgeString(first), edgeString(second))
 				}
-				// The lazily streamed edge order is the unique sorted
-				// order, so forcing the historical eager full sort must
-				// reproduce the tree byte for byte.
-				pe := p
-				pe.EagerSort = true
-				eager, err := Build(context.Background(), info.Name, fx.in, pe)
-				if err != nil {
-					t.Fatalf("eager rebuild: %v", err)
-				}
-				if edgeString(first) != edgeString(eager) {
-					t.Errorf("stream and eager-sort builds differ:\n  %s\n  %s", edgeString(first), edgeString(eager))
-				}
 			})
 		}
 	}

@@ -99,11 +99,6 @@ type Params struct {
 	// set it only to pin a scratch across hand-rolled runs. Not safe for
 	// concurrent use.
 	Scratch *core.Scratch
-	// EagerSort forces the BKRUS family to fully sort the complete edge
-	// list up front instead of streaming it lazily. Trees are
-	// byte-identical either way; the knob exists for conformance tests
-	// and A/B benchmarks.
-	EagerSort bool
 	// Geometry selects the geometric substrate for the constructors that
 	// support both (Info.SparseCapable): dense materializes the distance
 	// matrix and complete edge list (the historical behaviour), sparse
@@ -112,15 +107,6 @@ type Params struct {
 	// (core.SparseThreshold). Constructors without sparse support ignore
 	// the field and stay dense.
 	Geometry Geometry
-	// RefreshWorkers bounds the workers of the construction inner loops:
-	// the BKRUS per-merge refresh (core.Config.RefreshWorkers), the
-	// Gabow partition branches (exact.Options.BranchWorkers), and the
-	// BKST pair seeding (steiner.Config.SeedWorkers). 0 defers to each
-	// layer's package knob (which defaults to runtime.GOMAXPROCS);
-	// 1 forces the serial paths. Trees are byte-identical for every
-	// setting. SweepParallel clamps the per-cell value so sweep workers ×
-	// refresh workers never exceeds the requested total.
-	RefreshWorkers int
 }
 
 // Geometry re-exports the core substrate selector so engine callers
@@ -145,7 +131,7 @@ func (p Params) rcModel() delay.Model {
 
 // coreConfig wires Params into the core layer's build hooks.
 func (p Params) coreConfig() core.Config {
-	cfg := core.Config{Scratch: p.Scratch, EagerSort: p.EagerSort, Geometry: p.Geometry, RefreshWorkers: p.RefreshWorkers}
+	cfg := core.Config{Scratch: p.Scratch, Geometry: p.Geometry}
 	if p.Obs != nil {
 		cfg.Counters = core.NewCounters(p.Obs.Scope(core.ScopeName))
 	}
@@ -154,7 +140,7 @@ func (p Params) coreConfig() core.Config {
 
 // steinerConfig wires Params into the Steiner layer's build hooks.
 func (p Params) steinerConfig(planar bool) steiner.Config {
-	cfg := steiner.Config{Planar: planar, SeedWorkers: p.RefreshWorkers}
+	cfg := steiner.Config{Planar: planar}
 	if p.Obs != nil {
 		cfg.Counters = steiner.NewCounters(p.Obs.Scope(steiner.ScopeName))
 	}

@@ -11,58 +11,19 @@ import (
 	"repro/internal/obs"
 )
 
-func TestClampRefreshWorkers(t *testing.T) {
-	cases := []struct {
-		requested, sweepWorkers, want int
-	}{
-		{8, 4, 2},   // even split
-		{3, 2, 1},   // floor, never below the serial inner path
-		{9, 2, 4},   // floor
-		{2, 8, 1},   // more sweep workers than refresh budget
-		{5, 1, 5},   // serial sweep passes the request through
-		{0, 1, 0},   // serial sweep keeps the layer-default sentinel
-		{16, 16, 1}, // fully spent on sweep cells
+// buildAtProcs runs one Build with GOMAXPROCS pinned to procs, the only
+// input the surviving parallel kernels (the distance-matrix fill and the
+// edge-stream fallback sort) read to pick their worker count. Callers
+// pass a fresh instance, so its lazily cached geometry is built at that
+// setting too.
+func buildAtProcs(t *testing.T, procs int, name string, in *inst.Instance, p Params) Result {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	res, err := Build(context.Background(), name, in, p)
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 	}
-	for _, c := range cases {
-		if got := clampRefreshWorkers(c.requested, c.sweepWorkers); got != c.want {
-			t.Errorf("clampRefreshWorkers(%d, %d) = %d, want %d", c.requested, c.sweepWorkers, got, c.want)
-		}
-	}
-	// requested = 0 under a parallel sweep caps at GOMAXPROCS.
-	want := runtime.GOMAXPROCS(0) / 2
-	if want < 1 {
-		want = 1
-	}
-	if got := clampRefreshWorkers(0, 2); got != want {
-		t.Errorf("clampRefreshWorkers(0, 2) = %d, want %d", got, want)
-	}
-}
-
-// TestSweepParallelRefreshClampGauge pins the obs surface of the clamp:
-// a 2-worker sweep with an 8-worker refresh budget runs each cell at 4
-// refresh workers, and the engine scope's gauges expose both counts.
-func TestSweepParallelRefreshClampGauge(t *testing.T) {
-	in := randomMetricInstance(1, 30, 100, geom.Manhattan)
-	reg := obs.NewRegistry()
-	ps := []Params{
-		{Eps: 0.1, Obs: reg, RefreshWorkers: 8},
-		{Eps: 0.2, Obs: reg, RefreshWorkers: 8},
-		{Eps: 0.3, Obs: reg, RefreshWorkers: 8},
-	}
-	if _, err := SweepParallel(context.Background(), "bkrus", in, ps, SweepOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	sc := reg.Scope(ScopeName)
-	if got := sc.Gauge(GaugeSweepWorkers).Load(); got != 2 {
-		t.Errorf("sweep_workers gauge = %g, want 2", got)
-	}
-	if got := sc.Gauge(GaugeSweepRefreshWorkers).Load(); got != 4 {
-		t.Errorf("sweep_refresh_workers gauge = %g, want 4", got)
-	}
-	// The core layer saw the clamped count, not the requested one.
-	if got := reg.Scope("core").Gauge("refresh_workers").Load(); got != 4 {
-		t.Errorf("core refresh_workers gauge = %g, want clamped 4", got)
-	}
+	return res
 }
 
 func randomMetricInstance(seed int64, sinks int, extent float64, m geom.Metric) *inst.Instance {
@@ -76,27 +37,22 @@ func randomMetricInstance(seed int64, sinks int, extent float64, m geom.Metric) 
 }
 
 // counterTotals flattens a registry snapshot's counters into a
-// comparable map, dropping worker-telemetry instruments whose totals
-// legitimately vary with the worker count (they count pool usage, not
-// construction semantics).
+// comparable map.
 func counterTotals(reg *obs.Registry) map[string]int64 {
 	out := map[string]int64{}
 	for _, sc := range reg.Snapshot().Scopes {
 		for _, c := range sc.Counters {
-			if sc.Name == "exact" && c.Name == "branches_parallel" {
-				continue
-			}
 			out[sc.Name+"."+c.Name] = c.Value
 		}
 	}
 	return out
 }
 
-// TestWorkersDeterminismProperty is the sweep-wide determinism property
-// the PR-9 tentpole promises: BKRUS (dense and sparse geometry, both
-// metrics), BMST_G, and BKST build byte-identical trees with identical
-// construction counter totals at workers ∈ {1, 2, 4, 8} on random
-// instances.
+// TestWorkersDeterminismProperty pins that the core count never shows in
+// a tree: BKRUS (dense and sparse geometry, both metrics), BMST_G, and
+// BKST build byte-identical trees with identical construction counter
+// totals at GOMAXPROCS ∈ {1, 2, 4, 8} on random instances. The dense
+// instances are above the matrix fill's parallel gate.
 func TestWorkersDeterminismProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -104,17 +60,20 @@ func TestWorkersDeterminismProperty(t *testing.T) {
 	type tc struct {
 		label string
 		name  string
-		in    *inst.Instance
+		in    func() *inst.Instance
 		p     Params
 	}
+	random := func(seed int64, sinks int, extent float64, m geom.Metric) func() *inst.Instance {
+		return func() *inst.Instance { return randomMetricInstance(seed, sinks, extent, m) }
+	}
 	cases := []tc{
-		{"bkrus/manhattan/dense", "bkrus", randomMetricInstance(21, 120, 1000, geom.Manhattan), Params{Eps: 0.2, Geometry: GeomDense}},
-		{"bkrus/euclidean/dense", "bkrus", randomMetricInstance(22, 120, 1000, geom.Euclidean), Params{Eps: 0.2, Geometry: GeomDense}},
-		{"bkrus/manhattan/sparse", "bkrus", randomMetricInstance(23, 400, 1e5, geom.Manhattan), Params{Eps: 0.1, Geometry: GeomSparse}},
-		{"bkrus/euclidean/sparse", "bkrus", randomMetricInstance(24, 400, 1e5, geom.Euclidean), Params{Eps: 0.1, Geometry: GeomSparse}},
-		{"bmstg/manhattan", "bmstg", randomMetricInstance(25, 9, 100, geom.Manhattan), Params{Eps: 0.1}},
-		{"bmstg/euclidean", "bmstg", randomMetricInstance(26, 9, 100, geom.Euclidean), Params{Eps: 0.1}},
-		{"bkst/manhattan", "bkst", randomMetricInstance(27, 60, 40, geom.Manhattan), Params{Eps: 0.2}},
+		{"bkrus/manhattan/dense", "bkrus", random(21, 200, 1000, geom.Manhattan), Params{Eps: 0.2, Geometry: GeomDense}},
+		{"bkrus/euclidean/dense", "bkrus", random(22, 200, 1000, geom.Euclidean), Params{Eps: 0.2, Geometry: GeomDense}},
+		{"bkrus/manhattan/sparse", "bkrus", random(23, 400, 1e5, geom.Manhattan), Params{Eps: 0.1, Geometry: GeomSparse}},
+		{"bkrus/euclidean/sparse", "bkrus", random(24, 400, 1e5, geom.Euclidean), Params{Eps: 0.1, Geometry: GeomSparse}},
+		{"bmstg/manhattan", "bmstg", random(25, 9, 100, geom.Manhattan), Params{Eps: 0.1}},
+		{"bmstg/euclidean", "bmstg", random(26, 9, 100, geom.Euclidean), Params{Eps: 0.1}},
+		{"bkst/manhattan", "bkst", random(27, 60, 40, geom.Manhattan), Params{Eps: 0.2}},
 	}
 	for _, c := range cases {
 		t.Run(c.label, func(t *testing.T) {
@@ -122,13 +81,9 @@ func TestWorkersDeterminismProperty(t *testing.T) {
 			var wantCounters map[string]int64
 			for _, w := range []int{1, 2, 4, 8} {
 				p := c.p
-				p.RefreshWorkers = w
 				reg := obs.NewRegistry()
 				p.Obs = reg
-				res, err := Build(context.Background(), c.name, c.in, p)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
+				res := buildAtProcs(t, w, c.name, c.in(), p)
 				edges := edgeString(res)
 				counters := counterTotals(reg)
 				if w == 1 {
@@ -136,15 +91,15 @@ func TestWorkersDeterminismProperty(t *testing.T) {
 					continue
 				}
 				if edges != wantEdges {
-					t.Errorf("workers=%d tree differs from serial:\n  %s\n  %s", w, edges, wantEdges)
+					t.Errorf("GOMAXPROCS=%d tree differs from GOMAXPROCS=1:\n  %s\n  %s", w, edges, wantEdges)
 				}
 				if len(counters) != len(wantCounters) {
-					t.Errorf("workers=%d counter set %v, want %v", w, counters, wantCounters)
+					t.Errorf("GOMAXPROCS=%d counter set %v, want %v", w, counters, wantCounters)
 					continue
 				}
 				for k, v := range wantCounters {
 					if counters[k] != v {
-						t.Errorf("workers=%d counter %s = %d, want %d", w, k, counters[k], v)
+						t.Errorf("GOMAXPROCS=%d counter %s = %d, want %d", w, k, counters[k], v)
 					}
 				}
 			}
@@ -154,29 +109,19 @@ func TestWorkersDeterminismProperty(t *testing.T) {
 
 // TestConformanceWorkersByteIdentical is the acceptance gate over the
 // whole registry: every registered constructor builds byte-identically
-// at workers 1 and 4 on the conformance fixtures.
+// at GOMAXPROCS 1 and 4 on the conformance fixtures.
 func TestConformanceWorkersByteIdentical(t *testing.T) {
 	for _, info := range List() {
 		p, ok := conformanceParams[info.Name]
 		if !ok {
 			continue
 		}
-		for _, fx := range conformanceFixtures() {
+		for i, fx := range conformanceFixtures() {
 			t.Run(info.Name+"/"+fx.name, func(t *testing.T) {
-				ps := p
-				ps.RefreshWorkers = 1
-				serial, err := Build(context.Background(), info.Name, fx.in, ps)
-				if err != nil {
-					t.Fatalf("serial build: %v", err)
-				}
-				pp := p
-				pp.RefreshWorkers = 4
-				parallel, err := Build(context.Background(), info.Name, fx.in, pp)
-				if err != nil {
-					t.Fatalf("parallel build: %v", err)
-				}
+				serial := buildAtProcs(t, 1, info.Name, fx.in, p)
+				parallel := buildAtProcs(t, 4, info.Name, conformanceFixtures()[i].in, p)
 				if edgeString(serial) != edgeString(parallel) {
-					t.Errorf("workers 1 and 4 builds differ:\n  %s\n  %s", edgeString(serial), edgeString(parallel))
+					t.Errorf("GOMAXPROCS 1 and 4 builds differ:\n  %s\n  %s", edgeString(serial), edgeString(parallel))
 				}
 			})
 		}

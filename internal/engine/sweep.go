@@ -21,10 +21,6 @@ const (
 	// GaugeSweepWorkers records the worker count of the most recent
 	// parallel sweep that fed the registry.
 	GaugeSweepWorkers = "sweep_workers"
-	// GaugeSweepRefreshWorkers records the effective per-cell refresh
-	// worker count after the goroutine clamp (sweep workers × refresh
-	// workers never exceeds the requested total).
-	GaugeSweepRefreshWorkers = "sweep_refresh_workers"
 	// CtrSweepRuns counts individual sweep cells completed.
 	CtrSweepRuns = "sweep_runs"
 )
@@ -34,28 +30,6 @@ type SweepOptions struct {
 	// Workers bounds the worker pool. 0 means runtime.GOMAXPROCS; the
 	// pool never exceeds the number of sweep cells.
 	Workers int
-}
-
-// clampRefreshWorkers bounds the total goroutine fan-out when a
-// parallel sweep drives parallel construction kernels: with
-// sweepWorkers cells in flight, each cell gets requested/sweepWorkers
-// refresh workers (at least 1, i.e. the serial inner path), so the
-// product never exceeds the requested total. requested = 0 means "the
-// machine", so the cap defaults to runtime.GOMAXPROCS. A serial sweep
-// passes the request through untouched.
-func clampRefreshWorkers(requested, sweepWorkers int) int {
-	if sweepWorkers <= 1 {
-		return requested
-	}
-	total := requested
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	eff := total / sweepWorkers
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
 }
 
 func (o SweepOptions) workers(cells int) int {
@@ -143,7 +117,6 @@ func (r *Registry) SweepParallel(ctx context.Context, name string, in *inst.Inst
 	runCell := func(i int, s *core.Scratch) {
 		p := ps[i]
 		p.Scratch = s
-		p.RefreshWorkers = clampRefreshWorkers(p.RefreshWorkers, w)
 		if p.Obs != nil {
 			priv[i] = obs.NewRegistry()
 			p.Obs = priv[i]
@@ -160,7 +133,6 @@ func (r *Registry) SweepParallel(ctx context.Context, name string, in *inst.Inst
 			if sc != nil {
 				sc.Counter(CtrSweepRuns).Inc()
 				sc.Gauge(GaugeSweepWorkers).Set(float64(w))
-				sc.Gauge(GaugeSweepRefreshWorkers).Set(float64(p.RefreshWorkers))
 			}
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/inst"
 	"repro/internal/mst"
-	"repro/internal/obs"
 )
 
 // ErrBudget is returned when the enumeration exceeds its tree budget
@@ -48,17 +47,6 @@ type Options struct {
 	// DisableLemmas turns off the Lemma 4.1-4.3 edge filtering, which is
 	// useful for measuring how much the preprocessing saves.
 	DisableLemmas bool
-	// BranchWorkers bounds the workers that solve a partition step's
-	// independent child branches. 0 defers to the package knob
-	// (SetBranchWorkers), which itself defaults to runtime.GOMAXPROCS;
-	// 1 forces the serial path. The enumeration order — and therefore
-	// the returned tree — is identical for every setting: branches are
-	// solved in parallel but pushed in branch-index order, and ties are
-	// broken exactly as the serial loop breaks them.
-	BranchWorkers int
-	// Counters receives the search's event counts. nil falls back to the
-	// process default registry's exact scope when one is installed.
-	Counters *Counters
 }
 
 // BMSTG returns an optimal bounded path length minimal spanning tree for
@@ -105,12 +93,7 @@ func BMSTGWithStats(ctx context.Context, in *inst.Instance, b core.Bounds, opt O
 	cand, forced := candidateEdges(in, b, !opt.DisableLemmas)
 	st.CandidateEdges = len(cand)
 	st.ForcedEdges = len(forced)
-	e := &enumerator{n: in.N(), sorted: cand, workers: resolveBranchWorkers(opt.BranchWorkers), c: opt.Counters}
-	if e.c == nil {
-		if sc := obs.DefaultScope(ScopeName); sc != nil {
-			e.c = NewCounters(sc)
-		}
-	}
+	e := &enumerator{n: in.N(), sorted: cand}
 
 	//lint:ignore ctxflow one-shot root relaxation before the polled enumeration loop; latency is bounded by a single Kruskal pass
 	root, ok := mst.ConstrainedKruskal(e.n, e.sorted, forced, nil)
@@ -146,7 +129,7 @@ func BMSTGWithStats(ctx context.Context, in *inst.Instance, b core.Bounds, opt O
 func KBest(in *inst.Instance, k int) []*graph.Tree {
 	cand := graph.CompleteEdges(in.DistMatrix())
 	graph.SortEdges(cand)
-	e := &enumerator{n: in.N(), sorted: cand, workers: resolveBranchWorkers(0)}
+	e := &enumerator{n: in.N(), sorted: cand}
 	root, ok := mst.ConstrainedKruskal(e.n, e.sorted, nil, nil)
 	if !ok {
 		return nil
@@ -233,22 +216,14 @@ func (h *subHeap) Pop() interface{} {
 }
 
 type enumerator struct {
-	n       int
-	sorted  []graph.Edge
-	workers int       // resolved branch worker count (1 = serial)
-	c       *Counters // optional instrumentation (nil = off)
+	n      int
+	sorted []graph.Edge
 }
 
 // partition splits sub's region (minus its own tree) into disjoint child
 // regions: with free edges e1..em of the popped tree, child i requires
 // e1..e(i-1) and forbids ei. Each child's constrained MST is its cheapest
 // representative; every spanning tree is generated exactly once.
-//
-// The per-child constraint sets are built serially (child i's include
-// list is a prefix of child i+1's), then the independent constrained-MST
-// solves run on the branch worker pool, then the surviving children are
-// pushed in branch-index order — byte-for-byte the serial loop's heap
-// mutations, regardless of which worker finished first.
 func (e *enumerator) partition(sub *subproblem, h *subHeap) {
 	inc := make(map[graph.Key]bool, len(sub.include))
 	for _, edge := range sub.include {
@@ -260,34 +235,17 @@ func (e *enumerator) partition(sub *subproblem, h *subHeap) {
 			free = append(free, edge)
 		}
 	}
-	kids := make([]*subproblem, len(free))
 	childInclude := append([]graph.Edge(nil), sub.include...)
-	for i, ei := range free {
+	for _, ei := range free {
 		childExclude := make(map[graph.Key]bool, len(sub.exclude)+1)
 		for k := range sub.exclude {
 			childExclude[k] = true
 		}
 		childExclude[ei.Key()] = true
-		kids[i] = &subproblem{
-			include: append([]graph.Edge(nil), childInclude...),
-			exclude: childExclude,
+		include := append([]graph.Edge(nil), childInclude...)
+		if t, ok := mst.ConstrainedKruskal(e.n, e.sorted, include, childExclude); ok {
+			heap.Push(h, &subproblem{tree: t, cost: t.Cost(), include: include, exclude: childExclude})
 		}
 		childInclude = append(childInclude, ei)
-	}
-	e.solveBranches(kids)
-	for _, kid := range kids {
-		if kid.tree != nil {
-			heap.Push(h, kid)
-		}
-	}
-}
-
-// solveBranch fills in kid's cheapest representative, leaving kid.tree
-// nil when the region is empty. Each call touches only its own kid, so
-// distinct kids solve concurrently.
-func (e *enumerator) solveBranch(kid *subproblem) {
-	if t, ok := mst.ConstrainedKruskal(e.n, e.sorted, kid.include, kid.exclude); ok {
-		kid.tree = t
-		kid.cost = t.Cost()
 	}
 }

@@ -11,6 +11,7 @@ package geom
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 )
 
@@ -98,13 +99,13 @@ type DistMatrix struct {
 }
 
 // NewDistMatrix computes the full pairwise distance matrix of pts under
-// m. Large matrices are filled row-parallel when more than one worker
-// is available (see SetMatrixWorkers); the result is byte-identical to
-// the serial fill either way.
+// m. Large matrices are filled row-parallel when GOMAXPROCS allows more
+// than one worker; the result is byte-identical to the serial fill
+// either way.
 func NewDistMatrix(pts []Point, m Metric) *DistMatrix {
 	n := len(pts)
 	dm := &DistMatrix{n: n, d: make([]float64, n*n)}
-	if w := matrixWorkers(); w > 1 && n >= parallelMatrixMin {
+	if w := runtime.GOMAXPROCS(0); w > 1 && n >= parallelMatrixMin {
 		fillParallel(dm, pts, m, w)
 		return dm
 	}

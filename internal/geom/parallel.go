@@ -1,11 +1,6 @@
 package geom
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Row-parallel distance-matrix fill. Building the O(n²) matrix is the
 // other half of a large-instance construction's setup cost (beside the
@@ -22,34 +17,6 @@ import (
 // parallelMatrixMin is the node count below which the serial
 // upper-triangle fill always wins (goroutine startup dominates).
 const parallelMatrixMin = 128
-
-// matrixWorkersKnob overrides the fill's worker count: 0 means "gate on
-// runtime.GOMAXPROCS", 1 forces the serial path, n > 1 forces n
-// workers. Atomic so tests and benchmarks can flip it concurrently.
-var matrixWorkersKnob atomic.Int32
-
-// SetMatrixWorkers sets the package-level worker count for
-// NewDistMatrix and returns the previous setting. 0 restores the
-// default (runtime.GOMAXPROCS); 1 forces the serial path. Intended for
-// tests and benchmarks that must pin one path.
-func SetMatrixWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	if n > math.MaxInt32 {
-		// The knob is stored in an atomic.Int32; an absurd worker count
-		// would otherwise truncate silently (possibly to a negative).
-		n = math.MaxInt32
-	}
-	return int(matrixWorkersKnob.Swap(int32(n)))
-}
-
-func matrixWorkers() int {
-	if k := matrixWorkersKnob.Load(); k > 0 {
-		return int(k)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // fillParallel fills dm with w workers, each owning every w-th row.
 // Strided assignment balances the load exactly because every full row

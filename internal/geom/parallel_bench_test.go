@@ -7,18 +7,17 @@ import (
 	"testing"
 )
 
-// BenchmarkDistMatrix measures the O(n²) matrix fill at pinned worker
-// counts (1 = the historical serial path). On a multi-core host the
-// parallel rows amortize; on a single-core host the gate keeps the
-// serial path and the workers>1 rows only measure goroutine overhead.
+// BenchmarkDistMatrix measures the O(n²) matrix fill with GOMAXPROCS
+// pinned to the row's worker count (1 = the serial path). On a
+// multi-core host the parallel rows amortize; with fewer cores than
+// workers they also measure scheduling overhead.
 func BenchmarkDistMatrix(b *testing.B) {
 	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{250, 500, 1000} {
 		pts := randPoints(rand.New(rand.NewSource(29)), n)
 		for _, w := range workerSet {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				prev := SetMatrixWorkers(w)
-				defer SetMatrixWorkers(prev)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -13,50 +14,29 @@ func randPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// TestNewDistMatrixParallelMatchesSerial pins the tentpole determinism
-// contract: the row-parallel fill is byte-identical to the serial
-// upper-triangle fill for both metrics, at several worker counts, above
-// and below the parallel gate.
+// TestNewDistMatrixParallelMatchesSerial pins the determinism contract:
+// the row-parallel fill is byte-identical to the serial upper-triangle
+// fill for both metrics, at several worker counts, above and below the
+// parallel gate.
 func TestNewDistMatrixParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 2, 50, parallelMatrixMin, 200} {
 		pts := randPoints(rng, n)
 		for _, m := range []Metric{Manhattan, Euclidean} {
-			prev := SetMatrixWorkers(1)
+			prev := runtime.GOMAXPROCS(1)
 			serial := NewDistMatrix(pts, m)
-			for _, workers := range []int{2, 4, 7} {
-				SetMatrixWorkers(workers)
-				par := NewDistMatrix(pts, m)
+			runtime.GOMAXPROCS(prev)
+			for _, workers := range []int{2, 4, 8} {
+				par := &DistMatrix{n: n, d: make([]float64, n*n)}
+				fillParallel(par, pts, m, workers)
 				for i := range serial.d {
 					if par.d[i] != serial.d[i] {
-						SetMatrixWorkers(prev)
 						t.Fatalf("n=%d %v workers=%d: cell %d differs: %v vs %v",
 							n, m, workers, i, par.d[i], serial.d[i])
 					}
 				}
 			}
-			SetMatrixWorkers(prev)
 		}
-	}
-}
-
-func TestSetMatrixWorkersKnob(t *testing.T) {
-	prev := SetMatrixWorkers(5)
-	defer SetMatrixWorkers(prev)
-	if got := matrixWorkers(); got != 5 {
-		t.Fatalf("matrixWorkers = %d, want 5", got)
-	}
-	if old := SetMatrixWorkers(0); old != 5 {
-		t.Fatalf("SetMatrixWorkers returned %d, want 5", old)
-	}
-	if got := matrixWorkers(); got < 1 {
-		t.Fatalf("default matrixWorkers = %d", got)
-	}
-	if old := SetMatrixWorkers(-1); old != 0 {
-		t.Fatalf("SetMatrixWorkers(-1) returned %d, want 0", old)
-	}
-	if got := matrixWorkers(); got < 1 {
-		t.Fatalf("negative knob broke matrixWorkers: %d", got)
 	}
 }
 

@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Parallel full-sort kernel for edge lists — the fallback the lazy
@@ -23,41 +21,12 @@ import (
 // amortize. 4096 edges ≈ a 91-terminal complete graph.
 const parallelSortMin = 4096
 
-// sortWorkersKnob overrides the sort kernel's worker count: 0 means
-// "gate on runtime.GOMAXPROCS", 1 forces the serial path, n > 1 forces
-// n-way parallelism. Atomic so tests and benchmarks can flip it while
-// other goroutines sort.
-var sortWorkersKnob atomic.Int32
-
-// SetSortWorkers sets the package-level worker count for
-// ParallelSortEdges and returns the previous setting. 0 restores the
-// default (runtime.GOMAXPROCS); 1 forces the serial path. Intended for
-// tests and benchmarks that must pin one path.
-func SetSortWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	if n > math.MaxInt32 {
-		// The knob is stored in an atomic.Int32; an absurd worker count
-		// would otherwise truncate silently (possibly to a negative).
-		n = math.MaxInt32
-	}
-	return int(sortWorkersKnob.Swap(int32(n)))
-}
-
-func sortWorkers() int {
-	if k := sortWorkersKnob.Load(); k > 0 {
-		return int(k)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ParallelSortEdges sorts edges in the canonical SortEdges order using
-// a parallel stable merge sort when the slice is large and more than
-// one worker is available; otherwise it falls through to the serial
+// a parallel stable merge sort when the slice is large and GOMAXPROCS
+// allows more than one worker; otherwise it falls through to the serial
 // sort. Output is byte-identical to SortEdges either way.
 func ParallelSortEdges(edges []Edge) {
-	w := sortWorkers()
+	w := runtime.GOMAXPROCS(0)
 	if w <= 1 || len(edges) < parallelSortMin {
 		SortEdges(edges)
 		return

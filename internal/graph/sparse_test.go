@@ -49,9 +49,9 @@ func TestNeighborEdgesWellFormed(t *testing.T) {
 	}
 }
 
-// TestSparseStreamMatchesEagerSort pins the order contract: streaming
+// TestSparseStreamMatchesSortEdges pins the order contract: streaming
 // the sparse set lazily yields exactly the SortEdges order of that set.
-func TestSparseStreamMatchesEagerSort(t *testing.T) {
+func TestSparseStreamMatchesSortEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randSparsePoints(rng, 120)
 	ix := geom.NewIndex(pts, geom.Euclidean)

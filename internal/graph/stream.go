@@ -99,15 +99,6 @@ func (s *EdgeStream) Next() (Edge, bool) {
 // immutable instance.
 func (s *EdgeStream) Reset() { s.pos = 0 }
 
-// DrainSort forces the remainder of the stream into final sorted order
-// (using the parallel sort kernel when it pays) and returns the
-// complete sorted edge slice. Emission position is unchanged: this is
-// the eager-sort escape hatch, not a consumer.
-func (s *EdgeStream) DrainSort() []Edge {
-	s.sortTail()
-	return s.edges
-}
-
 // fill extends the sorted prefix past pos: it refines the partition
 // frontier until the next batch (at least one edge) is in final order.
 // Called only with pos == ready < len(edges).

@@ -32,8 +32,9 @@ func BenchmarkEdgeStreamPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSortEdges measures the full-sort fallback kernel at
-// pinned worker counts (1 = the serial sort.Slice path).
+// BenchmarkParallelSortEdges measures the full-sort fallback kernel
+// with GOMAXPROCS pinned to the row's worker count (1 = the serial
+// sort.Slice path).
 func BenchmarkParallelSortEdges(b *testing.B) {
 	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, n := range []int{250, 500, 1000} {
@@ -41,8 +42,7 @@ func BenchmarkParallelSortEdges(b *testing.B) {
 		base := randomEdges(rng, n)
 		for _, w := range workerSet {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				prev := SetSortWorkers(w)
-				defer SetSortWorkers(prev)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 				work := make([]Edge, len(base))
 				b.ReportAllocs()
 				b.ResetTimer()

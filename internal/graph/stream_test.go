@@ -138,37 +138,9 @@ func TestEdgeStreamFallbackSortsWholeTail(t *testing.T) {
 	}
 }
 
-func TestEdgeStreamDrainSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	edges := randomEdges(rng, 30)
-	want := append([]Edge(nil), edges...)
-	SortEdges(want)
-
-	s := NewEdgeStreamFrom(edges)
-	// Consume a few first so DrainSort must handle a nonzero prefix.
-	for i := 0; i < 5; i++ {
-		s.Next()
-	}
-	got := s.DrainSort()
-	if len(got) != len(want) {
-		t.Fatalf("DrainSort len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DrainSort edge %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if s.Drained() != 5 {
-		t.Fatalf("DrainSort moved the emission position: Drained = %d", s.Drained())
-	}
-	// DrainSort on an already sorted stream is a no-op.
-	b := s.Batches()
-	s.DrainSort()
-	if s.Batches() != b {
-		t.Fatal("second DrainSort re-sorted")
-	}
-}
-
+// TestParallelSortEdgesMatchesSerial pins the determinism contract of
+// the fallback sort kernel: at 2, 4 and 8 workers (recursion depth 1, 2
+// and 3) the merge sort is byte-identical to SortEdges.
 func TestParallelSortEdgesMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	// 120 nodes -> 7140 edges, above parallelSortMin.
@@ -176,35 +148,13 @@ func TestParallelSortEdgesMatchesSerial(t *testing.T) {
 	want := append([]Edge(nil), edges...)
 	SortEdges(want)
 
-	for _, workers := range []int{1, 2, 4, 7} {
+	for _, c := range []struct{ workers, depth int }{{2, 1}, {4, 2}, {8, 3}} {
 		got := append([]Edge(nil), edges...)
-		prev := SetSortWorkers(workers)
-		ParallelSortEdges(got)
-		SetSortWorkers(prev)
+		parallelMergeSort(got, make([]Edge, len(got)), c.depth)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d: edge %d = %v, want %v", workers, i, got[i], want[i])
+				t.Fatalf("workers=%d: edge %d = %v, want %v", c.workers, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestSetSortWorkersKnob(t *testing.T) {
-	prev := SetSortWorkers(3)
-	defer SetSortWorkers(prev)
-	if got := sortWorkers(); got != 3 {
-		t.Fatalf("sortWorkers = %d, want 3", got)
-	}
-	if old := SetSortWorkers(0); old != 3 {
-		t.Fatalf("SetSortWorkers returned %d, want 3", old)
-	}
-	if got := sortWorkers(); got < 1 {
-		t.Fatalf("default sortWorkers = %d", got)
-	}
-	if old := SetSortWorkers(-5); old != 0 {
-		t.Fatalf("SetSortWorkers(-5) returned %d, want 0", old)
-	}
-	if got := sortWorkers(); got < 1 {
-		t.Fatalf("negative knob broke sortWorkers: %d", got)
 	}
 }

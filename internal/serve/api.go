@@ -52,13 +52,6 @@ type NetRequest struct {
 	XBudget int     `json:"xbudget,omitempty"`
 	GBudget int     `json:"gbudget,omitempty"`
 
-	// Workers overrides the server's construction worker count for
-	// this net (engine.Params.RefreshWorkers): 0 means the server
-	// default, 1 forces the serial kernels, up to MaxNetWorkers. The
-	// tree is byte-identical at every setting; this only trades build
-	// latency for CPU.
-	Workers int `json:"workers,omitempty"`
-
 	// EpsSweep, when non-empty, builds the net once per listed eps
 	// (overriding Eps) as an engine sweep sharing one sorted-edge
 	// stream; the result carries one tree per eps, in input order.
@@ -147,8 +140,7 @@ func (n *NetRequest) netLabel(i int) string {
 }
 
 // params maps the request fields onto engine.Params (Obs and Scratch
-// are the server's business, not the client's; Workers merges with the
-// server default in buildTrees, see Server.refreshWorkersFor).
+// are the server's business, not the client's).
 func (n *NetRequest) params() engine.Params {
 	return engine.Params{
 		Eps: n.Eps, Eps1: n.Eps1, Eps2: n.Eps2, AHHKC: n.C,

@@ -61,9 +61,6 @@ const (
 	DefaultTimeout   = 5 * time.Second
 	DefaultMaxWait   = 60 * time.Second
 	DefaultMaxBody   = 8 << 20
-	// MaxNetWorkers caps the per-net "workers" request field; a larger
-	// ask is a client error, not a bigger goroutine fan-out.
-	MaxNetWorkers = 64
 )
 
 // Config sizes the serving pipeline. The zero value of every field is a
@@ -91,15 +88,6 @@ type Config struct {
 	// for eps_sweep nets. 0 means runtime.GOMAXPROCS; 1 forces the
 	// serial sweep (byte-identical results either way).
 	SweepWorkers int
-	// RefreshWorkers bounds the construction inner-loop workers handed
-	// to each build (engine.Params.RefreshWorkers): the BKRUS P-matrix
-	// refresh, BMST_G branch solves, and BKST pair seeding. 0 defers to
-	// the per-layer knobs (GOMAXPROCS by default), 1 forces the serial
-	// kernels; trees are byte-identical at every count. A request may
-	// override per net with the "workers" field. Under eps_sweep the
-	// engine clamps the per-cell value so sweep workers × refresh
-	// workers never exceeds the budget.
-	RefreshWorkers int
 	// MaxBatch bounds nets per request (0 = DefaultMaxBatch).
 	MaxBatch int
 	// MaxPoints bounds terminals per net (0 = DefaultMaxPoints).
@@ -131,7 +119,6 @@ type Server struct {
 	cache *instCache
 
 	sweepWorkers   int
-	refreshWorkers int
 	maxBatch       int
 	maxPoints      int
 	maxSweep       int
@@ -176,7 +163,6 @@ func New(cfg Config) *Server {
 		gate:           newGate(workers, queue),
 		cache:          newInstCache(cacheSize, cfg.CacheBytes),
 		sweepWorkers:   sweepWorkers,
-		refreshWorkers: cfg.RefreshWorkers,
 		maxBatch:       orDefault(cfg.MaxBatch, DefaultMaxBatch),
 		maxPoints:      orDefault(cfg.MaxPoints, DefaultMaxPoints),
 		maxSweep:       orDefault(cfg.MaxSweep, DefaultMaxSweep),
@@ -304,9 +290,6 @@ func (s *Server) validate(req *BuildRequest) ([]checkedNet, error) {
 		}
 		if len(n.EpsSweep) > s.maxSweep {
 			return nil, fmt.Errorf("%s: eps_sweep of %d values exceeds the limit of %d", label, len(n.EpsSweep), s.maxSweep)
-		}
-		if n.Workers < 0 || n.Workers > MaxNetWorkers {
-			return nil, fmt.Errorf("%s: workers must be in [0, %d], got %d", label, MaxNetWorkers, n.Workers)
 		}
 		ctor, err := s.reg.Lookup(n.Algo)
 		if err != nil {
@@ -511,7 +494,6 @@ func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntr
 		p := n.params()
 		p.Obs = s.obsd
 		p.Scratch = &entry.scratch
-		p.RefreshWorkers = s.refreshWorkersFor(n)
 		res, err := cn.ctor.Build(ctx, entry.in, p)
 		if err != nil {
 			return nil, err
@@ -522,7 +504,6 @@ func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntr
 
 	base := n.params()
 	base.Obs = s.obsd
-	base.RefreshWorkers = s.refreshWorkersFor(n)
 	ps := make([]engine.Params, len(n.EpsSweep))
 	for j, eps := range n.EpsSweep {
 		p := base
@@ -551,17 +532,6 @@ func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntr
 		out[j] = encodeResult(n.EpsSweep[j], entry.in, res)
 	}
 	return out, nil
-}
-
-// refreshWorkersFor resolves a net's construction worker count: the
-// request-level "workers" field when set, else the server default.
-// Either way 0 defers to the layer knobs; the value only steers how
-// much hardware a build uses, never which tree it produces.
-func (s *Server) refreshWorkersFor(n *NetRequest) int {
-	if n.Workers > 0 {
-		return n.Workers
-	}
-	return s.refreshWorkers
 }
 
 // handleAlgos is GET /v1/algos: the engine registry as JSON.

@@ -176,39 +176,6 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestRequestWorkersInvariance pins the construction-worker contract at
-// the HTTP surface: the same net built serially, under a server-side
-// -refresh-workers default, and under a request-level "workers"
-// override produces byte-identical response bodies — the field only
-// steers hardware use, never the tree.
-func TestRequestWorkersInvariance(t *testing.T) {
-	netAt := func(w int) string {
-		rng := rand.New(rand.NewSource(9))
-		extra := `"eps":0.3`
-		if w > 0 {
-			extra += fmt.Sprintf(`,"workers":%d`, w)
-		}
-		return `{"nets":[` + randomNetJSON(rng, 40, "bkrus", extra) + `]}`
-	}
-
-	_, serial := newTestServer(t, Config{RefreshWorkers: 1})
-	_, serverDefault := newTestServer(t, Config{RefreshWorkers: 2})
-	_, override := newTestServer(t, Config{RefreshWorkers: 1})
-
-	c1, want, _ := postBuild(t, serial.URL, netAt(0))
-	c2, viaDefault, _ := postBuild(t, serverDefault.URL, netAt(0))
-	c3, viaOverride, _ := postBuild(t, override.URL, netAt(4))
-	if c1 != http.StatusOK || c2 != http.StatusOK || c3 != http.StatusOK {
-		t.Fatalf("statuses %d %d %d", c1, c2, c3)
-	}
-	if !bytes.Equal(want, viaDefault) {
-		t.Errorf("server-default workers changed the response:\n%s\n%s", want, viaDefault)
-	}
-	if !bytes.Equal(want, viaOverride) {
-		t.Errorf("request-level workers changed the response:\n%s\n%s", want, viaOverride)
-	}
-}
-
 // TestMalformedRequests walks the 400 surface: bad JSON, unknown
 // fields, limit violations, unknown names.
 func TestMalformedRequests(t *testing.T) {
@@ -229,6 +196,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"oversized sweep", `{"nets":[{"algo":"bkrus","eps_sweep":[0.1,0.2,0.3,0.4],"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
 		{"negative workers", `{"nets":[{"algo":"bkrus","workers":-1,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
 		{"oversized workers", `{"nets":[{"algo":"bkrus","workers":65,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+		{"retired workers field", `{"nets":[{"algo":"bkrus","workers":2,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
 	}
 	for _, c := range cases {
 		code, data, _ := postBuild(t, ts.URL, c.body)

@@ -185,13 +185,6 @@ type Config struct {
 	// Planar forbids layered jumper wires; walled-in terminals surface as
 	// ErrNotPlanar.
 	Planar bool
-	// SeedWorkers bounds the workers that evaluate the O(terminals²)
-	// candidate-pair distances feeding the pair heap. 0 defers to the
-	// package knob (SetSeedWorkers), which itself defaults to
-	// runtime.GOMAXPROCS; 1 forces the serial path. Distances are
-	// evaluated in parallel but pushed serially in input order, so the
-	// heap — and the tree — is byte-identical for every setting.
-	SeedWorkers int
 }
 
 // BKSTBuild is the full-control entry point behind every BKST variant:
@@ -207,7 +200,7 @@ func BKSTBuild(ctx context.Context, in *inst.Instance, bounds core.Bounds, cfg C
 		return nil, fmtErrMetric(in.Metric())
 	}
 	//lint:ignore ctxflow heap seeding is O(terminals^2) before the first pop; run(ctx) polls from the first candidate on and BKST terminal counts are small by design
-	b := newBuilder(in, bounds.Upper, cfg.SeedWorkers)
+	b := newBuilder(in, bounds.Upper)
 	b.lower = bounds.Lower
 	b.planar = cfg.Planar
 	if cfg.Counters != nil {
@@ -263,7 +256,7 @@ type builder struct {
 	mzDone []bool
 }
 
-func newBuilder(in *inst.Instance, bound float64, seedWorkers int) *builder {
+func newBuilder(in *inst.Instance, bound float64) *builder {
 	g := NewGrid(in)
 	b := &builder{
 		g:          g,
@@ -283,13 +276,23 @@ func newBuilder(in *inst.Instance, bound float64, seedWorkers int) *builder {
 			b.forest = append(b.forest, id)
 		}
 	}
-	b.seedPairs(resolveSeedWorkers(seedWorkers))
+	b.seedPairs()
 	// Opportunistic instrumentation, overridable by Config.Counters.
 	if sc := obs.DefaultScope(ScopeName); sc != nil {
 		b.c = NewCounters(sc)
 		b.c.publishGrid(g)
 	}
 	return b
+}
+
+// seedPairs fills the pair heap with every forest-pair candidate and
+// its metric distance, in ascending (i, j) order of the forest list.
+func (b *builder) seedPairs() {
+	for i, a := range b.forest {
+		for _, c := range b.forest[i+1:] {
+			heap.Push(&b.h, pairItem{a: a, b: c, d: b.g.Dist(a, c)})
+		}
+	}
 }
 
 // pathLen returns the in-forest path length between two nodes of the

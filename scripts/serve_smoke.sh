@@ -53,11 +53,9 @@ stop_daemon() {
 }
 
 echo "serve-smoke: phase 1 — mixed-algorithm burst + metrics validation"
-# -refresh-workers 2 / -workers 2 exercise the parallel construction
-# kernels behind the daemon; trees are byte-identical to serial builds.
-boot_daemon "$tmp/addr1" -refresh-workers 2
+boot_daemon "$tmp/addr1"
 "$tmp/loadgen" -addr "$(cat "$tmp/addr1")" \
-    -n 60 -c 8 -algos bkrus,mst,bkst,spt,bprim -sinks 24 -sweep 3 -workers 2 \
+    -n 60 -c 8 -algos bkrus,mst,bkst,spt,bprim -sinks 24 -sweep 3 \
     -metrics-out "$tmp/metrics.json"
 "$tmp/checkmetrics" "$tmp/metrics.json"
 stop_daemon

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	loadgen -addr 127.0.0.1:8344 [-n 60] [-c 8] [-algos bkrus,mst,bkst]
-//	        [-sinks 24] [-sweep 0] [-workers 0] [-seed 1] [-timeout-ms 0]
+//	        [-sinks 24] [-sweep 0] [-seed 1] [-timeout-ms 0]
 //	        [-metrics-out file.json] [-expect-shed]
 //
 // The request mix is fully determined by -seed, -n, -algos, -sinks and
@@ -50,7 +50,6 @@ type config struct {
 	algos      []string
 	sinks      int
 	sweep      int
-	workers    int
 	seed       int64
 	timeoutMS  int64
 	metricsOut string
@@ -65,7 +64,6 @@ func main() {
 		algos      = flag.String("algos", "bkrus,mst,bkst", "comma-separated constructor mix, assigned round-robin")
 		sinks      = flag.Int("sinks", 24, "sinks per net (Steiner nets are capped at 24: the Hanan grid is quadratic)")
 		sweep      = flag.Int("sweep", 0, "when > 0, every third request carries an eps_sweep of this many values")
-		workers    = flag.Int("workers", 0, "per-net workers field: construction inner-loop workers behind the daemon (0 = server default)")
 		seed       = flag.Int64("seed", 1, "request-mix seed")
 		timeoutMS  = flag.Int64("timeout-ms", 0, "per-request timeout_ms field (0 = server default)")
 		metricsOut = flag.String("metrics-out", "", "write the post-burst /metrics snapshot to this file")
@@ -78,7 +76,7 @@ func main() {
 	}
 	cfg := config{
 		addr: *addr, n: *n, c: *c, algos: strings.Split(*algos, ","),
-		sinks: *sinks, sweep: *sweep, workers: *workers, seed: *seed,
+		sinks: *sinks, sweep: *sweep, seed: *seed,
 		timeoutMS: *timeoutMS, metricsOut: *metricsOut, expectShed: *expectShed,
 	}
 	if err := run(cfg, os.Stdout); err != nil {
@@ -155,10 +153,9 @@ func makeBodies(cfg config) [][]byte {
 			sinks = 24
 		}
 		net := serve.NetRequest{
-			Name:    fmt.Sprintf("n%d", i),
-			Algo:    algo,
-			Eps:     0.25,
-			Workers: cfg.workers,
+			Name: fmt.Sprintf("n%d", i),
+			Algo: algo,
+			Eps:  0.25,
 			Source: serve.Point{
 				X: rng.Float64() * 1000,
 				Y: rng.Float64() * 1000,
