@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
+.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
 
 all: build vet lint test conformance
 
@@ -120,6 +120,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
+
+# CPU profile of the sparse BKRUS hot path (n = 10⁴, ε = 0.2): runs
+# BenchmarkBKRUSRefreshSparse under -cpuprofile and prints the 15
+# functions with the most flat time. The profile and the test binary
+# land next to PROFILE_OUT for further `go tool pprof` digging.
+PROFILE_OUT ?= /tmp/bkrus_sparse
+profile-sparse:
+	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSRefreshSparse' -benchtime 10x \
+	    -cpuprofile $(PROFILE_OUT).prof -o $(PROFILE_OUT).test ./internal/core/
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_OUT).test $(PROFILE_OUT).prof
 
 # the benchmark in perfbench/ is a module of its own, so the root
 # `go build ./...` never compiles it; vet and test it here so removing

@@ -13,19 +13,23 @@
 //     must satisfy dist(S,x) + radius_M(x) ≤ bound, so a direct source
 //     connection through x can always finish the tree.
 //
-// The engine maintains the paper's bookkeeping: P[x][y], the in-forest
-// path length between every pair of nodes in the same partial tree, and
-// r[x], the radius of x within its partial tree. A merge writes each
-// cross-pair entry exactly once, so all merges together cost O(V²);
-// feasibility scans dominate at O(EV).
+// The engine keeps only the bookkeeping these two tests read. Inside
+// source-free trees that is the paper's: P[x][y], the in-forest path
+// length between every pair of nodes of the tree, r[x], the radius of x
+// within it, and the witness order (3-b) scans. The source tree needs
+// none of it: (3-a) reads only path(S,u), so a tree that joins the
+// source tree contributes its source paths (P's Source row) and nothing
+// else. A merge writes each cross-pair entry at most once, so all
+// merges together cost O(V²); feasibility scans dominate at O(EV).
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
@@ -168,20 +172,19 @@ func BKRUSBuild(ctx context.Context, in *inst.Instance, b Bounds, cfg Config) (*
 // next). A zero Scratch is ready to use; it grows to the largest
 // instance it has served and is not safe for concurrent use.
 type Scratch struct {
-	p       []float64
-	r       []float64
-	baseKey []float64
-	byBase  [][]int
-	ds      *graph.DisjointSet
+	p      []float64
+	r      []float64
+	byBase [][]witness
+	ds     *graph.DisjointSet
 
-	// Sparse-mode buffers: forest adjacency, source paths, DFS path
-	// scratch and DFS stacks. Untouched by dense constructions.
-	adj       [][]graph.Adj
-	distS     []float64
-	pathU     []float64
-	pathV     []float64
-	stackNode []int32
-	stackPar  []int32
+	// Sparse-mode buffers: forest adjacency, source paths, and the
+	// witness DFS's distances, epoch stamps and stack. Untouched by
+	// dense constructions.
+	adj   [][]graph.Adj
+	distS []float64
+	dist  []float64
+	stamp []uint32
+	stack []int32
 
 	stream       *graph.EdgeStream
 	streamFor    *inst.Instance
@@ -227,11 +230,11 @@ func (s *Scratch) Release() {
 // consumers with byte budgets (internal/serve) use this to account
 // pinned scratches.
 func (s *Scratch) MemBytes() int64 {
-	b := int64(cap(s.p)+cap(s.r)+cap(s.baseKey)+cap(s.distS)+cap(s.pathU)+cap(s.pathV)) * 8
-	b += int64(cap(s.stackNode)+cap(s.stackPar)) * 4
+	b := int64(cap(s.p)+cap(s.r)+cap(s.distS)+cap(s.dist)) * 8
+	b += int64(cap(s.stamp)+cap(s.stack)) * 4
 	b += int64(cap(s.byBase)) * 24
 	for i := range s.byBase {
-		b += int64(cap(s.byBase[i])) * 8
+		b += int64(cap(s.byBase[i])) * 16
 	}
 	b += int64(cap(s.adj)) * 24
 	for i := range s.adj {
@@ -269,6 +272,7 @@ func (s *Scratch) attachDense(e *engine, n int) {
 		}
 	}
 	e.p = s.p
+	e.distS = e.p[graph.Source*n : (graph.Source+1)*n]
 }
 
 func (s *Scratch) attachSparse(e *engine, n int) {
@@ -282,19 +286,19 @@ func (s *Scratch) attachSparse(e *engine, n int) {
 	}
 	if cap(s.distS) < n {
 		s.distS = make([]float64, n)
-		s.pathU = make([]float64, n)
-		s.pathV = make([]float64, n)
+		s.dist = make([]float64, n)
+		s.stamp = make([]uint32, n)
 	} else {
 		s.distS = s.distS[:n]
-		s.pathU = s.pathU[:n]
-		s.pathV = s.pathV[:n]
+		s.dist = s.dist[:n]
+		s.stamp = s.stamp[:n]
+		clear(s.stamp)
 	}
 	for i := range s.distS {
 		s.distS[i] = math.Inf(1)
 	}
 	s.distS[graph.Source] = 0
-	e.adj, e.distS, e.pathU, e.pathV = s.adj, s.distS, s.pathU, s.pathV
-	e.stackNode, e.stackPar = s.stackNode, s.stackPar
+	e.adj, e.distS, e.dist, e.stamp, e.stack = s.adj, s.distS, s.dist, s.stamp, s.stack
 }
 
 func (s *Scratch) attachCommon(e *engine, n int) {
@@ -306,25 +310,17 @@ func (s *Scratch) attachCommon(e *engine, n int) {
 			s.r[i] = 0
 		}
 	}
-	if cap(s.baseKey) < n {
-		s.baseKey = make([]float64, n)
-	} else {
-		s.baseKey = s.baseKey[:n]
-	}
 	if cap(s.byBase) < n {
-		s.byBase = make([][]int, n)
+		s.byBase = make([][]witness, n)
 	} else {
 		s.byBase = s.byBase[:n]
-	}
-	for x := 0; x < n; x++ {
-		s.byBase[x] = append(s.byBase[x][:0], x)
 	}
 	if s.ds == nil || s.ds.Len() != n {
 		s.ds = graph.NewDisjointSet(n)
 	} else {
 		s.ds.Reset()
 	}
-	e.r, e.baseKey, e.byBase, e.ds = s.r, s.baseKey, s.byBase, s.ds
+	e.r, e.byBase, e.ds = s.r, s.byBase, s.ds
 }
 
 // engine carries the BKRUS working state for one construction.
@@ -333,28 +329,33 @@ type engine struct {
 	sparse  bool          // substrate: oracle + neighbor graph vs matrix + complete graph
 	dm      graph.Weights // matrix (dense) or on-demand oracle (sparse)
 	b       Bounds
-	p       []float64 // dense only — P[x][y] flattened: in-forest path lengths, 0 across trees
-	r       []float64 // radius of each node within its partial tree
-	baseKey []float64 // per-refresh witnessBase cache, indexed by node id
+	p       []float64 // dense only — P[x][y] flattened: in-forest path lengths inside source-free trees, 0 across trees
+	r       []float64 // radius of each node within its partial tree; kept for source-free trees only
 	ds      *graph.DisjointSet
 	c       *Counters         // optional instrumentation (nil = off)
 	scratch *Scratch          // optional pooled buffers (nil = own allocations)
 	stream  *graph.EdgeStream // candidate edges in nondecreasing weight order
-	// byBase[rep] lists the members of the set named rep in ascending
-	// order of witnessBase = dist(S,x) + r[x] (lower-bound-ineligible
-	// members, base = +Inf, sort last). Since radius_M(x) >= r[x] for any
-	// tentative merge, a scan in this order can stop at the first member
-	// whose base exceeds Upper: no later member can witness condition
-	// (3-b) either.
-	byBase [][]int
+	// byBase[rep] lists the members of the source-free set named rep,
+	// each with its cached witnessBase = dist(S,x) + r[x], in ascending
+	// order of that base (lower-bound-ineligible members, base = +Inf,
+	// sort last). Since radius_M(x) >= r[x] for any tentative merge, a
+	// scan in this order can stop at the first member whose base exceeds
+	// Upper: no later member can witness condition (3-b) either. The
+	// source tree's entry is never read and never refreshed.
+	byBase [][]witness
+	// distS[x] is the in-tree path length from the source to x, defined
+	// once x joins the source tree and never changed afterwards. On the
+	// dense path it is P's Source row.
+	distS []float64
 	// Sparse-substrate state (nil on the dense path): the partial
-	// forest's adjacency, the immutable-once-set source paths, and the
-	// DFS scratch that replaces P-matrix rows. See sparse.go.
-	adj          [][]graph.Adj
-	distS        []float64
-	pathU, pathV []float64
-	stackNode    []int32
-	stackPar     []int32
+	// forest's adjacency and the incremental DFS that replaces P-matrix
+	// rows (distances from the fill root, per-fill epoch stamps marking
+	// the nodes reached, and the stack). See sparse.go.
+	adj   [][]graph.Adj
+	dist  []float64
+	stamp []uint32
+	epoch uint32
+	stack []int32
 }
 
 func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
@@ -383,20 +384,20 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 				e.distS[i] = math.Inf(1)
 			}
 			e.distS[graph.Source] = 0
-			e.pathU = make([]float64, n)
-			e.pathV = make([]float64, n)
+			e.dist = make([]float64, n)
+			e.stamp = make([]uint32, n)
 			e.stream = graph.NewSparseEdgeStream(in.Index(), graph.Source)
 		} else {
 			e.p = make([]float64, n*n)
+			e.distS = e.p[graph.Source*n : (graph.Source+1)*n]
 			e.stream = graph.NewEdgeStream(e.dm)
 		}
 		e.r = make([]float64, n)
-		e.baseKey = make([]float64, n)
 		e.ds = graph.NewDisjointSet(n)
-		e.byBase = make([][]int, n)
-		for x := 0; x < n; x++ {
-			e.byBase[x] = []int{x}
-		}
+		e.byBase = make([][]witness, n)
+	}
+	for x := range e.byBase {
+		e.byBase[x] = append(e.byBase[x][:0], witness{e.witnessBase(x), x})
 	}
 	// Opportunistic instrumentation: when no explicit counter set was
 	// given and a binary has installed a process-wide registry,
@@ -419,8 +420,6 @@ func (e *engine) witnessBase(x int) float64 {
 	return dSx + e.r[x]
 }
 
-func (e *engine) path(x, y int) float64 { return e.p[x*e.n+y] }
-
 // cancelStride is how many candidate edges the scan examines between
 // context polls; small enough that cancellation lands promptly even on
 // instances where each examination triggers a long witness scan.
@@ -435,10 +434,11 @@ func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 			e.c.StreamBatches.Add(int64(e.stream.Batches() - batches0))
 			e.c.StreamFallbacks.Add(int64(e.stream.Fallbacks() - fallbacks0))
 		}
-		// DFS stacks grow by append; hand the grown backing arrays back
-		// to the pooled scratch so the next run starts at steady state.
+		// The DFS stack grows by append; hand the grown backing array
+		// back to the pooled scratch so the next run starts at steady
+		// state.
 		if e.scratch != nil && e.sparse {
-			e.scratch.stackNode, e.scratch.stackPar = e.stackNode, e.stackPar
+			e.scratch.stack = e.stack
 		}
 	}()
 	for len(t.Edges) < e.n-1 {
@@ -470,9 +470,7 @@ func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 			}
 			continue // condition (3); Lemma 3.1 says never reconsider
 		}
-		e.merge(ed)
-		e.ds.Union(ed.U, ed.V)
-		e.refreshByBase(ed.U)
+		e.accept(ed)
 		t.Edges = append(t.Edges, ed)
 		if e.c != nil {
 			e.c.Merges.Inc()
@@ -493,26 +491,14 @@ func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 
 // feasible applies condition (3-a) or (3-b) to candidate edge ed.
 func (e *engine) feasible(ed graph.Edge) bool {
-	srcU := e.ds.Same(graph.Source, ed.U)
-	srcV := e.ds.Same(graph.Source, ed.V)
 	switch {
-	case srcU:
+	case e.ds.Same(graph.Source, ed.U):
 		return e.sourceMergeOK(ed.U, ed.V, ed.W)
-	case srcV:
+	case e.ds.Same(graph.Source, ed.V):
 		return e.sourceMergeOK(ed.V, ed.U, ed.W)
 	default:
 		return e.witnessExists(ed)
 	}
-}
-
-// srcPath returns the in-tree path length from the source to u, valid
-// only while u is in the source tree: the dense P row or the sparse
-// write-once distS entry.
-func (e *engine) srcPath(u int) float64 {
-	if e.sparse {
-		return e.distS[u]
-	}
-	return e.path(graph.Source, u)
 }
 
 // sourceMergeOK checks condition (3-a): u lies in the source tree, v in a
@@ -520,7 +506,7 @@ func (e *engine) srcPath(u int) float64 {
 // path(S,u) + w + path(v,y); the farthest is bounded via radius(v), the
 // nearest is v itself.
 func (e *engine) sourceMergeOK(u, v int, w float64) bool {
-	base := e.srcPath(u) + w
+	base := e.distS[u] + w
 	if !e.b.WithinUpper(base + e.r[v]) {
 		return false
 	}
@@ -533,37 +519,40 @@ func (e *engine) sourceMergeOK(u, v int, w float64) bool {
 // the merged tree needs a feasible node x with dist(S,x)+radius_M(x) ≤
 // Upper (and dist(S,x) ≥ Lower when a lower bound is active), where
 // radius_M is x's radius in the would-be merged tree, computable from the
-// stored P and r without performing the merge.
+// stored paths and radii without performing the merge. Side v is
+// scanned only when side u found no witness.
 func (e *engine) witnessExists(ed graph.Edge) bool {
-	if e.sparse {
-		return e.witnessExistsSparse(ed)
-	}
-	u, v, w := ed.U, ed.V, ed.W
 	// Scans are accumulated locally and flushed once per call: the
 	// witness search is the engine's hot loop, and one atomic add per
 	// call keeps instrumented runs within noise of uninstrumented ones.
 	scans := int64(0)
-	defer func() {
-		if e.c != nil && scans > 0 {
-			e.c.WitnessScans.Add(scans)
-		}
-	}()
-	for _, x := range e.byBase[e.ds.Find(u)] {
-		scans++
-		if !e.b.WithinUpper(e.witnessBase(x)) {
+	ok := e.scanSide(ed.U, ed.V, ed.W, &scans) || e.scanSide(ed.V, ed.U, ed.W, &scans)
+	if e.c != nil && scans > 0 {
+		e.c.WitnessScans.Add(scans)
+	}
+	return ok
+}
+
+// scanSide scans u's tree in witness order for a witness of the
+// tentative merge with v's tree across an edge of weight w. The base
+// test comes before the path read, so the scan stops without touching
+// the paths of the member that ends it; a member too far from u to
+// witness (tooFar) is passed over without reading its path either.
+func (e *engine) scanSide(u, v int, w float64, scans *int64) bool {
+	if e.sparse {
+		e.startFill(u)
+	}
+	rv := e.r[v]
+	for _, m := range e.byBase[e.ds.Find(u)] {
+		*scans++
+		if !e.b.WithinUpper(m.base) {
 			break // sorted by base: no later member can witness either
 		}
-		rM := math.Max(e.r[x], e.path(x, u)+w+e.r[v])
-		if e.witnessOK(x, rM) {
-			return true
+		x := m.x
+		if e.tooFar(u, x, w, rv) {
+			continue
 		}
-	}
-	for _, x := range e.byBase[e.ds.Find(v)] {
-		scans++
-		if !e.b.WithinUpper(e.witnessBase(x)) {
-			break
-		}
-		rM := math.Max(e.r[x], e.path(x, v)+w+e.r[u])
+		rM := math.Max(e.r[x], e.pathFrom(u, x)+w+rv)
 		if e.witnessOK(x, rM) {
 			return true
 		}
@@ -576,62 +565,169 @@ func (e *engine) witnessOK(x int, radiusM float64) bool {
 	return e.b.WithinUpper(dSx+radiusM) && e.b.WithinLower(dSx)
 }
 
-// merge performs the paper's Merge routine: fill in the cross-tree P
-// entries through the new edge and refresh the radii of both sides. Must
-// run before the disjoint-set union so the two member lists are still
-// separate.
-func (e *engine) merge(ed graph.Edge) {
+// pathSlack is the relative margin tooFar takes off dist(u,x) before
+// using it as a lower bound on the float path(u,x). A float sum of k
+// edge weights is within about (k+3)·2⁻⁵³ of the real path length, and
+// newEngine caps k below 2³¹, so the rounding stays under 3e-7.
+const pathSlack = 1e-6
+
+// tooFar reports that x cannot witness the merge across (u,v): it
+// evaluates witnessOK's upper test with the metric distance dist(u,x)
+// in place of the in-tree path(u,x), grouped the same way. No tree path
+// is shorter than the straight line, and float addition is weakly
+// monotone, so when this lower bound already fails the bound the exact
+// test fails too, and the scan moves on without the path read — on the
+// sparse path, without advancing the DFS to x. Witnesses and counters
+// are unchanged.
+func (e *engine) tooFar(u, x int, w, rv float64) bool {
+	low := e.dm.At(u, x)*(1-pathSlack) + w + rv
+	return !e.b.WithinUpper(e.dm.At(graph.Source, x) + low)
+}
+
+// pathFrom returns path(u,x) for a member x of u's tree: a P read on the
+// dense path; on the sparse path the fill from u (see startFill) is
+// advanced just far enough to reach x.
+func (e *engine) pathFrom(u, x int) float64 {
 	if e.sparse {
-		e.mergeSparse(ed)
-		return
+		e.fillUntil(x)
+		return e.dist[x]
 	}
-	u, v, w := ed.U, ed.V, ed.W
-	mu := e.ds.Members(u)
-	mv := e.ds.Members(v)
-	n := e.n
-	for _, x := range mu {
-		px := e.p[x*n+u] + w // path(x,u) + dist(u,v)
-		rowMax := e.r[x]
-		for _, y := range mv {
-			pxy := px + e.p[v*n+y]
-			e.p[x*n+y] = pxy
-			e.p[y*n+x] = pxy
-			if pxy > rowMax {
-				rowMax = pxy
-			}
-		}
-		e.r[x] = rowMax
+	return e.p[u*e.n+x]
+}
+
+// pathsFrom returns path(f,·), valid over the members of f's tree: P's
+// row f on the dense path, a complete fill from f on the sparse path.
+// The sparse result is the fill buffer, overwritten by the next fill.
+func (e *engine) pathsFrom(f int) []float64 {
+	if !e.sparse {
+		return e.p[f*e.n : (f+1)*e.n]
 	}
-	for _, y := range mv {
-		colMax := e.r[y]
-		for _, x := range mu {
-			if pxy := e.p[x*n+y]; pxy > colMax {
-				colMax = pxy
-			}
-		}
-		e.r[y] = colMax
+	e.startFill(f)
+	e.fillUntil(-1)
+	return e.dist
+}
+
+// accept performs the paper's Merge routine for the accepted edge ed and
+// unions the two trees. Only the state a later feasibility test reads
+// is updated: when one side holds the source, the other side's source
+// paths; otherwise both sides' paths and radii and the merged tree's
+// witness order.
+func (e *engine) accept(ed graph.Edge) {
+	a, b := e.ds.Find(ed.U), e.ds.Find(ed.V)
+	free := false
+	switch {
+	case e.ds.Same(graph.Source, a):
+		e.joinSource(ed.U, ed.V, ed.W)
+	case e.ds.Same(graph.Source, b):
+		e.joinSourceFar(ed.U, ed.V, ed.W)
+	default:
+		e.mergeFree(ed.U, ed.V, ed.W)
+		free = true
+	}
+	if e.sparse {
+		e.adj[ed.U] = append(e.adj[ed.U], graph.Adj{To: ed.V, W: ed.W})
+		e.adj[ed.V] = append(e.adj[ed.V], graph.Adj{To: ed.U, W: ed.W})
+	}
+	e.ds.Union(ed.U, ed.V)
+	if free {
+		e.refreshByBase(a, b)
 	}
 }
 
-// refreshByBase re-sorts the merged set's members by witness base,
-// called after Union (radii changed during the merge). The merged list
-// is copied into the representative's existing byBase buffer, so a
-// pooled engine stops growing once the buffers reach steady state.
-// witnessBase is evaluated once per member into the baseKey cache
-// before sorting — the comparator then reads two cached floats instead
-// of recomputing dist+radius lookups O(k log k) times. Every pairwise
-// comparison returns the same boolean as the uncached comparator would
-// (the keys are the very values it recomputed), so sort.Slice produces
-// the identical permutation.
-func (e *engine) refreshByBase(member int) {
-	rep := e.ds.Find(member)
-	members := e.byBase[rep][:0]
-	members = append(members, e.ds.Members(rep)...)
-	for _, x := range members {
-		e.baseKey[x] = e.witnessBase(x)
+// joinSource records the source paths of v's tree as it joins the
+// source tree through u: distS[y] = (distS[u] + w) + path(v,y). Later
+// (3-a) tests compare these sums against the bound, so both substrates
+// must group them the same way.
+func (e *engine) joinSource(u, v int, w float64) {
+	d := e.pathsFrom(v)
+	base := e.distS[u] + w
+	for _, y := range e.ds.Members(v) {
+		e.distS[y] = base + d[y]
 	}
-	sort.Slice(members, func(i, j int) bool {
-		return e.baseKey[members[i]] < e.baseKey[members[j]]
+}
+
+// joinSourceFar is joinSource with the source tree on the far side of
+// the edge: u's tree joins through v, grouped as
+// (path(x,u) + w) + distS[v].
+func (e *engine) joinSourceFar(u, v int, w float64) {
+	d := e.pathsFrom(u)
+	dv := e.distS[v]
+	for _, x := range e.ds.Members(u) {
+		e.distS[x] = d[x] + w + dv
+	}
+}
+
+// mergeFree joins two source-free trees. The dense path writes every
+// cross-pair P entry; both paths then raise the radii in closed form —
+// (path(x,u) + w) + r[v] for the near side, (r[u] + w) + path(v,y) for
+// the far side. Float addition is weakly monotone, so these equal the
+// cross-product row and column maxima bit for bit. Must run before the
+// disjoint-set union so the two member lists are still separate.
+func (e *engine) mergeFree(u, v int, w float64) {
+	mu := e.ds.Members(u)
+	mv := e.ds.Members(v)
+	ru, rv := e.r[u], e.r[v]
+	if !e.sparse {
+		n := e.n
+		for _, x := range mu {
+			px := e.p[x*n+u] + w // path(x,u) + dist(u,v)
+			for _, y := range mv {
+				pxy := px + e.p[v*n+y]
+				e.p[x*n+y] = pxy
+				e.p[y*n+x] = pxy
+			}
+		}
+	}
+	du := e.pathsFrom(u)
+	for _, x := range mu {
+		if nr := du[x] + w + rv; nr > e.r[x] {
+			e.r[x] = nr
+		}
+	}
+	dv := e.pathsFrom(v)
+	baseU := ru + w
+	for _, y := range mv {
+		if nr := baseU + dv[y]; nr > e.r[y] {
+			e.r[y] = nr
+		}
+	}
+}
+
+// witness is one entry of a witness order: a member x and its
+// witnessBase, cached when the order was last sorted. Radii change only
+// in merges, and every merge of two source-free trees re-sorts, so the
+// cached base stays current for as long as the order is read.
+type witness struct {
+	base float64
+	x    int
+}
+
+// refreshByBase writes the witness order of the source-free set just
+// merged from the sets named a and b, called after Union (radii changed
+// during the merge). The order goes into whichever of the two sets'
+// buffers has the larger capacity, and the absorbed name keeps the
+// other. Buffers so follow the large sets rather than the names: tied
+// to a name, a pooled scratch's buffer would grow over many instances
+// to the largest set that name ever stood for, on every name. Each
+// entry carries its base, so the comparator reads two adjacent floats;
+// the bases are never NaN, so cmp.Compare orders them as < does.
+// Members with equal bases keep the order pdqsort gives them, and
+// witness_scans depends on it (TestGoldenCounters).
+func (e *engine) refreshByBase(a, b int) {
+	rep, gone := a, b
+	if e.ds.Find(a) != a {
+		rep, gone = b, a
+	}
+	order, spare := e.byBase[rep], e.byBase[gone]
+	if cap(spare) > cap(order) {
+		order, spare = spare, order
+	}
+	order = order[:0]
+	for _, x := range e.ds.Members(rep) {
+		order = append(order, witness{e.witnessBase(x), x})
+	}
+	slices.SortFunc(order, func(p, q witness) int {
+		return cmp.Compare(p.base, q.base)
 	})
-	e.byBase[rep] = members
+	e.byBase[rep], e.byBase[gone] = order, spare[:0]
 }

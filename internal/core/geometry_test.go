@@ -7,6 +7,8 @@ package core
 // scan over the sparse candidate set reproduces the dense result.
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,6 +146,46 @@ func TestSparseTightBoundEnvelope(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSparseLowerUpper covers the sparse substrate under a lower bound,
+// which acts on the source-merge path (Lemma 6.1 and the lower test of
+// condition (3-a)): every build either returns a tree that meets the
+// window or returns ErrInfeasible, and a zero lower bound reproduces the
+// upper-only tree edge for edge.
+func TestSparseLowerUpper(t *testing.T) {
+	feasible := 0
+	propertyCorpus(t, func(name string, in *inst.Instance) {
+		sparse := Config{Geometry: GeomSparse}
+		for _, eps2 := range []float64{0.5, 2} {
+			for _, eps1 := range []float64{0.1, 0.25} {
+				b := LowerUpper(in, eps1, eps2)
+				tr, err := BKRUSBuild(context.Background(), in, b, sparse)
+				switch {
+				case errors.Is(err, ErrInfeasible):
+				case err != nil:
+					t.Fatalf("%s n=%d eps1=%g eps2=%g: %v", name, in.N(), eps1, eps2, err)
+				case !FeasibleTree(tr, b):
+					t.Fatalf("%s n=%d eps1=%g eps2=%g: tree violates the window", name, in.N(), eps1, eps2)
+				default:
+					feasible++
+				}
+			}
+			upper, err := BKRUSBuild(context.Background(), in, UpperOnly(in, eps2), sparse)
+			if err != nil {
+				t.Fatalf("%s n=%d eps=%g: upper-only: %v", name, in.N(), eps2, err)
+			}
+			zero, err := BKRUSBuild(context.Background(), in, LowerUpper(in, 0, eps2), sparse)
+			if err != nil {
+				t.Fatalf("%s n=%d eps=%g: zero lower bound: %v", name, in.N(), eps2, err)
+			}
+			sameTree(t, name+" LowerUpper(0, eps) vs UpperOnly(eps)", zero, upper)
+		}
+	})
+	if feasible == 0 {
+		t.Fatal("no lower+upper build succeeded; the feasibility branch is vacuous")
+	}
+	t.Logf("%d feasible lower+upper builds", feasible)
 }
 
 // TestSparseBKRUSFeasibleWithScratch exercises the pooled-scratch

@@ -78,45 +78,73 @@ func TestScratchStreamCachePerInstance(t *testing.T) {
 }
 
 // bookkeepingCheck recomputes every in-forest path length and radius
-// from the partial tree and compares them against the engine's
-// incremental P-matrix and r vector.
+// from the partial tree and compares them with the state the engine
+// keeps: the source paths of the source-tree members (distS, which on
+// the dense path is P's Source row), and, inside every source-free
+// tree, the radii, the witness order and (dense) every P entry. The
+// source tree's radii, witness order and other P rows are never read
+// again once the source joins, so the engine does not keep them.
 func bookkeepingCheck(t *testing.T, e *engine, partial *graph.Tree, merges int) {
 	t.Helper()
 	const tol = 1e-6
+	dS := partial.PathLengthsFrom(graph.Source)
+	for y := 0; y < e.n; y++ {
+		inSource := !math.IsInf(dS[y], 1)
+		switch {
+		case inSource && !geom.EqWithin(e.distS[y], dS[y], tol):
+			t.Fatalf("after %d merges: distS[%d] = %v, recomputed %v", merges, y, e.distS[y], dS[y])
+		case !inSource && e.sparse && !math.IsInf(e.distS[y], 1):
+			t.Fatalf("after %d merges: distS[%d] = %v outside the source tree", merges, y, e.distS[y])
+		case !inSource && !e.sparse && e.distS[y] != 0:
+			t.Fatalf("after %d merges: P[S][%d] = %v for cross-tree pair", merges, y, e.distS[y])
+		}
+	}
 	for x := 0; x < e.n; x++ {
+		if !math.IsInf(dS[x], 1) {
+			continue
+		}
 		d := partial.PathLengthsFrom(x)
 		maxSame := 0.0
 		for y := 0; y < e.n; y++ {
-			if math.IsInf(d[y], 1) {
-				// Different partial trees: P must hold its 0 sentinel.
-				if e.path(x, y) != 0 {
-					t.Fatalf("after %d merges: P[%d][%d] = %v for cross-tree pair",
-						merges, x, y, e.path(x, y))
-				}
+			same := !math.IsInf(d[y], 1)
+			if same && d[y] > maxSame {
+				maxSame = d[y]
+			}
+			if e.sparse {
 				continue
 			}
-			if !geom.EqWithin(e.path(x, y), d[y], tol) {
-				t.Fatalf("after %d merges: P[%d][%d] = %v, recomputed %v",
-					merges, x, y, e.path(x, y), d[y])
-			}
-			if d[y] > maxSame {
-				maxSame = d[y]
+			switch p := e.p[x*e.n+y]; {
+			case !same && p != 0:
+				t.Fatalf("after %d merges: P[%d][%d] = %v for cross-tree pair", merges, x, y, p)
+			case same && !geom.EqWithin(p, d[y], tol):
+				t.Fatalf("after %d merges: P[%d][%d] = %v, recomputed %v", merges, x, y, p, d[y])
 			}
 		}
 		if !geom.EqWithin(e.r[x], maxSame, tol) {
 			t.Fatalf("after %d merges: r[%d] = %v, recomputed %v", merges, x, e.r[x], maxSame)
 		}
+		if rep := e.ds.Find(x); rep == x {
+			order := e.byBase[rep]
+			if len(order) != e.ds.Size(x) {
+				t.Fatalf("after %d merges: witness order of %d lists %d of %d members",
+					merges, rep, len(order), e.ds.Size(x))
+			}
+			for k, m := range order {
+				if e.ds.Find(m.x) != rep || m.base != e.witnessBase(m.x) || k > 0 && order[k-1].base > m.base {
+					t.Fatalf("after %d merges: witness order of %d is %v", merges, rep, order)
+				}
+			}
+		}
 	}
 }
 
-// TestMergeBookkeepingMatchesTreeRecompute is the satellite property
-// test: drive the BKRUS scan on random instances and, after accepted
-// merges, recompute every in-forest path length and radius from the
-// partial tree itself (Tree.PathLengthsFrom). The engine's incremental
-// P/r bookkeeping must agree — on both metrics, with and without a
-// lower bound, up to n = 200.
+// TestMergeBookkeepingMatchesTreeRecompute drives the BKRUS scan on
+// random instances on both substrates and, after accepted merges,
+// recomputes every in-forest path length and radius from the partial
+// tree itself (Tree.PathLengthsFrom). The state the engine keeps must
+// agree — on both metrics, with and without a lower bound, up to
+// n = 200.
 func TestMergeBookkeepingMatchesTreeRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
 	type scenario struct {
 		sinks      int
 		metric     geom.Metric
@@ -131,43 +159,132 @@ func TestMergeBookkeepingMatchesTreeRecompute(t *testing.T) {
 		{sinks: 199, metric: geom.Manhattan, lower: false, checkEvery: 25},
 		{sinks: 199, metric: geom.Euclidean, lower: true, checkEvery: 25},
 	}
-	for _, sc := range scenarios {
-		in := randomInstanceMetric(rng, sc.sinks, 100, sc.metric)
-		b := UpperOnly(in, 0.3)
-		if sc.lower {
-			b = LowerUpper(in, 0.25, 0.3)
+	for _, geo := range []Geometry{GeomDense, GeomSparse} {
+		rng := rand.New(rand.NewSource(41))
+		for _, sc := range scenarios {
+			in := randomInstanceMetric(rng, sc.sinks, 100, sc.metric)
+			b := UpperOnly(in, 0.3)
+			if sc.lower {
+				b = LowerUpper(in, 0.25, 0.3)
+			}
+			e := newEngine(in, b, Config{Geometry: geo})
+			partial := graph.NewTree(e.n)
+			merges := scanByHand(e, nil, func(ed graph.Edge) {
+				partial.AddEdge(ed.U, ed.V, ed.W)
+				if len(partial.Edges)%sc.checkEvery == 0 || len(partial.Edges) == e.n-1 {
+					bookkeepingCheck(t, e, partial, len(partial.Edges))
+				}
+			})
+			if merges == 0 {
+				t.Fatalf("%s scenario %+v: no merges accepted, property vacuous", geo, sc)
+			}
+			bookkeepingCheck(t, e, partial, merges)
 		}
-		e := newEngine(in, b, Config{})
-		partial := graph.NewTree(e.n)
-		merges := 0
-		// Mirror of engine.run's accept/reject scan, instrumented with
-		// the recompute check after accepted merges.
-		for len(partial.Edges) < e.n-1 {
-			ed, ok := e.stream.Next()
-			if !ok {
-				break
-			}
-			if e.ds.Same(ed.U, ed.V) {
-				continue
-			}
-			if (ed.U == graph.Source || ed.V == graph.Source) && !e.b.WithinLower(ed.W) {
-				continue
-			}
-			if !e.feasible(ed) {
-				continue
-			}
-			e.merge(ed)
-			e.ds.Union(ed.U, ed.V)
-			e.refreshByBase(ed.U)
-			partial.AddEdge(ed.U, ed.V, ed.W)
-			merges++
-			if merges%sc.checkEvery == 0 || len(partial.Edges) == e.n-1 {
-				bookkeepingCheck(t, e, partial, merges)
+	}
+}
+
+// scanByHand is engine.run's accept/reject scan, step by step: before
+// sees every candidate that reaches the feasibility test, after every
+// accepted edge once it is merged; either may be nil. It returns the
+// number of merges.
+func scanByHand(e *engine, before, after func(graph.Edge)) int {
+	merges := 0
+	for merges < e.n-1 {
+		ed, ok := e.stream.Next()
+		if !ok {
+			break
+		}
+		if e.ds.Same(ed.U, ed.V) {
+			continue
+		}
+		if (ed.U == graph.Source || ed.V == graph.Source) && !e.b.WithinLower(ed.W) {
+			continue
+		}
+		if before != nil {
+			before(ed)
+		}
+		if !e.feasible(ed) {
+			continue
+		}
+		e.accept(ed)
+		merges++
+		if after != nil {
+			after(ed)
+		}
+	}
+	return merges
+}
+
+// TestTooFarNeverPrunesAWitness checks the witness scan's distance
+// prune against the exact test it stands in for: at every (3-b)
+// candidate, every member the scan may read on either side that tooFar
+// prunes must fail the exact witness test. Tight bounds and a lattice
+// (integer L1 distances, so staircase tree paths equal the straight
+// line exactly) put many members right at the bound.
+func TestTooFarNeverPrunesAWitness(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	instances := []*inst.Instance{
+		latticeInstance(15),
+		randomInstanceMetric(rng, 150, 100, geom.Manhattan),
+		randomInstanceMetric(rng, 150, 100, geom.Euclidean),
+	}
+	pruned := 0
+	for _, in := range instances {
+		for _, geo := range []Geometry{GeomDense, GeomSparse} {
+			for _, eps := range []float64{0, 0.1, 0.5} {
+				e := newEngine(in, UpperOnly(in, eps), Config{Geometry: geo})
+				side := func(u, v int, w float64) {
+					path := append([]float64(nil), e.pathsFrom(u)...)
+					for _, m := range e.byBase[e.ds.Find(u)] {
+						x := m.x
+						if !e.b.WithinUpper(m.base) {
+							break
+						}
+						if !e.tooFar(u, x, w, e.r[v]) {
+							continue
+						}
+						pruned++
+						if e.witnessOK(x, math.Max(e.r[x], path[x]+w+e.r[v])) {
+							t.Fatalf("%s eps=%g: tooFar pruned witness %d for edge (%d,%d)", geo, eps, x, u, v)
+						}
+					}
+				}
+				scanByHand(e, func(ed graph.Edge) {
+					if !e.ds.Same(graph.Source, ed.U) && !e.ds.Same(graph.Source, ed.V) {
+						side(ed.U, ed.V, ed.W)
+						side(ed.V, ed.U, ed.W)
+					}
+				}, nil)
 			}
 		}
-		if merges == 0 {
-			t.Fatalf("scenario %+v: no merges accepted, property vacuous", sc)
+	}
+	if pruned == 0 {
+		t.Fatal("tooFar never fired; the property is vacuous")
+	}
+	t.Logf("%d pruned members checked", pruned)
+}
+
+// TestScratchWitnessOrderStaysBounded builds many distinct instances
+// through one scratch, as a pooled scratch in a server does. The
+// witness-order buffers it retains must level off near n·log n rather
+// than grow with every instance; a buffer tied to a set's name would
+// grow, in time, to the largest set each name ever stood for.
+func TestScratchWitnessOrderStaysBounded(t *testing.T) {
+	const nodes, builds = 1000, 30
+	var s Scratch
+	for i := 0; i < builds; i++ {
+		in := randomInstance(rand.New(rand.NewSource(int64(i))), nodes-1, 1000)
+		eps := []float64{0.1, 0.5, 2}[i%3]
+		if _, err := BKRUSBuild(context.Background(), in, UpperOnly(in, eps), Config{Scratch: &s, Geometry: GeomSparse}); err != nil {
+			t.Fatal(err)
 		}
-		bookkeepingCheck(t, e, partial, merges)
+		s.Release()
+	}
+	retained := 0
+	for _, order := range s.byBase {
+		retained += cap(order)
+	}
+	if limit := 3 * nodes * int(math.Log2(nodes)); retained > limit {
+		t.Fatalf("after %d instances the witness orders retain %d entries, over 3·n·log2 n = %d", builds, retained, limit)
 	}
 }

@@ -12,7 +12,7 @@ import "math"
 const _ uint = 1 << 62
 
 // guardVertexIDSpace checks at the construction boundary that vertex
-// ids fit the int32 the DFS stacks store them in (see fillPathsInto).
+// ids fit the int32 the DFS stacks store them in (see fillUntil).
 // Pinned by TestVertexIDSpaceGuard.
 func guardVertexIDSpace(n int) {
 	if n > math.MaxInt32 {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestVertexIDSpaceGuard pins the invariant behind the int32 vertex-id
-// conversions in fillPathsInto (see the intwidth suppressions in
+// conversions in startFill and fillUntil (see the intwidth suppressions in
 // sparse.go): ids fit int32 because newEngine refuses larger vertex
 // counts at the boundary.
 func TestVertexIDSpaceGuard(t *testing.T) {
