@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
+.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse profile-dense perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
 
 all: build vet lint test conformance
 
@@ -130,6 +130,16 @@ profile-sparse:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSRefreshSparse' -benchtime 10x \
 	    -cpuprofile $(PROFILE_OUT).prof -o $(PROFILE_OUT).test ./internal/core/
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_OUT).test $(PROFILE_OUT).prof
+
+# the dense twin of profile-sparse: BenchmarkBKRUSStream at n = 1000
+# (a fresh complete-graph stream per op, both ε rows) under -cpuprofile,
+# so the stream's partition and sorts show next to the scan and the
+# forest bookkeeping. Writes $(PROFILE_DENSE_OUT).prof and .test.
+PROFILE_DENSE_OUT ?= /tmp/bkrus_dense
+profile-dense:
+	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream/n=1000/' -benchtime 10x \
+	    -cpuprofile $(PROFILE_DENSE_OUT).prof -o $(PROFILE_DENSE_OUT).test ./internal/core/
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DENSE_OUT).test $(PROFILE_DENSE_OUT).prof
 
 # the benchmark in perfbench/ is a module of its own, so the root
 # `go build ./...` never compiles it; vet and test it here so removing

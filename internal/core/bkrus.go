@@ -13,14 +13,18 @@
 //     must satisfy dist(S,x) + radius_M(x) ≤ bound, so a direct source
 //     connection through x can always finish the tree.
 //
-// The engine keeps only the bookkeeping these two tests read. Inside
-// source-free trees that is the paper's: P[x][y], the in-forest path
-// length between every pair of nodes of the tree, r[x], the radius of x
-// within it, and the witness order (3-b) scans. The source tree needs
-// none of it: (3-a) reads only path(S,u), so a tree that joins the
-// source tree contributes its source paths (P's Source row) and nothing
-// else. A merge writes each cross-pair entry at most once, so all
-// merges together cost O(V²); feasibility scans dominate at O(EV).
+// The engine keeps only the bookkeeping these two tests read, and keeps
+// it the same way on both geometric substrates. The paper's Merge
+// stores P[x][y], the in-forest path length of every same-tree pair, in
+// an n² matrix; this engine keeps the partial forest itself (adjacency
+// lists) and reads in-tree paths with an incremental DFS from the edge
+// endpoint (forest.go). Inside source-free trees it also keeps r[x], the
+// radius of x within its tree, and the witness order (3-b) scans. The
+// source tree needs none of it: (3-a) reads only path(S,u), so a tree
+// that joins the source tree contributes its source paths (distS) and
+// nothing else. The substrate only decides which edge sequence feeds
+// the scan: the complete graph over the distance matrix (dense) or the
+// octant edges plus the source star (sparse). No state is O(n²).
 package core
 
 import (
@@ -137,15 +141,16 @@ type Config struct {
 	// registry's core scope when one is installed, otherwise count
 	// nothing.
 	Counters *Counters
-	// Scratch, when non-nil, supplies the O(n²) working buffers and the
+	// Scratch, when non-nil, supplies the working buffers and the
 	// lazily sorted edge stream, reused across runs instead of
 	// re-allocated. The scratch must not be shared between concurrent
 	// constructions.
 	Scratch *Scratch
-	// Geometry selects the geometric substrate: dense (materialized
-	// matrix + complete edge list, the historical behaviour) or sparse
-	// (distance oracle + octant neighbor graph, no O(n²) state). The
-	// zero value GeomAuto resolves by instance size (SparseThreshold).
+	// Geometry selects the edge sequence the scan reads: dense (the
+	// complete graph over the materialized matrix, the historical
+	// behaviour) or sparse (octant neighbor graph plus source star over
+	// the distance oracle, no O(n²) state). The zero value GeomAuto
+	// resolves by instance size (SparseThreshold).
 	Geometry Geometry
 }
 
@@ -164,22 +169,21 @@ func BKRUSBuild(ctx context.Context, in *inst.Instance, b Bounds, cfg Config) (*
 }
 
 // Scratch holds the reusable working state of the BKRUS engine: the
-// dense P-matrix or the sparse forest bookkeeping (whichever modes it
-// has served), the radius and witness-order buffers, the disjoint set,
-// and the lazily sorted edge stream (cached per instance and mode; the
+// forest bookkeeping (adjacency, source paths, the witness DFS's
+// buffers), the radius and witness-order buffers, the disjoint set, and
+// the lazily sorted edge stream (cached per instance and substrate; the
 // instance is immutable, so an ε-sweep over one instance shares one
 // partially drained stream — the prefix one run sorts is free for the
-// next). A zero Scratch is ready to use; it grows to the largest
-// instance it has served and is not safe for concurrent use.
+// next). Every buffer is O(n) but the stream. A zero Scratch is ready
+// to use; it grows to the largest instance it has served and is not
+// safe for concurrent use.
 type Scratch struct {
-	p      []float64
 	r      []float64
 	byBase [][]witness
 	ds     *graph.DisjointSet
 
-	// Sparse-mode buffers: forest adjacency, source paths, and the
-	// witness DFS's distances, epoch stamps and stack. Untouched by
-	// dense constructions.
+	// Forest bookkeeping: adjacency, source paths, and the witness
+	// DFS's distances, epoch stamps and stack.
 	adj   [][]graph.Adj
 	distS []float64
 	dist  []float64
@@ -216,9 +220,9 @@ func (s *Scratch) edgeStream(in *inst.Instance, dm graph.Weights, sparse bool) *
 // (engine.Build's sync.Pool, engine.Sweep teardown) must call this
 // before parking, otherwise a long-lived pool entry pins the last
 // served instance and its O(n²) edge list forever — the server-style
-// reuse leak. The geometry-independent buffers (P-matrix, radii,
-// disjoint set) survive, so reuse across instances of similar size
-// still avoids re-allocation.
+// reuse leak. What survives is O(n): the forest, radius, witness-order
+// and disjoint-set buffers, so reuse across instances of similar size
+// still avoids re-allocation, and a parked scratch holds no n² term.
 func (s *Scratch) Release() {
 	s.stream = nil
 	s.streamFor = nil
@@ -226,11 +230,11 @@ func (s *Scratch) Release() {
 }
 
 // MemBytes estimates the heap bytes currently retained by the scratch:
-// every mode's working buffers plus the cached edge stream. Pooled
-// consumers with byte budgets (internal/serve) use this to account
-// pinned scratches.
+// the working buffers plus the cached edge stream. Pooled consumers
+// with byte budgets (internal/serve) use this to account pinned
+// scratches.
 func (s *Scratch) MemBytes() int64 {
-	b := int64(cap(s.p)+cap(s.r)+cap(s.distS)+cap(s.dist)) * 8
+	b := int64(cap(s.r)+cap(s.distS)+cap(s.dist)) * 8
 	b += int64(cap(s.stamp)+cap(s.stack)) * 4
 	b += int64(cap(s.byBase)) * 24
 	for i := range s.byBase {
@@ -250,32 +254,8 @@ func (s *Scratch) MemBytes() int64 {
 }
 
 // attach points the engine's buffers at the scratch, growing and
-// resetting them for an n-node instance. Only the buffers of the
-// engine's substrate are grown: a sparse engine never touches the n²
-// P-matrix, which is the point of the mode.
+// resetting them for an n-node instance.
 func (s *Scratch) attach(e *engine, n int) {
-	if e.sparse {
-		s.attachSparse(e, n)
-	} else {
-		s.attachDense(e, n)
-	}
-	s.attachCommon(e, n)
-}
-
-func (s *Scratch) attachDense(e *engine, n int) {
-	if cap(s.p) < n*n {
-		s.p = make([]float64, n*n)
-	} else {
-		s.p = s.p[:n*n]
-		for i := range s.p {
-			s.p[i] = 0
-		}
-	}
-	e.p = s.p
-	e.distS = e.p[graph.Source*n : (graph.Source+1)*n]
-}
-
-func (s *Scratch) attachSparse(e *engine, n int) {
 	if cap(s.adj) < n {
 		s.adj = make([][]graph.Adj, n)
 	} else {
@@ -299,16 +279,11 @@ func (s *Scratch) attachSparse(e *engine, n int) {
 	}
 	s.distS[graph.Source] = 0
 	e.adj, e.distS, e.dist, e.stamp, e.stack = s.adj, s.distS, s.dist, s.stamp, s.stack
-}
-
-func (s *Scratch) attachCommon(e *engine, n int) {
 	if cap(s.r) < n {
 		s.r = make([]float64, n)
 	} else {
 		s.r = s.r[:n]
-		for i := range s.r {
-			s.r[i] = 0
-		}
+		clear(s.r)
 	}
 	if cap(s.byBase) < n {
 		s.byBase = make([][]witness, n)
@@ -326,14 +301,12 @@ func (s *Scratch) attachCommon(e *engine, n int) {
 // engine carries the BKRUS working state for one construction.
 type engine struct {
 	n       int
-	sparse  bool          // substrate: oracle + neighbor graph vs matrix + complete graph
 	dm      graph.Weights // matrix (dense) or on-demand oracle (sparse)
 	b       Bounds
-	p       []float64 // dense only — P[x][y] flattened: in-forest path lengths inside source-free trees, 0 across trees
 	r       []float64 // radius of each node within its partial tree; kept for source-free trees only
 	ds      *graph.DisjointSet
 	c       *Counters         // optional instrumentation (nil = off)
-	scratch *Scratch          // optional pooled buffers (nil = own allocations)
+	scratch *Scratch          // the buffers: the caller's pooled scratch or a fresh one
 	stream  *graph.EdgeStream // candidate edges in nondecreasing weight order
 	// byBase[rep] lists the members of the source-free set named rep,
 	// each with its cached witnessBase = dist(S,x) + r[x], in ascending
@@ -343,14 +316,14 @@ type engine struct {
 	// Upper: no later member can witness condition (3-b) either. The
 	// source tree's entry is never read and never refreshed.
 	byBase [][]witness
-	// distS[x] is the in-tree path length from the source to x, defined
-	// once x joins the source tree and never changed afterwards. On the
-	// dense path it is P's Source row.
+	// distS[x] is the in-tree path length from the source to x, written
+	// once when x joins the source tree (+Inf until then) and never
+	// changed afterwards.
 	distS []float64
-	// Sparse-substrate state (nil on the dense path): the partial
-	// forest's adjacency and the incremental DFS that replaces P-matrix
-	// rows (distances from the fill root, per-fill epoch stamps marking
-	// the nodes reached, and the stack). See sparse.go.
+	// The partial forest's adjacency and the incremental DFS that reads
+	// in-tree paths from it (distances from the fill root, per-fill
+	// epoch stamps marking the nodes reached, and the stack). See
+	// forest.go.
 	adj   [][]graph.Adj
 	dist  []float64
 	stamp []uint32
@@ -363,39 +336,21 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 	guardVertexIDSpace(n)
 	e := &engine{
 		n:       n,
-		sparse:  cfg.Geometry.Sparse(n),
 		b:       b,
 		c:       cfg.Counters,
 		scratch: cfg.Scratch,
 	}
-	if e.sparse {
+	sparse := cfg.Geometry.Sparse(n)
+	if sparse {
 		e.dm = in.Oracle()
 	} else {
 		e.dm = in.DistMatrix()
 	}
-	if e.scratch != nil {
-		e.scratch.attach(e, n)
-		e.stream = e.scratch.edgeStream(in, e.dm, e.sparse)
-	} else {
-		if e.sparse {
-			e.adj = make([][]graph.Adj, n)
-			e.distS = make([]float64, n)
-			for i := range e.distS {
-				e.distS[i] = math.Inf(1)
-			}
-			e.distS[graph.Source] = 0
-			e.dist = make([]float64, n)
-			e.stamp = make([]uint32, n)
-			e.stream = graph.NewSparseEdgeStream(in.Index(), graph.Source)
-		} else {
-			e.p = make([]float64, n*n)
-			e.distS = e.p[graph.Source*n : (graph.Source+1)*n]
-			e.stream = graph.NewEdgeStream(e.dm)
-		}
-		e.r = make([]float64, n)
-		e.ds = graph.NewDisjointSet(n)
-		e.byBase = make([][]witness, n)
+	if e.scratch == nil {
+		e.scratch = new(Scratch)
 	}
+	e.scratch.attach(e, n)
+	e.stream = e.scratch.edgeStream(in, e.dm, sparse)
 	for x := range e.byBase {
 		e.byBase[x] = append(e.byBase[x][:0], witness{e.witnessBase(x), x})
 	}
@@ -435,11 +390,8 @@ func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 			e.c.StreamFallbacks.Add(int64(e.stream.Fallbacks() - fallbacks0))
 		}
 		// The DFS stack grows by append; hand the grown backing array
-		// back to the pooled scratch so the next run starts at steady
-		// state.
-		if e.scratch != nil && e.sparse {
-			e.scratch.stack = e.stack
-		}
+		// back to the scratch so the next run starts at steady state.
+		e.scratch.stack = e.stack
 	}()
 	for len(t.Edges) < e.n-1 {
 		ed, ok := e.stream.Next() //lint:ignore allocloop the tail sort allocates once when the stream first reaches it, amortized over every later iteration (lazy-stream contract, pinned by BenchmarkBKRUSStream)
@@ -539,9 +491,7 @@ func (e *engine) witnessExists(ed graph.Edge) bool {
 // the paths of the member that ends it; a member too far from u to
 // witness (tooFar) is passed over without reading its path either.
 func (e *engine) scanSide(u, v int, w float64, scans *int64) bool {
-	if e.sparse {
-		e.startFill(u)
-	}
+	e.startFill(u)
 	rv := e.r[v]
 	for _, m := range e.byBase[e.ds.Find(u)] {
 		*scans++
@@ -576,32 +526,24 @@ const pathSlack = 1e-6
 // in place of the in-tree path(u,x), grouped the same way. No tree path
 // is shorter than the straight line, and float addition is weakly
 // monotone, so when this lower bound already fails the bound the exact
-// test fails too, and the scan moves on without the path read — on the
-// sparse path, without advancing the DFS to x. Witnesses and counters
-// are unchanged.
+// test fails too, and the scan moves on without the path read, that is
+// without advancing the DFS to x. Witnesses and counters are unchanged.
 func (e *engine) tooFar(u, x int, w, rv float64) bool {
 	low := e.dm.At(u, x)*(1-pathSlack) + w + rv
 	return !e.b.WithinUpper(e.dm.At(graph.Source, x) + low)
 }
 
-// pathFrom returns path(u,x) for a member x of u's tree: a P read on the
-// dense path; on the sparse path the fill from u (see startFill) is
-// advanced just far enough to reach x.
+// pathFrom returns path(u,x) for a member x of u's tree, advancing the
+// current fill from u (see startFill) just far enough to reach x.
 func (e *engine) pathFrom(u, x int) float64 {
-	if e.sparse {
-		e.fillUntil(x)
-		return e.dist[x]
-	}
-	return e.p[u*e.n+x]
+	e.fillUntil(x)
+	return e.dist[x]
 }
 
-// pathsFrom returns path(f,·), valid over the members of f's tree: P's
-// row f on the dense path, a complete fill from f on the sparse path.
-// The sparse result is the fill buffer, overwritten by the next fill.
+// pathsFrom returns path(f,·), valid over the members of f's tree: a
+// complete fill from f. The result is the fill buffer, overwritten by
+// the next fill.
 func (e *engine) pathsFrom(f int) []float64 {
-	if !e.sparse {
-		return e.p[f*e.n : (f+1)*e.n]
-	}
 	e.startFill(f)
 	e.fillUntil(-1)
 	return e.dist
@@ -624,10 +566,8 @@ func (e *engine) accept(ed graph.Edge) {
 		e.mergeFree(ed.U, ed.V, ed.W)
 		free = true
 	}
-	if e.sparse {
-		e.adj[ed.U] = append(e.adj[ed.U], graph.Adj{To: ed.V, W: ed.W})
-		e.adj[ed.V] = append(e.adj[ed.V], graph.Adj{To: ed.U, W: ed.W})
-	}
+	e.adj[ed.U] = append(e.adj[ed.U], graph.Adj{To: ed.V, W: ed.W})
+	e.adj[ed.V] = append(e.adj[ed.V], graph.Adj{To: ed.U, W: ed.W})
 	e.ds.Union(ed.U, ed.V)
 	if free {
 		e.refreshByBase(a, b)
@@ -635,9 +575,7 @@ func (e *engine) accept(ed graph.Edge) {
 }
 
 // joinSource records the source paths of v's tree as it joins the
-// source tree through u: distS[y] = (distS[u] + w) + path(v,y). Later
-// (3-a) tests compare these sums against the bound, so both substrates
-// must group them the same way.
+// source tree through u: distS[y] = (distS[u] + w) + path(v,y).
 func (e *engine) joinSource(u, v int, w float64) {
 	d := e.pathsFrom(v)
 	base := e.distS[u] + w
@@ -657,27 +595,16 @@ func (e *engine) joinSourceFar(u, v int, w float64) {
 	}
 }
 
-// mergeFree joins two source-free trees. The dense path writes every
-// cross-pair P entry; both paths then raise the radii in closed form —
-// (path(x,u) + w) + r[v] for the near side, (r[u] + w) + path(v,y) for
-// the far side. Float addition is weakly monotone, so these equal the
-// cross-product row and column maxima bit for bit. Must run before the
-// disjoint-set union so the two member lists are still separate.
+// mergeFree joins two source-free trees and raises the radii in closed
+// form — (path(x,u) + w) + r[v] for the near side, (r[u] + w) +
+// path(v,y) for the far side. Float addition is weakly monotone, so
+// these equal the maxima over the cross pairs' paths bit for bit. Must
+// run before the disjoint-set union so the two member lists are still
+// separate.
 func (e *engine) mergeFree(u, v int, w float64) {
 	mu := e.ds.Members(u)
 	mv := e.ds.Members(v)
 	ru, rv := e.r[u], e.r[v]
-	if !e.sparse {
-		n := e.n
-		for _, x := range mu {
-			px := e.p[x*n+u] + w // path(x,u) + dist(u,v)
-			for _, y := range mv {
-				pxy := px + e.p[v*n+y]
-				e.p[x*n+y] = pxy
-				e.p[y*n+x] = pxy
-			}
-		}
-	}
 	du := e.pathsFrom(u)
 	for _, x := range mu {
 		if nr := du[x] + w + rv; nr > e.r[x] {

@@ -167,11 +167,10 @@ func TestBKRUSBoundPropertyQuick(t *testing.T) {
 	}
 }
 
-// Property: the engine's P matrix invariants — after construction via the
-// public API, recomputing tree path lengths independently agrees with the
-// final radius bookkeeping (validated indirectly through FeasibleTree and
-// the bound). Here we check that BKRUS at a given eps never exceeds the
-// eps' >= eps bound either (bound nesting).
+// Property: bound nesting — a tree BKRUS builds at a given eps also
+// satisfies every looser bound eps' >= eps (validated through
+// FeasibleTree; TestMergeBookkeepingMatchesTreeRecompute checks the
+// engine's path and radius bookkeeping directly).
 func TestBKRUSBoundNestingProperty(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

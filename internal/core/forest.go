@@ -1,11 +1,11 @@
 package core
 
-// This file holds the sparse-substrate half of the BKRUS engine. The
-// dense engine stores P[x][y] — the in-forest path length between every
-// same-tree pair of a source-free tree — which is what caps instances
-// near n ≈ 10³: the matrix alone is O(n²) bytes and every merge of two
-// source-free trees writes a cross-product of entries. The sparse
-// engine keeps the forest itself instead:
+// This file holds the BKRUS engine's forest bookkeeping, the one
+// bookkeeping both substrates use. The paper's Merge stores P[x][y] —
+// the in-forest path length between every same-tree pair of a
+// source-free tree — which is O(n²) bytes and makes every merge of two
+// source-free trees write a cross-product of entries. The engine keeps
+// the forest itself instead:
 //
 //   - adj[x]: the partial forest's adjacency lists (tree edges accepted
 //     so far), O(n) total;
@@ -16,7 +16,7 @@ package core
 //     giving path(endpoint, x) for the members x of that endpoint's
 //     tree it has reached so far.
 //
-// Every P-matrix read the dense engine performs is a row of an edge
+// Every P read the paper's tests and Merge perform is a row of an edge
 // endpoint over the members of its own tree, so a DFS from the endpoint
 // reproduces exactly the rows the feasibility test and merge need. The
 // witness scan reads members in witness order, passes over those too
@@ -29,12 +29,12 @@ package core
 //
 // Floating point: every node's distance is its DFS parent's plus the
 // edge weight, so any traversal order yields the same bits, and the
-// merge sums are grouped as the dense recurrences group them (path(x,u)
-// + w, then + the far-side term). The two modes agree to the last ulp
-// on most instances; where a multi-merge history groups additions
-// differently the bound tests' relative tolerance (relTol) absorbs the
-// ulp-level divergence. The conformance and property tests pin exact
-// agreement on the supported corpora.
+// merge sums are grouped one way — path(x,u) + w, then + the far-side
+// term. With one engine there is one grouping: the dense and sparse
+// substrates differ only in the edges they offer, so wherever they
+// accept the same edges they compute the same bits. relTol is there for
+// trees that sit exactly on the bound (bkrus.go), not to absorb a
+// second implementation's rounding.
 
 // startFill begins an incremental DFS over the partial forest from
 // root. A new epoch invalidates every stamp of the previous fill in

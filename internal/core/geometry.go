@@ -5,10 +5,12 @@ import "fmt"
 // Geometry selects the geometric substrate a construction runs on:
 // the materialized O(n²) distance matrix and complete edge list
 // (dense), or the on-demand distance oracle and octant neighbor graph
-// (sparse). Dense is the historical behaviour and stays byte-identical
-// to it; sparse replaces every O(n²) structure — matrix, edge list,
-// P-matrix — with O(n) counterparts so instances of 10⁵ terminals fit
-// in memory. The zero value is GeomAuto.
+// (sparse). The BKRUS bookkeeping is the same on both; the substrate
+// only decides which edges the scan sees. Dense is the historical
+// behaviour and stays byte-identical to it; sparse replaces both O(n²)
+// structures — matrix and edge list — with O(n) counterparts so
+// instances of 10⁵ terminals fit in memory. The zero value is
+// GeomAuto.
 type Geometry int
 
 const (

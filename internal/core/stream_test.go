@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -79,45 +80,38 @@ func TestScratchStreamCachePerInstance(t *testing.T) {
 
 // bookkeepingCheck recomputes every in-forest path length and radius
 // from the partial tree and compares them with the state the engine
-// keeps: the source paths of the source-tree members (distS, which on
-// the dense path is P's Source row), and, inside every source-free
-// tree, the radii, the witness order and (dense) every P entry. The
-// source tree's radii, witness order and other P rows are never read
-// again once the source joins, so the engine does not keep them.
+// keeps, which is the same on both substrates: the forest's adjacency
+// (the partial tree's edges, in acceptance order), the source paths of
+// the source-tree members (distS, +Inf everywhere else), and, inside
+// every source-free tree, the radii and the witness order. The source
+// tree's radii and witness order are never read again once the source
+// joins, so the engine does not keep them.
 func bookkeepingCheck(t *testing.T, e *engine, partial *graph.Tree, merges int) {
 	t.Helper()
 	const tol = 1e-6
+	for x, want := range partial.Adjacency() {
+		if !slices.Equal(e.adj[x], want) {
+			t.Fatalf("after %d merges: adj[%d] = %v, partial tree has %v", merges, x, e.adj[x], want)
+		}
+	}
 	dS := partial.PathLengthsFrom(graph.Source)
 	for y := 0; y < e.n; y++ {
 		inSource := !math.IsInf(dS[y], 1)
 		switch {
 		case inSource && !geom.EqWithin(e.distS[y], dS[y], tol):
 			t.Fatalf("after %d merges: distS[%d] = %v, recomputed %v", merges, y, e.distS[y], dS[y])
-		case !inSource && e.sparse && !math.IsInf(e.distS[y], 1):
+		case !inSource && !math.IsInf(e.distS[y], 1):
 			t.Fatalf("after %d merges: distS[%d] = %v outside the source tree", merges, y, e.distS[y])
-		case !inSource && !e.sparse && e.distS[y] != 0:
-			t.Fatalf("after %d merges: P[S][%d] = %v for cross-tree pair", merges, y, e.distS[y])
 		}
 	}
 	for x := 0; x < e.n; x++ {
 		if !math.IsInf(dS[x], 1) {
 			continue
 		}
-		d := partial.PathLengthsFrom(x)
 		maxSame := 0.0
-		for y := 0; y < e.n; y++ {
-			same := !math.IsInf(d[y], 1)
-			if same && d[y] > maxSame {
-				maxSame = d[y]
-			}
-			if e.sparse {
-				continue
-			}
-			switch p := e.p[x*e.n+y]; {
-			case !same && p != 0:
-				t.Fatalf("after %d merges: P[%d][%d] = %v for cross-tree pair", merges, x, y, p)
-			case same && !geom.EqWithin(p, d[y], tol):
-				t.Fatalf("after %d merges: P[%d][%d] = %v, recomputed %v", merges, x, y, p, d[y])
+		for _, d := range partial.PathLengthsFrom(x) {
+			if !math.IsInf(d, 1) && d > maxSame {
+				maxSame = d
 			}
 		}
 		if !geom.EqWithin(e.r[x], maxSame, tol) {
@@ -286,5 +280,26 @@ func TestScratchWitnessOrderStaysBounded(t *testing.T) {
 	}
 	if limit := 3 * nodes * int(math.Log2(nodes)); retained > limit {
 		t.Fatalf("after %d instances the witness orders retain %d entries, over 3·n·log2 n = %d", builds, retained, limit)
+	}
+}
+
+// TestReleasedScratchHoldsNoQuadraticState builds a dense n = 1000
+// instance through a scratch and releases it, as engine.Build does
+// before parking a pooled scratch. What the scratch still retains is
+// what a server's byte budget charges for it, and it must be O(n): an
+// n² buffer (an 8 MB path matrix at this size) would make every parked
+// scratch cost as much as the instance it last served.
+func TestReleasedScratchHoldsNoQuadraticState(t *testing.T) {
+	const nodes = 1000
+	in := randomInstance(rand.New(rand.NewSource(nodes)), nodes-1, 1000)
+	var s Scratch
+	for _, eps := range []float64{0, 0.1, 2} {
+		if _, err := BKRUSBuild(context.Background(), in, UpperOnly(in, eps), Config{Scratch: &s, Geometry: GeomDense}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Release()
+	if got := s.MemBytes(); got <= 0 || got >= 1<<20 {
+		t.Fatalf("released scratch retains %d bytes after a dense n = %d build, want (0, 1 MiB)", got, nodes)
 	}
 }

@@ -20,7 +20,7 @@ func sweepParams() []Params {
 }
 
 // BenchmarkBKRUSSweepPooled measures an ε-sweep through engine.Sweep,
-// which pins one scratch (P-matrix, sorted edges) across all runs.
+// which pins one scratch (working buffers, sorted edges) across all runs.
 // Compare allocs/op against BenchmarkBKRUSSweepFresh.
 func BenchmarkBKRUSSweepPooled(b *testing.B) {
 	in := bench.Random(3, 50, 1000)

@@ -15,9 +15,9 @@
 //     thread counters in. The engine resolves each layer's scope from
 //     Params.Obs at build time instead.
 //   - allocation churn in sweeps: ε-sweeps rebuild on one immutable
-//     instance many times. Build draws the BKRUS O(n²) scratch from a
+//     instance many times. Build draws the BKRUS scratch from a
 //     sync.Pool, and Sweep pins one scratch across a whole parameter
-//     list, so repeated runs stop re-allocating the P-matrix and
+//     list, so repeated runs stop re-allocating the working buffers and
 //     re-sorting the complete edge list.
 //
 // Determinism: constructors are pure functions of (instance, Params);
@@ -95,9 +95,9 @@ type Params struct {
 	// process default registry when one is installed.
 	Obs *obs.Registry
 	// Scratch, when non-nil, supplies the reusable BKRUS working buffers
-	// (P-matrix, sorted edges). Build and Sweep manage this themselves;
-	// set it only to pin a scratch across hand-rolled runs. Not safe for
-	// concurrent use.
+	// (forest bookkeeping, sorted edges). Build and Sweep manage this
+	// themselves; set it only to pin a scratch across hand-rolled runs.
+	// Not safe for concurrent use.
 	Scratch *core.Scratch
 	// Geometry selects the geometric substrate for the constructors that
 	// support both (Info.SparseCapable): dense materializes the distance
@@ -323,7 +323,7 @@ func (r *Registry) Build(ctx context.Context, name string, in *inst.Instance, p 
 
 // Sweep runs one named constructor over a list of parameter settings on
 // a single instance, reusing one scratch for the whole sweep: the edge
-// list is sorted once and the P-matrix allocated once. The context is
+// list is sorted once and the working buffers allocated once. The context is
 // checked between runs (and inside each construction's own loops), so a
 // cancelled ctx aborts the sweep promptly. Results are returned in
 // input order; the first error aborts the sweep.

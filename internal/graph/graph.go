@@ -9,8 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Source is the conventional node id of the driver/source terminal.
@@ -68,29 +69,31 @@ func CompleteEdges(w Weights) []Edge {
 	return edges
 }
 
-// edgeLess is the canonical edge order shared by SortEdges, the lazy
-// EdgeStream, and the parallel merge sort: nondecreasing weight with a
-// deterministic (U,V) tie-break. Because no two edges of a simple graph
-// share the same (U,V) pair, this is a strict *total* order — the sorted
-// sequence of any edge set is unique, which is what lets the lazy and
-// parallel kernels promise byte-identical output.
-func edgeLess(a, b Edge) bool {
-	//lint:ignore floatcmp a comparator must stay an exact strict weak order; epsilon ties would break sort transitivity
-	if a.W != b.W {
-		return a.W < b.W
+// compareEdges is the canonical edge order shared by SortEdges and the
+// lazy EdgeStream (whose packed entries compare the same way, see
+// comparePacked): nondecreasing weight with a deterministic (U,V)
+// tie-break. Because no two edges of a simple graph share the same
+// (U,V) pair, this is a strict *total* order — the sorted sequence of
+// any edge set is unique, which is what lets the lazy and parallel
+// kernels promise byte-identical output.
+//
+// Weights tie only when exactly equal (+0 and −0 included): a
+// comparator must stay an exact strict weak order, and epsilon ties
+// would break sort transitivity.
+func compareEdges(a, b Edge) int {
+	switch {
+	case a.W < b.W:
+		return -1
+	case a.W > b.W:
+		return 1
 	}
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 }
 
 // SortEdges sorts edges in nondecreasing weight order with a deterministic
 // (U,V) tie-break, so runs are reproducible across platforms.
 func SortEdges(edges []Edge) {
-	sort.Slice(edges, func(a, b int) bool {
-		return edgeLess(edges[a], edges[b])
-	})
+	slices.SortFunc(edges, compareEdges)
 }
 
 // DisjointSet is a union-find structure that, unlike the classical

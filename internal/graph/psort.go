@@ -2,48 +2,49 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
-// Parallel full-sort kernel for edge lists — the fallback the lazy
-// EdgeStream uses when a consumer drains deep, and a drop-in for any
-// eager full sort of a large edge set.
+// Parallel full-sort kernel for the stream's packed entries — the
+// fallback the lazy EdgeStream uses when a consumer drains deep.
 //
 // Determinism: the recursion splits at fixed midpoints and the merge is
 // stable (ties take from the left run), so the output permutation is a
 // pure function of the input regardless of goroutine scheduling — and
-// since edgeLess is a strict total order over complete-graph edges, the
-// result is additionally the unique sorted sequence, byte-identical to
-// SortEdges. The conformance suite asserts this under -race.
+// since comparePacked is a strict total order over the entries of a
+// simple graph, the result is additionally the unique sorted sequence,
+// byte-identical to a serial sort. TestParallelSortEdgesMatchesSerial
+// asserts this under -race.
 
-// parallelSortMin is the edge count below which a serial sort always
+// parallelSortMin is the entry count below which a serial sort always
 // wins: goroutine+merge overhead needs thousands of elements to
 // amortize. 4096 edges ≈ a 91-terminal complete graph.
 const parallelSortMin = 4096
 
-// ParallelSortEdges sorts edges in the canonical SortEdges order using
-// a parallel stable merge sort when the slice is large and GOMAXPROCS
-// allows more than one worker; otherwise it falls through to the serial
-// sort. Output is byte-identical to SortEdges either way.
-func ParallelSortEdges(edges []Edge) {
+// parallelSort sorts edges in comparePacked order using a parallel
+// stable merge sort when the slice is large and GOMAXPROCS allows more
+// than one worker; otherwise it falls through to the serial sort.
+// Output is byte-identical either way.
+func parallelSort(edges []packedEdge) {
 	w := runtime.GOMAXPROCS(0)
 	if w <= 1 || len(edges) < parallelSortMin {
-		SortEdges(edges)
+		slices.SortFunc(edges, comparePacked)
 		return
 	}
 	depth := 0
 	for 1<<depth < w {
 		depth++
 	}
-	buf := make([]Edge, len(edges))
+	buf := make([]packedEdge, len(edges))
 	parallelMergeSort(edges, buf, depth)
 }
 
 // parallelMergeSort sorts a in place, using buf (same length) as merge
 // scratch and spawning goroutines down to the given depth.
-func parallelMergeSort(a, buf []Edge, depth int) {
+func parallelMergeSort(a, buf []packedEdge, depth int) {
 	if depth <= 0 || len(a) < parallelSortMin {
-		SortEdges(a)
+		slices.SortFunc(a, comparePacked)
 		return
 	}
 	mid := len(a) / 2
@@ -55,17 +56,17 @@ func parallelMergeSort(a, buf []Edge, depth int) {
 	}()
 	parallelMergeSort(a[mid:], buf[mid:], depth-1)
 	wg.Wait()
-	mergeEdges(buf, a[:mid], a[mid:])
+	mergeRuns(buf, a[:mid], a[mid:])
 	copy(a, buf)
 }
 
-// mergeEdges merges the sorted runs x and y into dst
+// mergeRuns merges the sorted runs x and y into dst
 // (len(dst) == len(x)+len(y)), taking from x on ties so the merge is
 // stable.
-func mergeEdges(dst, x, y []Edge) {
+func mergeRuns(dst, x, y []packedEdge) {
 	k := 0
 	for len(x) > 0 && len(y) > 0 {
-		if edgeLess(y[0], x[0]) {
+		if comparePacked(y[0], x[0]) < 0 {
 			dst[k] = y[0]
 			y = y[1:]
 		} else {

@@ -7,19 +7,20 @@ package graph
 // connection available, which is what the BKRUS completion argument
 // (upper-bound-only instances always finish via the source star)
 // requires. Feeding the generated set through the same lazy EdgeStream
-// preserves the strict edgeLess total order, so a consumer sees the
+// preserves the strict compareEdges total order, so a consumer sees the
 // unique sorted sequence of the sparse set — byte-identical to sorting
 // it eagerly, and identical to the dense scan wherever the two edge
 // sets coincide.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/geom"
 )
 
 // EdgeSeq is the consumer-side view of an ordered edge source: Next
-// yields edges in nondecreasing weight order (edgeLess order) until
+// yields edges in nondecreasing weight order (compareEdges order) until
 // exhaustion. EdgeStream is the canonical implementation; Kruskal-style
 // scans (mst.KruskalFrom, the BKRUS engine) consume this interface so
 // dense and sparse supplies are interchangeable.
@@ -66,11 +67,8 @@ func NeighborEdges(ix *geom.Index, root int) []Edge {
 	// Duplicates carry bit-identical weights — every occurrence of a
 	// pair computes the same metric distance — so keeping the first of a
 	// run loses nothing.
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].U != edges[b].U {
-			return edges[a].U < edges[b].U
-		}
-		return edges[a].V < edges[b].V
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	out := edges[:0]
 	for _, e := range edges {
@@ -89,10 +87,10 @@ func NewSparseEdgeStream(ix *geom.Index, root int) *EdgeStream {
 	return NewEdgeStreamFrom(NeighborEdges(ix, root))
 }
 
-// MemBytes estimates the heap bytes retained by the stream's edge and
-// partition-frontier buffers.
+// MemBytes estimates the heap bytes retained by the stream's packed
+// edge array and partition-frontier buffer.
 func (s *EdgeStream) MemBytes() int64 {
-	return int64(cap(s.edges))*24 + int64(cap(s.stack))*8
+	return int64(cap(s.edges))*packedEdgeBytes + int64(cap(s.stack))*8
 }
 
 // MemBytes estimates the heap bytes retained by the disjoint set's

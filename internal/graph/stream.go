@@ -10,11 +10,22 @@ package graph
 // the consumer actually reaches it (incremental quicksort), so a build
 // that stops early never pays for the tail.
 //
-// Order equivalence: edgeLess is a strict total order (weight, then the
-// unique (U,V) pair), so the sorted permutation of any edge set is
+// Order equivalence: compareEdges is a strict total order (weight, then
+// the unique (U,V) pair), so the sorted permutation of any edge set is
 // unique — whatever method produces a sorted sequence produces *the*
 // sorted sequence. The stream therefore emits bit-identical order to
 // SortEdges by construction; TestEdgeStreamMatchesSortEdges pins it.
+//
+// Representation: the stream holds packedEdge entries, 16 bytes each
+// (the weight and both endpoints in one key), instead of 24-byte Edges,
+// and orders them with typed comparators — a partition swap moves two
+// words and no sort goes through reflection. Next unpacks one Edge at a
+// time.
+
+import (
+	"math"
+	"slices"
+)
 
 const (
 	// streamBatch is the target size of one sorted batch: segments at
@@ -35,28 +46,94 @@ const (
 // NewEdgeStream or NewEdgeStreamFrom. A stream is not safe for
 // concurrent use.
 type EdgeStream struct {
-	edges []Edge
+	edges []packedEdge
 	pos   int // next index to emit; edges[:pos] already emitted this pass
 	ready int // high-water mark: edges[:ready] are in final sorted order
 	// stack holds quicksort partition boundaries above ready, bottom
 	// entry len(edges). Invariant: for the top boundary t, every edge
-	// in [ready, t) precedes (edgeLess) every edge in [t, len(edges)).
+	// in [ready, t) precedes (comparePacked) every edge in [t, len(edges)).
 	stack     []int
 	batches   int // sorted batches produced, including fallback sorts
 	fallbacks int // whole-tail fallback sorts taken (at most one)
 }
 
+// packedEdge is the stream's entry: the weight and the key
+// uv = U<<32 | V. For ids in [0, 2³²) comparing uv compares (U, V)
+// lexicographically, so ordering packed entries by (w, uv) is exactly
+// compareEdges's order, canonical (U < V) or not.
+type packedEdge struct {
+	w  float64
+	uv uint64
+}
+
+// packedEdgeBytes is the size of one packedEdge, for MemBytes
+// (TestPackedEdgeSize pins it against unsafe.Sizeof).
+const packedEdgeBytes = 16
+
+// packEdge packs e, refusing endpoints the key cannot hold.
+func packEdge(e Edge) packedEdge {
+	guardVertexID(e.U)
+	guardVertexID(e.V)
+	return packedEdge{e.W, uint64(e.U)<<32 | uint64(e.V)}
+}
+
+// edge unpacks p.
+func (p packedEdge) edge() Edge {
+	return Edge{U: int(p.uv >> 32), V: int(p.uv & math.MaxUint32), W: p.w}
+}
+
+// comparePacked is compareEdges over packed entries. It is small
+// enough to inline into the partition and merge loops.
+func comparePacked(a, b packedEdge) int {
+	switch {
+	case a.w < b.w:
+		return -1
+	case a.w > b.w:
+		return 1
+	case a.uv < b.uv:
+		return -1
+	case a.uv > b.uv:
+		return 1
+	}
+	return 0
+}
+
+// guardVertexID checks at the stream boundary that a vertex id fits the
+// 32 bits packEdge gives each endpoint. The bound is the int32 id space
+// the BKRUS engine guards as well, so no id the engine accepts is
+// refused here. Pinned by TestEdgeStreamVertexIDGuard.
+func guardVertexID(v int) {
+	if v < 0 || v > math.MaxInt32 {
+		panic("graph: vertex id outside the int32 id space")
+	}
+}
+
 // NewEdgeStream builds a lazy sorted stream over the complete graph of
-// w's nodes. Construction enumerates the edges (O(n²)) but sorts
-// nothing yet.
+// w's nodes. Construction enumerates the edges (O(n²)) straight into
+// the packed array but sorts nothing yet.
 func NewEdgeStream(w Weights) *EdgeStream {
-	return NewEdgeStreamFrom(CompleteEdges(w))
+	n := w.Len()
+	edges := make([]packedEdge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, packEdge(Edge{U: i, V: j, W: w.At(i, j)}))
+		}
+	}
+	return newStream(edges)
 }
 
 // NewEdgeStreamFrom builds a lazy sorted stream over an explicit edge
-// set. The stream takes ownership of the slice and permutes it in
-// place.
+// set. The stream copies the edges into its own packed array and leaves
+// the slice untouched. Every endpoint must lie in [0, MaxInt32].
 func NewEdgeStreamFrom(edges []Edge) *EdgeStream {
+	packed := make([]packedEdge, len(edges))
+	for i, e := range edges {
+		packed[i] = packEdge(e)
+	}
+	return newStream(packed)
+}
+
+func newStream(edges []packedEdge) *EdgeStream {
 	return &EdgeStream{edges: edges, stack: []int{len(edges)}}
 }
 
@@ -89,7 +166,7 @@ func (s *EdgeStream) Next() (Edge, bool) {
 	}
 	e := s.edges[s.pos]
 	s.pos++
-	return e, true
+	return e.edge(), true
 }
 
 // Reset restarts emission from the smallest edge without discarding
@@ -119,7 +196,7 @@ func (s *EdgeStream) fill() {
 			continue
 		}
 		if hi-s.ready <= streamBatch {
-			SortEdges(s.edges[s.ready:hi])
+			slices.SortFunc(s.edges[s.ready:hi], comparePacked)
 			s.ready = hi
 			s.stack = s.stack[:len(s.stack)-1]
 			s.batches++
@@ -130,7 +207,7 @@ func (s *EdgeStream) fill() {
 			// Small left side: sort it together with the pivot (which
 			// is already in final position at p) and emit as one batch.
 			// The untouched right side stays bounded by the old top.
-			SortEdges(s.edges[s.ready : p+1])
+			slices.SortFunc(s.edges[s.ready:p+1], comparePacked)
 			s.ready = p + 1
 			s.batches++
 			return
@@ -144,7 +221,7 @@ func (s *EdgeStream) sortTail() {
 	if s.ready == len(s.edges) {
 		return
 	}
-	ParallelSortEdges(s.edges[s.ready:])
+	parallelSort(s.edges[s.ready:])
 	s.ready = len(s.edges)
 	s.stack = s.stack[:1] // keep only the bottom boundary len(edges)
 	s.batches++
@@ -154,25 +231,25 @@ func (s *EdgeStream) sortTail() {
 // partition performs a Lomuto partition of edges[lo:hi] around a
 // median-of-three pivot and returns the pivot's final index. All edges
 // left of it precede it; all edges right of it follow it (strictly —
-// edgeLess is total). The pivot choice is a pure function of the data,
+// comparePacked is total). The pivot choice is a pure function of the data,
 // so partitioning is deterministic.
 func (s *EdgeStream) partition(lo, hi int) int {
 	e := s.edges
 	mid := lo + (hi-lo)/2
 	// Order the (lo, mid, hi-1) trio so the median lands at hi-1.
-	if edgeLess(e[mid], e[lo]) {
+	if comparePacked(e[mid], e[lo]) < 0 {
 		e[mid], e[lo] = e[lo], e[mid]
 	}
-	if edgeLess(e[hi-1], e[lo]) {
+	if comparePacked(e[hi-1], e[lo]) < 0 {
 		e[hi-1], e[lo] = e[lo], e[hi-1]
 	}
-	if edgeLess(e[mid], e[hi-1]) {
+	if comparePacked(e[mid], e[hi-1]) < 0 {
 		e[mid], e[hi-1] = e[hi-1], e[mid]
 	}
 	pivot := e[hi-1]
 	i := lo
 	for j := lo; j < hi-1; j++ {
-		if edgeLess(e[j], pivot) {
+		if comparePacked(e[j], pivot) < 0 {
 			e[i], e[j] = e[j], e[i]
 			i++
 		}

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -30,29 +32,89 @@ func randomPoints(rng *rand.Rand, n int) []geom.Point {
 	return pts
 }
 
+// extremeEdges builds every ordered pair over a node set that mixes
+// small ids with ids up to 2³¹−1, so half the edges are non-canonical
+// (U > V) and the packed key's high and low words both carry large
+// values. Weights come from {+0, −0, 1, 2}: heavy ties, including ties
+// between the two zeros, which compare equal but must come back with
+// their sign bits intact.
+func extremeEdges(rng *rand.Rand) []Edge {
+	var ids []int
+	for i := 0; i < 20; i++ {
+		ids = append(ids, i, math.MaxInt32-i)
+	}
+	ids = append(ids, 1<<16, 1<<31-1<<16)
+	weights := []float64{0, math.Copysign(0, -1), 1, 2}
+	var edges []Edge
+	for _, u := range ids {
+		for _, v := range ids {
+			if u != v {
+				edges = append(edges, Edge{U: u, V: v, W: weights[rng.Intn(len(weights))]})
+			}
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return edges
+}
+
+// sameEdge compares weights by bits, so +0 and −0 differ.
+func sameEdge(a, b Edge) bool {
+	return a.U == b.U && a.V == b.V && math.Float64bits(a.W) == math.Float64bits(b.W)
+}
+
 func TestEdgeStreamMatchesSortEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var inputs [][]Edge
 	for _, n := range []int{0, 1, 2, 3, 10, 40, 90} {
-		edges := randomEdges(rng, n)
+		inputs = append(inputs, randomEdges(rng, n))
+	}
+	inputs = append(inputs, extremeEdges(rng))
+	for k, edges := range inputs {
 		want := append([]Edge(nil), edges...)
 		SortEdges(want)
 
 		s := NewEdgeStreamFrom(edges)
 		if s.Len() != len(want) {
-			t.Fatalf("n=%d: Len = %d, want %d", n, s.Len(), len(want))
+			t.Fatalf("input %d: Len = %d, want %d", k, s.Len(), len(want))
 		}
 		for i, w := range want {
 			got, ok := s.Next()
 			if !ok {
-				t.Fatalf("n=%d: stream ended at %d/%d", n, i, len(want))
+				t.Fatalf("input %d: stream ended at %d/%d", k, i, len(want))
 			}
-			if got != w {
-				t.Fatalf("n=%d: edge %d = %v, want %v", n, i, got, w)
+			if !sameEdge(got, w) {
+				t.Fatalf("input %d: edge %d = %v, want %v", k, i, got, w)
+			}
+			if i > 0 && compareEdges(want[i-1], w) >= 0 {
+				t.Fatalf("input %d: SortEdges left %v before %v", k, want[i-1], w)
 			}
 		}
 		if _, ok := s.Next(); ok {
-			t.Fatalf("n=%d: stream yielded past the end", n)
+			t.Fatalf("input %d: stream yielded past the end", k)
 		}
+	}
+}
+
+// TestEdgeStreamVertexIDGuard pins the boundary check behind the packed
+// key: ids in [0, 2³¹−1] are accepted, anything else panics instead of
+// silently colliding in the key.
+func TestEdgeStreamVertexIDGuard(t *testing.T) {
+	NewEdgeStreamFrom([]Edge{{U: math.MaxInt32, V: 0, W: 1}})
+	for _, e := range []Edge{{U: -1, V: 0}, {U: 0, V: -1}, {U: math.MaxInt32 + 1, V: 0}, {U: 0, V: 1 << 32}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewEdgeStreamFrom accepted %v", e)
+				}
+			}()
+			NewEdgeStreamFrom([]Edge{e})
+		}()
+	}
+}
+
+func TestPackedEdgeSize(t *testing.T) {
+	if got := unsafe.Sizeof(packedEdge{}); got != packedEdgeBytes {
+		t.Fatalf("packedEdge is %d bytes, packedEdgeBytes says %d", got, packedEdgeBytes)
 	}
 }
 
@@ -140,7 +202,8 @@ func TestEdgeStreamFallbackSortsWholeTail(t *testing.T) {
 
 // TestParallelSortEdgesMatchesSerial pins the determinism contract of
 // the fallback sort kernel: at 2, 4 and 8 workers (recursion depth 1, 2
-// and 3) the merge sort is byte-identical to SortEdges.
+// and 3) the merge sort over the stream's packed entries is
+// byte-identical to SortEdges.
 func TestParallelSortEdgesMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	// 120 nodes -> 7140 edges, above parallelSortMin.
@@ -149,11 +212,11 @@ func TestParallelSortEdgesMatchesSerial(t *testing.T) {
 	SortEdges(want)
 
 	for _, c := range []struct{ workers, depth int }{{2, 1}, {4, 2}, {8, 3}} {
-		got := append([]Edge(nil), edges...)
-		parallelMergeSort(got, make([]Edge, len(got)), c.depth)
+		got := NewEdgeStreamFrom(edges).edges
+		parallelMergeSort(got, make([]packedEdge, len(got)), c.depth)
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: edge %d = %v, want %v", c.workers, i, got[i], want[i])
+			if got[i].edge() != want[i] {
+				t.Fatalf("workers=%d: edge %d = %v, want %v", c.workers, i, got[i].edge(), want[i])
 			}
 		}
 	}

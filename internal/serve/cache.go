@@ -35,8 +35,8 @@ type cacheEntry struct {
 
 // instCache is the LRU instance cache keyed by point-set hash. Repeated
 // requests for the same (metric, source, sinks) re-serve one
-// cacheEntry, so the drained sorted-edge prefix and the grown P-matrix
-// survive across requests. Capacity counts entries; capBytes
+// cacheEntry, so the drained sorted-edge prefix and the grown BKRUS
+// working buffers survive across requests. Capacity counts entries; capBytes
 // additionally bounds the accounted resident bytes (instance geometry
 // caches plus scratch buffers, re-measured after every build), because
 // entries are wildly unequal — one n=2048 dense entry outweighs
