@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse profile-dense perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
+.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse profile-dense profile-bkst perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
 
 all: build vet lint test conformance
 
@@ -140,6 +140,16 @@ profile-dense:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream/n=1000/' -benchtime 10x \
 	    -cpuprofile $(PROFILE_DENSE_OUT).prof -o $(PROFILE_DENSE_OUT).test ./internal/core/
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DENSE_OUT).test $(PROFILE_DENSE_OUT).prof
+
+# CPU profile of the Steiner construction: BenchmarkBKSTSinks/n=200
+# (a float L1 net of 200 sinks, ε = 0.3, 5 iterations) under
+# -cpuprofile; writes $(PROFILE_BKST_OUT).prof and .test and prints the
+# top 15.
+PROFILE_BKST_OUT ?= /tmp/bkst
+profile-bkst:
+	$(GO) test -run '^$$' -bench 'BenchmarkBKSTSinks/n=200$$' -benchtime 5x \
+	    -cpuprofile $(PROFILE_BKST_OUT).prof -o $(PROFILE_BKST_OUT).test ./internal/steiner/
+	$(GO) tool pprof -top -nodecount=15 $(PROFILE_BKST_OUT).test $(PROFILE_BKST_OUT).prof
 
 # the benchmark in perfbench/ is a module of its own, so the root
 # `go build ./...` never compiles it; vet and test it here so removing

@@ -43,7 +43,7 @@ type Counters struct {
 	BoundRejections *obs.Counter // condition (3): merge would break the bound
 	LemmaRejections *obs.Counter // Lemma 6.1: direct source edge below the lower bound
 	Merges          *obs.Counter // accepted edges (always N-1 on success)
-	WitnessScans    *obs.Counter // nodes visited by (3-b) witness searches
+	WitnessScans    *obs.Counter // live members read by (3-b) witness scans
 	StreamBatches   *obs.Counter // sorted batches the lazy edge stream produced
 	StreamFallbacks *obs.Counter // whole-tail fallback sorts the stream took
 }
@@ -92,7 +92,7 @@ type BuildStats struct {
 	BoundRejections int // condition (3): merge would break the bound
 	LemmaRejections int // Lemma 6.1: direct source edge below the lower bound
 	Merges          int // accepted edges (always N-1 on success)
-	WitnessScans    int // nodes visited by (3-b) witness searches
+	WitnessScans    int // live members read by (3-b) witness scans
 	StreamBatches   int // sorted batches the lazy edge stream produced
 	StreamFallbacks int // whole-tail fallback sorts the stream took
 }

@@ -79,55 +79,64 @@ func TestScratchStreamCachePerInstance(t *testing.T) {
 }
 
 // bookkeepingCheck recomputes every in-forest path length and radius
-// from the partial tree and compares them with the state the engine
-// keeps, which is the same on both substrates: the forest's adjacency
-// (the partial tree's edges, in acceptance order), the source paths of
-// the source-tree members (distS, +Inf everywhere else), and, inside
-// every source-free tree, the radii and the witness order. The source
-// tree's radii and witness order are never read again once the source
-// joins, so the engine does not keep them.
+// from the partial tree and compares them with the state the forest
+// keeps, which is the same on both substrates: its adjacency (the
+// partial tree's edges, in acceptance order), the source paths of the
+// source-tree members (distS, +Inf everywhere else), and, inside every
+// source-free tree, the radii and the live list. The live list is
+// compared as a set: it must hold exactly the members whose base
+// dist(S,x) + r[x] passes Upper and whose dist(S,x) passes Lower, in any
+// order. The source tree's radii and live list are never read again
+// once the source joins, so the forest does not keep them.
 func bookkeepingCheck(t *testing.T, e *engine, partial *graph.Tree, merges int) {
 	t.Helper()
 	const tol = 1e-6
+	f := e.f
 	for x, want := range partial.Adjacency() {
-		if !slices.Equal(e.adj[x], want) {
-			t.Fatalf("after %d merges: adj[%d] = %v, partial tree has %v", merges, x, e.adj[x], want)
+		if !slices.Equal(f.adj[x], want) {
+			t.Fatalf("after %d merges: adj[%d] = %v, partial tree has %v", merges, x, f.adj[x], want)
 		}
 	}
 	dS := partial.PathLengthsFrom(graph.Source)
 	for y := 0; y < e.n; y++ {
 		inSource := !math.IsInf(dS[y], 1)
 		switch {
-		case inSource && !geom.EqWithin(e.distS[y], dS[y], tol):
-			t.Fatalf("after %d merges: distS[%d] = %v, recomputed %v", merges, y, e.distS[y], dS[y])
-		case !inSource && !math.IsInf(e.distS[y], 1):
-			t.Fatalf("after %d merges: distS[%d] = %v outside the source tree", merges, y, e.distS[y])
+		case inSource && !geom.EqWithin(f.distS[y], dS[y], tol):
+			t.Fatalf("after %d merges: distS[%d] = %v, recomputed %v", merges, y, f.distS[y], dS[y])
+		case !inSource && !math.IsInf(f.distS[y], 1):
+			t.Fatalf("after %d merges: distS[%d] = %v outside the source tree", merges, y, f.distS[y])
 		}
 	}
+	radius := make([]float64, e.n)
 	for x := 0; x < e.n; x++ {
 		if !math.IsInf(dS[x], 1) {
 			continue
 		}
-		maxSame := 0.0
 		for _, d := range partial.PathLengthsFrom(x) {
-			if !math.IsInf(d, 1) && d > maxSame {
-				maxSame = d
+			if !math.IsInf(d, 1) && d > radius[x] {
+				radius[x] = d
 			}
 		}
-		if !geom.EqWithin(e.r[x], maxSame, tol) {
-			t.Fatalf("after %d merges: r[%d] = %v, recomputed %v", merges, x, e.r[x], maxSame)
+		if !geom.EqWithin(f.r[x], radius[x], tol) {
+			t.Fatalf("after %d merges: r[%d] = %v, recomputed %v", merges, x, f.r[x], radius[x])
 		}
-		if rep := e.ds.Find(x); rep == x {
-			order := e.byBase[rep]
-			if len(order) != e.ds.Size(x) {
-				t.Fatalf("after %d merges: witness order of %d lists %d of %d members",
-					merges, rep, len(order), e.ds.Size(x))
+	}
+	for x := 0; x < e.n; x++ {
+		if f.ds.Find(x) != x || !math.IsInf(dS[x], 1) {
+			continue
+		}
+		var want []int32
+		for _, m := range f.ds.Members(x) {
+			dSm := f.dS[m]
+			if e.b.WithinUpper(dSm+radius[m]) && e.b.WithinLower(dSm) {
+				want = append(want, int32(m))
 			}
-			for k, m := range order {
-				if e.ds.Find(m.x) != rep || m.base != e.witnessBase(m.x) || k > 0 && order[k-1].base > m.base {
-					t.Fatalf("after %d merges: witness order of %d is %v", merges, rep, order)
-				}
-			}
+		}
+		got := slices.Clone(f.live[x])
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d merges: live list of %d holds %v, want %v", merges, x, got, want)
 		}
 	}
 }
@@ -188,7 +197,7 @@ func scanByHand(e *engine, before, after func(graph.Edge)) int {
 		if !ok {
 			break
 		}
-		if e.ds.Same(ed.U, ed.V) {
+		if e.f.Same(ed.U, ed.V) {
 			continue
 		}
 		if (ed.U == graph.Source || ed.V == graph.Source) && !e.b.WithinLower(ed.W) {
@@ -200,7 +209,7 @@ func scanByHand(e *engine, before, after func(graph.Edge)) int {
 		if !e.feasible(ed) {
 			continue
 		}
-		e.accept(ed)
+		e.f.Link(ed.U, ed.V, ed.W)
 		merges++
 		if after != nil {
 			after(ed)
@@ -211,10 +220,10 @@ func scanByHand(e *engine, before, after func(graph.Edge)) int {
 
 // TestTooFarNeverPrunesAWitness checks the witness scan's distance
 // prune against the exact test it stands in for: at every (3-b)
-// candidate, every member the scan may read on either side that tooFar
-// prunes must fail the exact witness test. Tight bounds and a lattice
-// (integer L1 distances, so staircase tree paths equal the straight
-// line exactly) put many members right at the bound.
+// candidate, every live member on either side that tooFar prunes must
+// fail the exact witness test. Tight bounds and a lattice (integer L1
+// distances, so staircase tree paths equal the straight line exactly)
+// put many members right at the bound.
 func TestTooFarNeverPrunesAWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	instances := []*inst.Instance{
@@ -227,24 +236,22 @@ func TestTooFarNeverPrunesAWitness(t *testing.T) {
 		for _, geo := range []Geometry{GeomDense, GeomSparse} {
 			for _, eps := range []float64{0, 0.1, 0.5} {
 				e := newEngine(in, UpperOnly(in, eps), Config{Geometry: geo})
+				f := e.f
 				side := func(u, v int, w float64) {
-					path := append([]float64(nil), e.pathsFrom(u)...)
-					for _, m := range e.byBase[e.ds.Find(u)] {
-						x := m.x
-						if !e.b.WithinUpper(m.base) {
-							break
-						}
-						if !e.tooFar(u, x, w, e.r[v]) {
+					path := slices.Clone(f.PathsFrom(u))
+					for _, m := range f.live[f.ds.Find(u)] {
+						x := int(m)
+						if !f.tooFar(u, x, w, f.r[v]) {
 							continue
 						}
 						pruned++
-						if e.witnessOK(x, math.Max(e.r[x], path[x]+w+e.r[v])) {
+						if f.b.WithinUpper(f.dS[x] + math.Max(f.r[x], path[x]+w+f.r[v])) {
 							t.Fatalf("%s eps=%g: tooFar pruned witness %d for edge (%d,%d)", geo, eps, x, u, v)
 						}
 					}
 				}
 				scanByHand(e, func(ed graph.Edge) {
-					if !e.ds.Same(graph.Source, ed.U) && !e.ds.Same(graph.Source, ed.V) {
+					if !f.InSource(ed.U) && !f.InSource(ed.V) {
 						side(ed.U, ed.V, ed.W)
 						side(ed.V, ed.U, ed.W)
 					}
@@ -260,9 +267,9 @@ func TestTooFarNeverPrunesAWitness(t *testing.T) {
 
 // TestScratchWitnessOrderStaysBounded builds many distinct instances
 // through one scratch, as a pooled scratch in a server does. The
-// witness-order buffers it retains must level off near n·log n rather
-// than grow with every instance; a buffer tied to a set's name would
-// grow, in time, to the largest set each name ever stood for.
+// live-list buffers it retains must level off near n·log n rather than
+// grow with every instance; a buffer tied to a set's name would grow,
+// in time, to the largest set each name ever stood for.
 func TestScratchWitnessOrderStaysBounded(t *testing.T) {
 	const nodes, builds = 1000, 30
 	var s Scratch
@@ -275,12 +282,13 @@ func TestScratchWitnessOrderStaysBounded(t *testing.T) {
 		s.Release()
 	}
 	retained := 0
-	for _, order := range s.byBase {
-		retained += cap(order)
+	for _, live := range s.f.live {
+		retained += cap(live)
 	}
 	if limit := 3 * nodes * int(math.Log2(nodes)); retained > limit {
-		t.Fatalf("after %d instances the witness orders retain %d entries, over 3·n·log2 n = %d", builds, retained, limit)
+		t.Fatalf("after %d instances the live lists retain %d entries, over 3·n·log2 n = %d", builds, retained, limit)
 	}
+	t.Logf("retained %d entries (%.1f·n)", retained, float64(retained)/nodes)
 }
 
 // TestReleasedScratchHoldsNoQuadraticState builds a dense n = 1000

@@ -7,7 +7,7 @@ import (
 
 // TestVertexIDSpaceGuard pins the invariant behind the int32 vertex-id
 // conversions in startFill and fillUntil (see the intwidth suppressions in
-// forest.go): ids fit int32 because newEngine refuses larger vertex
+// forest.go): ids fit int32 because Forest.Reset refuses larger vertex
 // counts at the boundary.
 func TestVertexIDSpaceGuard(t *testing.T) {
 	guardVertexIDSpace(0)

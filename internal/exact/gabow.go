@@ -19,7 +19,6 @@
 package exact
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -101,7 +100,7 @@ func BMSTGWithStats(ctx context.Context, in *inst.Instance, b core.Bounds, opt O
 		return nil, st, core.ErrInfeasible
 	}
 	chk := cancel.New(ctx, 1)
-	h := &subHeap{{tree: root, cost: root.Cost(), include: forced}}
+	h := newSubHeap(&subproblem{tree: root, cost: root.Cost(), include: forced})
 	for h.Len() > 0 {
 		if h.Len() > st.PeakHeap {
 			st.PeakHeap = h.Len()
@@ -113,7 +112,7 @@ func BMSTGWithStats(ctx context.Context, in *inst.Instance, b core.Bounds, opt O
 			return nil, st, ErrBudget
 		}
 		budget--
-		sub := heap.Pop(h).(*subproblem)
+		sub := h.Pop()
 		st.TreesPopped++
 		if core.FeasibleTree(sub.tree, b) {
 			return sub.tree, st, nil
@@ -134,10 +133,10 @@ func KBest(in *inst.Instance, k int) []*graph.Tree {
 	if !ok {
 		return nil
 	}
-	h := &subHeap{{tree: root, cost: root.Cost()}}
+	h := newSubHeap(&subproblem{tree: root, cost: root.Cost()})
 	var out []*graph.Tree
 	for h.Len() > 0 && len(out) < k {
-		sub := heap.Pop(h).(*subproblem)
+		sub := h.Pop()
 		out = append(out, sub.tree)
 		e.partition(sub, h)
 	}
@@ -201,18 +200,12 @@ type subproblem struct {
 	exclude map[graph.Key]bool
 }
 
-type subHeap []*subproblem
-
-func (h subHeap) Len() int            { return len(h) }
-func (h subHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
-func (h subHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *subHeap) Push(x interface{}) { *h = append(*h, x.(*subproblem)) }
-func (h *subHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// newSubHeap returns a subproblem queue holding only root, cheapest
+// tree first.
+func newSubHeap(root *subproblem) *graph.Heap[*subproblem] {
+	h := graph.NewHeap(func(a, b *subproblem) bool { return a.cost < b.cost })
+	h.Push(root)
+	return h
 }
 
 type enumerator struct {
@@ -224,7 +217,7 @@ type enumerator struct {
 // regions: with free edges e1..em of the popped tree, child i requires
 // e1..e(i-1) and forbids ei. Each child's constrained MST is its cheapest
 // representative; every spanning tree is generated exactly once.
-func (e *enumerator) partition(sub *subproblem, h *subHeap) {
+func (e *enumerator) partition(sub *subproblem, h *graph.Heap[*subproblem]) {
 	inc := make(map[graph.Key]bool, len(sub.include))
 	for _, edge := range sub.include {
 		inc[edge.Key()] = true
@@ -244,7 +237,7 @@ func (e *enumerator) partition(sub *subproblem, h *subHeap) {
 		childExclude[ei.Key()] = true
 		include := append([]graph.Edge(nil), childInclude...)
 		if t, ok := mst.ConstrainedKruskal(e.n, e.sorted, include, childExclude); ok {
-			heap.Push(h, &subproblem{tree: t, cost: t.Cost(), include: include, exclude: childExclude})
+			h.Push(&subproblem{tree: t, cost: t.Cost(), include: include, exclude: childExclude})
 		}
 		childInclude = append(childInclude, ei)
 	}

@@ -16,14 +16,7 @@ type Tree struct {
 
 // NewTree returns an empty tree skeleton over n nodes.
 func NewTree(n int) *Tree {
-	return &Tree{N: n, Edges: make([]Edge, 0, maxInt(0, n-1))}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return &Tree{N: n, Edges: make([]Edge, 0, max(0, n-1))}
 }
 
 // Clone returns a deep copy of t.

@@ -7,7 +7,6 @@
 package mst
 
 import (
-	"container/heap"
 	"math"
 
 	"repro/internal/graph"
@@ -134,18 +133,12 @@ type sptItem struct {
 	dist float64
 }
 
-type sptHeap []sptItem
-
-func (h sptHeap) Len() int            { return len(h) }
-func (h sptHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h sptHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *sptHeap) Push(x interface{}) { *h = append(*h, x.(sptItem)) }
-func (h *sptHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// newSPTHeap returns a Dijkstra queue holding only root, ordered by
+// distance alone.
+func newSPTHeap(root int) *graph.Heap[sptItem] {
+	h := graph.NewHeap(func(a, b sptItem) bool { return a.dist < b.dist })
+	h.Push(sptItem{node: root, dist: 0})
+	return h
 }
 
 // SPT returns the shortest path tree from root over the complete graph of
@@ -166,9 +159,9 @@ func SPT(w graph.Weights, root int) *graph.Tree {
 		from[i] = -1
 	}
 	dist[root] = 0
-	h := &sptHeap{{node: root, dist: 0}}
+	h := newSPTHeap(root)
 	for h.Len() > 0 {
-		it := heap.Pop(h).(sptItem)
+		it := h.Pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -182,7 +175,7 @@ func SPT(w graph.Weights, root int) *graph.Tree {
 				if d := dist[u] + w.At(u, v); d < dist[v] {
 					dist[v] = d
 					from[v] = u
-					heap.Push(h, sptItem{node: v, dist: d})
+					h.Push(sptItem{node: v, dist: d})
 				}
 			}
 		}
@@ -210,9 +203,9 @@ func SPTEdges(n int, edges []graph.Edge, root int) *graph.Tree {
 		from[i] = -1
 	}
 	dist[root] = 0
-	h := &sptHeap{{node: root, dist: 0}}
+	h := newSPTHeap(root)
 	for h.Len() > 0 {
-		it := heap.Pop(h).(sptItem)
+		it := h.Pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -227,7 +220,7 @@ func SPTEdges(n int, edges []graph.Edge, root int) *graph.Tree {
 					dist[a.To] = d
 					from[a.To] = u
 					fromW[a.To] = a.W
-					heap.Push(h, sptItem{node: a.To, dist: d})
+					h.Push(sptItem{node: a.To, dist: d})
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package steiner
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -133,35 +132,18 @@ type pairItem struct {
 	a, b int
 }
 
-type pairHeap []pairItem
-
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	//lint:ignore floatcmp heap ordering must stay an exact strict weak order; epsilon ties would corrupt the heap invariant
-	if h[i].d != h[j].d {
-		return h[i].d < h[j].d
+// pairLess orders candidates by distance, then by endpoints: a strict
+// total order, so the pop sequence does not depend on the heap's shape.
+func pairLess(p, q pairItem) bool {
+	switch {
+	case p.d < q.d:
+		return true
+	case p.d > q.d:
+		return false
+	case p.a != q.a:
+		return p.a < q.a
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
-}
-func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(pairItem)) }
-func (h *pairHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-func fmtErrNegativeEps(eps float64) error {
-	return fmt.Errorf("steiner: negative eps %g", eps)
-}
-
-func fmtErrMetric(m geom.Metric) error {
-	return fmt.Errorf("steiner: BKST requires the Manhattan metric, got %v", m)
+	return p.b < q.b
 }
 
 // BKST constructs a bounded path length rectilinear Steiner tree with
@@ -171,7 +153,7 @@ func fmtErrMetric(m geom.Metric) error {
 // records into its "steiner" scope.
 func BKST(in *inst.Instance, eps float64) (*SteinerTree, error) {
 	if eps < 0 {
-		return nil, fmtErrNegativeEps(eps)
+		return nil, fmt.Errorf("steiner: negative eps %g", eps)
 	}
 	return BKSTBuild(context.Background(), in, core.UpperOnly(in, eps), Config{})
 }
@@ -197,11 +179,10 @@ func BKSTBuild(ctx context.Context, in *inst.Instance, bounds core.Bounds, cfg C
 		return nil, err
 	}
 	if in.Metric() != geom.Manhattan {
-		return nil, fmtErrMetric(in.Metric())
+		return nil, fmt.Errorf("steiner: BKST requires the Manhattan metric, got %v", in.Metric())
 	}
 	//lint:ignore ctxflow heap seeding is O(terminals^2) before the first pop; run(ctx) polls from the first candidate on and BKST terminal counts are small by design
-	b := newBuilder(in, bounds.Upper)
-	b.lower = bounds.Lower
+	b := newBuilder(in, bounds)
 	b.planar = cfg.Planar
 	if cfg.Counters != nil {
 		b.c = cfg.Counters
@@ -223,27 +204,29 @@ func BKSTBuild(ctx context.Context, in *inst.Instance, bounds core.Bounds, cfg C
 		if t == 0 {
 			continue
 		}
-		if !b.within(d) || !b.aboveLower(d) {
+		if !bounds.WithinUpper(d) || !bounds.WithinLower(d) {
 			return nil, ErrInfeasible
 		}
 	}
 	return st, nil
 }
 
-// builder carries the BKST working state.
+// builder carries the BKST working state. The bounded Kruskal
+// bookkeeping — disjoint set, source paths, radii, live witness lists
+// and the (3-a)/(3-b) tests — is the core.Forest BKRUS drives too, here
+// over grid node ids with the source terminal's node as its source.
 type builder struct {
 	g          *Grid
-	bound      float64
-	lower      float64 // lower path bound for terminal sinks (0 = none)
-	planar     bool    // forbid layered jumpers (wire crossings)
-	notPlanar  bool    // set when a planar completion failed
-	ds         *graph.DisjointSet
+	bounds     core.Bounds
+	planar     bool // forbid layered jumpers (wire crossings)
+	notPlanar  bool // set when a planar completion failed
+	f          core.Forest
 	inForest   []bool
 	isTerminal []bool
 	forest     []int // all forest node ids
-	p          map[graph.Key]float64
-	r          []float64
-	h          pairHeap
+	terminals  int   // distinct terminal grid nodes
+	joined     int   // distinct terminal grid nodes in the source tree
+	h          *graph.Heap[pairItem]
 	edges      []graph.Edge
 	srcGrid    int
 	c          *Counters // optional instrumentation (nil = off)
@@ -254,20 +237,28 @@ type builder struct {
 	mzDist []float64
 	mzFrom []int
 	mzDone []bool
+	mzHeap *graph.Heap[mazeItem]
 }
 
-func newBuilder(in *inst.Instance, bound float64) *builder {
+// gridPairs is the Hanan grid's L1 metric as the forest's pair metric:
+// no rectilinear grid path, and no jumper, is shorter than the L1
+// distance between its ends.
+type gridPairs struct{ g *Grid }
+
+func (p gridPairs) At(a, b int) float64 { return p.g.Dist(a, b) }
+
+func newBuilder(in *inst.Instance, bounds core.Bounds) *builder {
 	g := NewGrid(in)
 	b := &builder{
 		g:          g,
-		bound:      bound,
-		ds:         graph.NewDisjointSet(g.Size()),
+		bounds:     bounds,
 		inForest:   make([]bool, g.Size()),
 		isTerminal: make([]bool, g.Size()),
-		p:          make(map[graph.Key]float64),
-		r:          make([]float64, g.Size()),
+		h:          graph.NewHeap(pairLess),
 		srcGrid:    g.Terminal(0),
+		joined:     1, // the source terminal's own node
 	}
+	b.f.Reset(g.Size(), b.srcGrid, g.DistToSource, gridPairs{g}, bounds)
 	for t := 0; t < g.NumTerminals(); t++ {
 		id := g.Terminal(t)
 		b.isTerminal[id] = true
@@ -276,6 +267,7 @@ func newBuilder(in *inst.Instance, bound float64) *builder {
 			b.forest = append(b.forest, id)
 		}
 	}
+	b.terminals = len(b.forest)
 	b.seedPairs()
 	// Opportunistic instrumentation, overridable by Config.Counters.
 	if sc := obs.DefaultScope(ScopeName); sc != nil {
@@ -290,55 +282,18 @@ func newBuilder(in *inst.Instance, bound float64) *builder {
 func (b *builder) seedPairs() {
 	for i, a := range b.forest {
 		for _, c := range b.forest[i+1:] {
-			heap.Push(&b.h, pairItem{a: a, b: c, d: b.g.Dist(a, c)})
+			b.h.Push(pairItem{a: a, b: c, d: b.g.Dist(a, c)})
 		}
 	}
-}
-
-// pathLen returns the in-forest path length between two nodes of the
-// same partial tree.
-func (b *builder) pathLen(x, y int) float64 {
-	if x == y {
-		return 0
-	}
-	return b.p[graph.EdgeKey(x, y)]
-}
-
-func (b *builder) complete() bool {
-	srcRep := b.ds.Find(b.srcGrid)
-	for t := 1; t < b.g.NumTerminals(); t++ {
-		if b.ds.Find(b.g.Terminal(t)) != srcRep {
-			return false
-		}
-	}
-	return true
 }
 
 func (b *builder) run(ctx context.Context) error {
 	chk := cancel.New(ctx, 64)
-	for b.h.Len() > 0 {
+	for b.h.Len() > 0 && b.joined < b.terminals {
 		if err := chk.Tick(); err != nil {
 			return err
 		}
-		it := heap.Pop(&b.h).(pairItem)
-		if b.c != nil {
-			b.c.CandidatesExamined.Inc()
-		}
-		if b.ds.Same(it.a, it.b) {
-			continue
-		}
-		if !b.feasible(it.a, it.b, it.d) {
-			if b.c != nil {
-				b.c.BoundRejections.Inc()
-			}
-			continue
-		}
-		if !b.tryEmbed(it.a, it.b) {
-			continue
-		}
-		if b.complete() {
-			return nil
-		}
+		b.step()
 	}
 	// Fallback: the heap ran dry with terminals still detached (possible
 	// when every candidate embedding collided). Connect each remaining
@@ -348,71 +303,73 @@ func (b *builder) run(ctx context.Context) error {
 		if err := chk.Err(); err != nil {
 			return err
 		}
-		id := b.g.Terminal(t)
-		if !b.ds.Same(b.srcGrid, id) {
+		if id := b.g.Terminal(t); !b.f.InSource(id) {
 			b.fallbackConnect(id)
 		}
 	}
 	return nil
 }
 
-// within reports v <= bound with the same relative tolerance the core
-// engine uses (trees routinely sit exactly on the bound).
-func (b *builder) within(v float64) bool {
-	return v <= b.bound+1e-9*math.Max(1, math.Abs(b.bound))
+// step pops the next candidate pair and embeds it when it links two
+// trees feasibly.
+func (b *builder) step() {
+	it := b.h.Pop()
+	if b.c != nil {
+		b.c.CandidatesExamined.Inc()
+	}
+	if b.f.Same(it.a, it.b) {
+		return
+	}
+	if !b.feasible(it.a, it.b, it.d) {
+		if b.c != nil {
+			b.c.BoundRejections.Inc()
+		}
+		return
+	}
+	b.tryEmbed(it.a, it.b)
 }
 
-// aboveLower reports v >= lower within tolerance (always true when no
-// lower bound is set).
-func (b *builder) aboveLower(v float64) bool {
-	if b.lower <= 0 {
-		return true
-	}
-	return v >= b.lower-1e-9*math.Max(1, b.lower)
+// feasible applies the BKRUS conditions (3-a)/(3-b) to linking a's and
+// c's trees across distance d. At a source merge the lower bound
+// applies to terminals only (lowerOKAfterSourceMerge).
+func (b *builder) feasible(a, c int, d float64) bool {
+	ok, base, att := b.f.Feasible(a, c, d)
+	return ok && (att < 0 || b.lowerOKAfterSourceMerge(base, att))
 }
 
 // lowerOKAfterSourceMerge checks the §6 lower bound for a merge into the
 // source tree: every terminal sink of the attaching tree acquires path
-// base + pathLen(att, y), which must clear the lower bound (Steiner
-// points are exempt).
+// base + path(att, y), which must clear the lower bound (Steiner points
+// are exempt).
 func (b *builder) lowerOKAfterSourceMerge(base float64, att int) bool {
-	if b.lower <= 0 {
+	if b.bounds.Lower <= 0 {
 		return true
 	}
-	for _, y := range b.ds.Members(att) {
-		if b.isTerminal[y] && !b.aboveLower(base+b.pathLen(att, y)) {
+	d := b.f.PathsFrom(att)
+	for _, y := range b.f.Members(att) {
+		if b.isTerminal[y] && !b.bounds.WithinLower(base+d[y]) {
 			return false
 		}
 	}
 	return true
 }
 
-// feasible applies the BKRUS conditions (3-a)/(3-b) over forest path
-// lengths.
-func (b *builder) feasible(a, c int, d float64) bool {
-	srcRep := b.ds.Find(b.srcGrid)
-	switch {
-	case b.ds.Find(a) == srcRep:
-		base := b.pathLen(b.srcGrid, a) + d
-		return b.within(base+b.r[c]) && b.lowerOKAfterSourceMerge(base, c)
-	case b.ds.Find(c) == srcRep:
-		base := b.pathLen(b.srcGrid, c) + d
-		return b.within(base+b.r[a]) && b.lowerOKAfterSourceMerge(base, a)
-	default:
-		for _, x := range b.ds.Members(a) {
-			rM := math.Max(b.r[x], b.pathLen(x, a)+d+b.r[c])
-			if b.within(b.g.DistToSource(x)+rM) && b.aboveLower(b.g.DistToSource(x)) {
-				return true
+// link commits edge (u,v) of weight w, which joins two trees, to the
+// forest and the tree, counting the terminals it brings into the source
+// tree.
+func (b *builder) link(u, v int, w float64) {
+	if att := v; b.f.InSource(u) != b.f.InSource(v) {
+		if b.f.InSource(v) {
+			att = u
+		}
+		for _, y := range b.f.Members(att) {
+			if b.isTerminal[y] {
+				b.joined++
 			}
 		}
-		for _, x := range b.ds.Members(c) {
-			rM := math.Max(b.r[x], b.pathLen(x, c)+d+b.r[a])
-			if b.within(b.g.DistToSource(x)+rM) && b.aboveLower(b.g.DistToSource(x)) {
-				return true
-			}
-		}
-		return false
 	}
+	b.f.Link(u, v, w)
+	b.edges = append(b.edges, graph.Edge{U: u, V: v, W: w})
 }
 
 // firstCollisionIdx returns the index of the first interior path node
@@ -444,12 +401,12 @@ func (b *builder) lastCollisionIdx(path []int) int {
 // connection is re-seeded into the heap as sub-pairs ending at the first
 // collision from each side — the true attach points — so it is
 // re-examined with a proper feasibility test instead of being lost.
-func (b *builder) tryEmbed(a, c int) bool {
+func (b *builder) tryEmbed(a, c int) {
 	paths := b.g.LPaths(a, c)
 	for _, path := range paths {
 		if b.firstCollisionIdx(path) == -1 {
 			b.embed(path)
-			return true
+			return
 		}
 	}
 	if b.c != nil {
@@ -457,22 +414,21 @@ func (b *builder) tryEmbed(a, c int) bool {
 	}
 	for _, path := range paths {
 		if i := b.firstCollisionIdx(path); i != -1 {
-			if z := path[i]; !b.ds.Same(a, z) {
-				heap.Push(&b.h, pairItem{d: b.g.Dist(a, z), a: a, b: z})
+			if z := path[i]; !b.f.Same(a, z) {
+				b.h.Push(pairItem{d: b.g.Dist(a, z), a: a, b: z})
 			}
 			j := b.lastCollisionIdx(path)
 			//lint:ignore indexbound firstCollisionIdx != -1 implies lastCollisionIdx != -1 (both scan the same interior; pinned by TestCollisionIdxPaired)
-			if z := path[j]; !b.ds.Same(c, z) {
-				heap.Push(&b.h, pairItem{d: b.g.Dist(z, c), a: z, b: c})
+			if z := path[j]; !b.f.Same(c, z) {
+				b.h.Push(pairItem{d: b.g.Dist(z, c), a: z, b: c})
 			}
 		}
 	}
-	return false
 }
 
 // embed commits a collision-free path: every interior node joins the
-// forest as a new sink, partial trees are merged node by node with the
-// BKRUS Merge bookkeeping, and new candidate pairs are seeded.
+// forest as a new sink, partial trees are linked node by node with the
+// forest's Merge bookkeeping, and new candidate pairs are seeded.
 func (b *builder) embed(path []int) {
 	var fresh []int
 	prev := path[0]
@@ -482,10 +438,7 @@ func (b *builder) embed(path []int) {
 			b.forest = append(b.forest, q)
 			fresh = append(fresh, q)
 		}
-		w := b.g.Dist(prev, q)
-		b.mergeEdge(prev, q, w)
-		b.ds.Union(prev, q)
-		b.edges = append(b.edges, graph.Edge{U: prev, V: q, W: w})
+		b.link(prev, q, b.g.Dist(prev, q))
 		prev = q
 	}
 	if b.c != nil {
@@ -496,39 +449,10 @@ func (b *builder) embed(path []int) {
 	// distances to every forest node outside the merged tree.
 	for _, q := range fresh {
 		for _, f := range b.forest {
-			if !b.ds.Same(q, f) {
-				heap.Push(&b.h, pairItem{d: b.g.Dist(q, f), a: q, b: f})
+			if !b.f.Same(q, f) {
+				b.h.Push(pairItem{d: b.g.Dist(q, f), a: q, b: f})
 			}
 		}
-	}
-}
-
-// mergeEdge is the paper's Merge routine on the forest path-length map:
-// fill cross-tree path lengths through edge (u,v) and refresh radii.
-// Must run before the disjoint-set union.
-func (b *builder) mergeEdge(u, v int, w float64) {
-	mu := b.ds.Members(u)
-	mv := b.ds.Members(v)
-	for _, x := range mu {
-		base := b.pathLen(x, u) + w
-		rowMax := b.r[x]
-		for _, y := range mv {
-			pxy := base + b.pathLen(v, y)
-			b.p[graph.EdgeKey(x, y)] = pxy
-			if pxy > rowMax {
-				rowMax = pxy
-			}
-		}
-		b.r[x] = rowMax
-	}
-	for _, y := range mv {
-		colMax := b.r[y]
-		for _, x := range mu {
-			if pxy := b.pathLen(x, y); pxy > colMax {
-				colMax = pxy
-			}
-		}
-		b.r[y] = colMax
 	}
 }
 
@@ -544,7 +468,7 @@ func (b *builder) fallbackConnect(x int) {
 		b.c.FallbackConnects.Inc()
 	}
 	mazePath, mazeTotal := b.mazeRoute(x)
-	if mazePath != nil && b.within(mazeTotal) {
+	if mazePath != nil && b.bounds.WithinUpper(mazeTotal) {
 		b.countMaze()
 		b.embed(mazePath)
 		return
@@ -569,21 +493,18 @@ func (b *builder) fallbackConnect(x int) {
 	if b.c != nil {
 		b.c.JumperWires.Inc()
 	}
-	d := b.g.Dist(w, z)
-	b.mergeEdge(w, z, d)
-	b.ds.Union(w, z)
-	b.edges = append(b.edges, graph.Edge{U: w, V: z, W: d})
+	b.link(w, z, b.g.Dist(w, z))
 }
 
 // bestJumper picks the (member w of x's tree, source-tree node z) pair
-// minimizing r[w] + dist(w,z) + pathLen(S,z): the worst-case source-sink
+// minimizing r[w] + dist(w,z) + path(S,z): the worst-case source-sink
 // path after connecting w to z by a direct layered wire.
 func (b *builder) bestJumper(x int) (w, z int, total float64) {
 	total = math.Inf(1)
-	srcMembers := b.ds.Members(b.srcGrid)
-	for _, cand := range b.ds.Members(x) {
+	srcMembers := b.f.Members(b.srcGrid)
+	for _, cand := range b.f.Members(x) {
 		for _, att := range srcMembers {
-			t := b.r[cand] + b.g.Dist(cand, att) + b.pathLen(b.srcGrid, att)
+			t := b.f.Radius(cand) + b.g.Dist(cand, att) + b.f.DistS(att)
 			if t < total {
 				total = t
 				w, z = cand, att
@@ -594,17 +515,18 @@ func (b *builder) bestJumper(x int) (w, z int, total float64) {
 }
 
 // mazeRoute finds the attachment route from x's tree to the source tree
-// minimizing r[w] + routeLength + pathLen(S, z), avoiding occupied grid
+// minimizing r[w] + routeLength + path(S, z), avoiding occupied grid
 // nodes in the route interior. Returns the node sequence from the chosen
 // member w to the chosen source-tree node z and the minimized total, or
 // (nil, +Inf) when no planar route exists.
 func (b *builder) mazeRoute(x int) ([]int, float64) {
-	srcRep := b.ds.Find(b.srcGrid)
-	xRep := b.ds.Find(x)
+	srcRep := b.f.Find(b.srcGrid)
+	xRep := b.f.Find(x)
 	if cap(b.mzDist) < b.g.Size() {
 		b.mzDist = make([]float64, b.g.Size())
 		b.mzFrom = make([]int, b.g.Size())
 		b.mzDone = make([]bool, b.g.Size())
+		b.mzHeap = graph.NewHeap(func(p, q mazeItem) bool { return p.cost < q.cost })
 	}
 	dist := b.mzDist[:b.g.Size()]
 	from := b.mzFrom[:b.g.Size()]
@@ -614,31 +536,32 @@ func (b *builder) mazeRoute(x int) ([]int, float64) {
 		from[i] = -1
 		done[i] = false
 	}
-	h := &mazeHeap{}
-	for _, w := range b.ds.Members(x) {
-		dist[w] = b.r[w]
-		heap.Push(h, mazeItem{node: w, cost: b.r[w]})
+	h := b.mzHeap
+	h.Reset()
+	for _, w := range b.f.Members(x) {
+		dist[w] = b.f.Radius(w)
+		h.Push(mazeItem{node: w, cost: b.f.Radius(w)})
 	}
 	bestTotal := math.Inf(1)
 	bestZ := -1
 	for h.Len() > 0 {
-		it := heap.Pop(h).(mazeItem)
+		it := h.Pop()
 		u := it.node
 		if done[u] || it.cost > dist[u] {
 			continue
 		}
 		done[u] = true
-		if b.inForest[u] && b.ds.Find(u) == srcRep {
-			if total := dist[u] + b.pathLen(b.srcGrid, u); total < bestTotal {
+		if b.inForest[u] && b.f.Find(u) == srcRep {
+			if total := dist[u] + b.f.DistS(u); total < bestTotal {
 				bestTotal = total
 				bestZ = u
 			}
 			continue // attach here; do not route through the source tree
 		}
-		if b.inForest[u] && b.ds.Find(u) != xRep {
+		if b.inForest[u] && b.f.Find(u) != xRep {
 			continue // another detached tree: cannot pass through
 		}
-		if b.inForest[u] && b.ds.Find(u) == xRep && from[u] != -1 {
+		if b.inForest[u] && b.f.Find(u) == xRep && from[u] != -1 {
 			continue // re-entered own tree: a shorter start exists
 		}
 		cx, cy := b.g.Col(u), b.g.Row(u)
@@ -654,7 +577,7 @@ func (b *builder) mazeRoute(x int) ([]int, float64) {
 			if d < dist[v] {
 				dist[v] = d
 				from[v] = u
-				heap.Push(h, mazeItem{node: v, cost: d})
+				h.Push(mazeItem{node: v, cost: d})
 			}
 		}
 	}
@@ -675,20 +598,6 @@ func (b *builder) mazeRoute(x int) ([]int, float64) {
 type mazeItem struct {
 	node int
 	cost float64
-}
-
-type mazeHeap []mazeItem
-
-func (h mazeHeap) Len() int            { return len(h) }
-func (h mazeHeap) Less(i, j int) bool  { return h[i].cost < h[j].cost }
-func (h mazeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mazeHeap) Push(x interface{}) { *h = append(*h, x.(mazeItem)) }
-func (h *mazeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
 
 // SteinerPoints returns the grid points of the tree that are not

@@ -15,17 +15,19 @@
 // to breadth-first maze routing around occupied nodes, or to a layered
 // "jumper" wire when crossing is permitted.
 //
-// Bookkeeping invariants, mirroring internal/core:
+// Bookkeeping invariants:
 //
-//   - path[x] is the source-path length of every occupied grid node in
-//     the source tree, and radius (the max in-tree path below a node)
-//     is tracked per partial tree; feasibility is the paper's (3-a)
-//     test evaluated on grid distances.
+//   - The partial forest is the core.Forest BKRUS drives, over grid
+//     node ids: write-once source paths for the source tree, radii and
+//     live witness lists for source-free trees, and the shared
+//     (3-a)/(3-b) tests. Only the lower bound at a source merge is
+//     BKST's own, because Steiner points are exempt from it.
 //   - An embedded path occupies its grid nodes exactly once;
 //     embed_collisions counts candidates re-queued after splitting.
 //   - Complexity: the heap sees O(T²) seed pairs for T terminals and
-//     O(P·T) follow-ups for P embedded path nodes; each embed is
-//     O(path length · T). Maze routing is O(grid) per fallback.
+//     O(P·F) follow-ups for P fresh path nodes over a forest of F
+//     nodes; linking one path node costs O(size of the trees it
+//     joins). Maze routing is O(grid) per fallback.
 //
 // Grid dimensions and per-construction counters are recorded into the
 // "steiner" obs scope (see OBSERVABILITY.md) when observability is

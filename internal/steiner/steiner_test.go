@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,6 +246,24 @@ func BenchmarkBKST15(b *testing.B) {
 		if _, err := BKST(in, 0.3); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBKSTSinks times BKST on float L1 nets of 100, 200 and 400
+// sinks at ε = 0.3: distinct coordinates, so the Hanan grid has about
+// (n+1)² nodes. The rows track how construction time scales with the
+// net (make profile-bkst profiles the n = 200 row).
+func BenchmarkBKSTSinks(b *testing.B) {
+	for _, n := range []int{100, 200, 400} {
+		in := floatL1Instance(int64(n), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BKST(in, 0.3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

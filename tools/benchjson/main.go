@@ -27,7 +27,8 @@
 //	benchjson -diff old.json new.json [-fail-over 20] [-require A,B]
 //
 // The -diff mode compares two committed reports benchmark by benchmark
-// (keyed by package + name) and prints per-benchmark ns/op deltas,
+// (keyed by package + name, the "-N" GOMAXPROCS suffix ignored) and
+// prints per-benchmark ns/op deltas,
 // plus bytes/op deltas where both reports recorded allocations. With
 // -fail-over PCT it exits 1 when any benchmark's time or bytes
 // regressed by more than PCT percent; without it the diff is
@@ -174,8 +175,11 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// benchKey identifies a benchmark across reports.
-func benchKey(b Benchmark) string { return b.Package + " " + b.Name }
+// benchKey identifies a benchmark across reports: its package and its
+// name without the GOMAXPROCS "-N" suffix, so a report recorded on a
+// multi-core host pairs with one recorded at GOMAXPROCS=1 (which go test
+// writes without a suffix).
+func benchKey(b Benchmark) string { return b.Package + " " + stripProcs(b.Name) }
 
 // splitRequire parses the -require flag value into clean names.
 func splitRequire(s string) []string {

@@ -192,3 +192,30 @@ func TestDiffReports(t *testing.T) {
 		t.Errorf("cross-package match should not pair: %q", lines[0])
 	}
 }
+
+// TestDiffPairsAcrossProcsSuffix diffs a report recorded on a
+// multi-core host ("-2" suffixes) against a baseline recorded without
+// suffixes, as BENCH_PR9.json was. The rows must pair — and so be gated
+// — rather than fall apart into (new) and (removed) lines.
+func TestDiffPairsAcrossProcsSuffix(t *testing.T) {
+	old := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkBKRUSRefresh/n=1000/workers=1", Package: "p", NsPerOp: 100, BytesPerOp: 1000},
+		{Name: "BenchmarkBKRUSRefreshSparse/n=10000/workers=1", Package: "p", NsPerOp: 100},
+	}}
+	cur := &Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkBKRUSRefresh/n=1000/workers=1-2", Package: "p", NsPerOp: 400, BytesPerOp: 1000}, // +300%
+		{Name: "BenchmarkBKRUSRefreshSparse/n=10000/workers=1-2", Package: "p", NsPerOp: 90},
+	}}
+	lines, regressed := diffReports(old, cur, 200)
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2 paired rows:\n%s", len(lines), strings.Join(lines, "\n"))
+	}
+	for _, l := range lines {
+		if strings.Contains(l, "(new)") || strings.Contains(l, "(removed)") {
+			t.Errorf("row did not pair across the -N suffix: %q", l)
+		}
+	}
+	if regressed != 1 || !strings.Contains(lines[0], "REGRESSION") {
+		t.Errorf("regressed = %d, line %q; want the +300%% row gated", regressed, lines[0])
+	}
+}
