@@ -1,15 +1,13 @@
 // Package analysis is a small stdlib-only static-analysis framework
-// plus the seventeen domain analyzers that machine-check this
-// repository's code invariants. The function-local analyzers:
+// plus the fifteen domain analyzers that machine-check this
+// repository's code invariants. Analyzers that ask about calls share
+// one module-wide call graph (summary.go). The function-local
+// analyzers:
 //
 //   - floatcmp: geometric weights are float64 and must never be
 //     compared exactly outside the approved epsilon helpers in
 //     internal/geom (Euclidean-mode table reproductions break
 //     silently otherwise).
-//   - maporder: constructions must be deterministic for a fixed
-//     input, so map-iteration order must never reach a slice, an
-//     output stream, or a float accumulator without an intervening
-//     sort.
 //   - wallclock: deterministic construction packages must not read
 //     the wall clock directly; timing belongs to internal/obs timers
 //     so the hot paths stay reproducible and nil-gated.
@@ -17,22 +15,24 @@
 //     behind a nil-scope gate (or inside a counter-set method whose
 //     call sites are gated), preserving the "observation off by
 //     default costs one pointer test" contract.
-//   - ctxpoll: cancellable functions must poll their context or
-//     cancel.Checker inside every instance-sized work loop.
 //   - parallelgate, waitpair, sharedwrite: the goroutine invariants —
 //     gated worker spawns, paired Add/Done, no unsynchronized writes
 //     to captured shared state.
 //   - errdrop: construction errors must not be silently discarded.
 //
-// The interprocedural analyzers (built on the module-wide call graph
-// and per-function summaries of summary.go, the def-use chains of
-// dataflow.go, and the taint engine of taint.go):
+// The interprocedural analyzers (built on the per-function summaries
+// of summary.go, the def-use chains of dataflow.go, and the taint
+// engine of taint.go):
 //
-//   - detflow: nondeterminism taint (map order, select winners,
-//     clocks, random values, formatted pointers) must not reach an
-//     exported return or an output write without a sort.
-//   - ctxflow: cancellable entrypoints must thread ctx/cancel.Checker
-//     down to every instance-sized loop they can reach, across calls.
+//   - detflow: map iteration order must not reach an unsorted
+//     accumulator or an output write, and the other run-varying values
+//     (select winners, clocks, unseeded random values, formatted
+//     pointers) must not reach an exported return or an output write
+//     without a sort.
+//   - ctxflow: cancellable code must poll its ctx/cancel.Checker in
+//     every instance-sized loop it runs, its own or a goroutine body's,
+//     and thread the context down to every such loop it reaches across
+//     calls.
 //   - allocloop: instance-sized loops in the hot construction
 //     packages must not allocate per iteration, directly or through
 //     callees; scratch buffers with grow guards are the approved way.
@@ -47,8 +47,8 @@
 //
 //   - indexbound: subscripts and slice expressions in the hot kernel
 //     packages must carry no positive evidence of being out of
-//     bounds; the worker lo:hi partition arithmetic is the headline
-//     client.
+//     bounds; the fallback edge sort's run boundaries are the
+//     headline client.
 //   - nilflow: pointer derefs, field accesses through pointers, and
 //     map writes must be dominated by a nil check whenever the value
 //     is nil on some path; the obs layer's nil-gated instruments are
@@ -68,7 +68,9 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // placed on the offending line or on the line directly above it. The
-// reason is mandatory: a suppression without one is itself reported.
+// reason is mandatory, and the analyzer must be registered: a
+// suppression without a reason, or naming an unknown analyzer, is
+// itself reported.
 package analysis
 
 import (
@@ -234,8 +236,10 @@ func parseIgnores(fset *token.FileSet, f *ast.File) []ignoreDirective {
 }
 
 // applySuppressions flags suppressed findings in diags in place and
-// returns extra diagnostics about malformed or unused directives. Only
-// directives naming one of the analyzers that actually ran can be
+// returns extra diagnostics about malformed, unknown or unused
+// directives. A directive is unknown when it names no registered
+// analyzer (checked against All(), so a -analyzer subset stays quiet);
+// only directives naming one of the analyzers that actually ran can be
 // reported as unused.
 func applySuppressions(pkg *Package, ran []*Analyzer, diags *[]Diagnostic) []Diagnostic {
 	var ignores []ignoreDirective
@@ -262,6 +266,12 @@ func applySuppressions(pkg *Package, ran []*Analyzer, diags *[]Diagnostic) []Dia
 				Pos:      ig.pos,
 				Message:  "malformed //lint:ignore: want \"//lint:ignore <analyzer> <reason>\"",
 			})
+		case !registered(ig.analyzer):
+			extra = append(extra, Diagnostic{
+				Analyzer: "lint",
+				Pos:      ig.pos,
+				Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q (see lint -list)", ig.analyzer),
+			})
 		case !used[i] && analyzerRan(ig.analyzer, ran, pkg.ImportPath):
 			extra = append(extra, Diagnostic{
 				Analyzer: "lint",
@@ -284,11 +294,21 @@ func analyzerRan(name string, ran []*Analyzer, importPath string) bool {
 	return false
 }
 
+// registered reports whether name is an analyzer of All().
+func registered(name string) bool {
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // All returns the repository's analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FloatCmp, MapOrder, WallClock, ObsGate,
-		CtxPoll, ParallelGate, WaitPair, SharedWrite, ErrDrop,
+		FloatCmp, WallClock, ObsGate,
+		ParallelGate, WaitPair, SharedWrite, ErrDrop,
 		DetFlow, CtxFlow, AllocLoop, LockOrder,
 		IndexBound, NilFlow, IntWidth, ChanLeak,
 	}

@@ -22,7 +22,7 @@ import (
 func loadFixture(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
 	lookup, err := exportLookup("", []string{
-		"fmt", "sort", "time", "math", "context", "sync", "runtime",
+		"fmt", "sort", "time", "math", "math/rand", "context", "sync", "runtime",
 		"strings", "repro/internal/obs", "repro/internal/cancel",
 	})
 	if err != nil {
@@ -133,10 +133,6 @@ func TestFloatCmpFixture(t *testing.T) {
 	checkFixture(t, FloatCmp, filepath.Join("testdata", "floatcmp"), "repro/internal/fixture")
 }
 
-func TestMapOrderFixture(t *testing.T) {
-	checkFixture(t, MapOrder, filepath.Join("testdata", "maporder"), "repro/internal/fixture")
-}
-
 func TestWallClockFixture(t *testing.T) {
 	// The fake import path makes the fixture count as a deterministic
 	// construction package.
@@ -145,12 +141,6 @@ func TestWallClockFixture(t *testing.T) {
 
 func TestObsGateFixture(t *testing.T) {
 	checkFixture(t, ObsGate, filepath.Join("testdata", "obsgate"), "repro/internal/fixture")
-}
-
-func TestCtxPollFixture(t *testing.T) {
-	// The fake import path makes the fixture count as a cancellable
-	// construction package.
-	checkFixture(t, CtxPoll, filepath.Join("testdata", "ctxpoll"), "repro/internal/core")
 }
 
 func TestParallelGateFixture(t *testing.T) {
@@ -177,6 +167,20 @@ func TestDetFlowFixture(t *testing.T) {
 
 func TestCtxFlowFixture(t *testing.T) {
 	checkFixture(t, CtxFlow, filepath.Join("testdata", "ctxflow"), "repro/internal/core")
+}
+
+// TestMapOrderFixture covers detflow's local map-order check: unsorted
+// accumulation under a map range, reported where it accumulates.
+func TestMapOrderFixture(t *testing.T) {
+	checkFixture(t, DetFlow, filepath.Join("testdata", "detflow", "maporder"), "repro/internal/fixture")
+}
+
+// TestCtxPollFixture covers ctxflow's local loop check: an
+// instance-sized loop in a cancellable scope that never polls. The fake
+// import path makes the fixture count as a cancellable construction
+// package.
+func TestCtxPollFixture(t *testing.T) {
+	checkFixture(t, CtxFlow, filepath.Join("testdata", "ctxflow", "poll"), "repro/internal/core")
 }
 
 func TestAllocLoopFixture(t *testing.T) {
@@ -228,59 +232,42 @@ func TestAppliesTo(t *testing.T) {
 		{ObsGate, "repro/internal/router", true},
 		{ObsGate, "repro/internal/obs", false}, // the instruments themselves
 		{ObsGate, "repro/cmd/bmstree", false},  // binaries run off the hot path
-		{CtxPoll, "repro/internal/core", true},
-		{CtxPoll, "repro/internal/engine", true},
-		{CtxPoll, "repro/internal/geom", false}, // matrix fill takes no ctx by design
 		{ParallelGate, "repro/internal/geom", true},
 		{ParallelGate, "repro/internal/graph", true},
 		{ParallelGate, "repro/internal/engine", true},
 		{ParallelGate, "repro/internal/router", false}, // bounded pool, no serial twin
 		{WaitPair, "repro/internal/router", true},
 		{WaitPair, "repro/internal/obs", false},
-		{SharedWrite, "repro/internal/engine", true},
-		// The construction layers grew parallel kernels (P-matrix
-		// refresh, Gabow branches, BKST pair seeding) under the full
-		// worker-gate discipline.
+		// The construction layers have no worker pool since the serial
+		// rewrite (DESIGN.md §14), but stay under the worker-gate
+		// discipline so a new spawn there must be gated.
 		{ParallelGate, "repro/internal/core", true},
 		{ParallelGate, "repro/internal/exact", true},
 		{ParallelGate, "repro/internal/steiner", true},
-		{SharedWrite, "repro/internal/core", true},
-		{SharedWrite, "repro/internal/exact", true},
-		{SharedWrite, "repro/internal/steiner", true},
 		{WaitPair, "repro/internal/core", true},
 		{WaitPair, "repro/internal/exact", true},
 		{WaitPair, "repro/internal/steiner", true},
 		// The serving layer promises the same concurrency discipline as
 		// the engine it fronts (but keeps wall-clock freedom: request
 		// timing is its job).
-		{CtxPoll, "repro/internal/serve", true},
 		{ParallelGate, "repro/internal/serve", true},
 		{WaitPair, "repro/internal/serve", true},
-		{SharedWrite, "repro/internal/serve", true},
 		{WallClock, "repro/internal/serve", false},
-		// Interprocedural analyzers. detflow covers every package with
-		// a byte-determinism contract on its outputs, including the
-		// serving layer and the seeded load generator.
-		{DetFlow, "repro/internal/core", true},
-		{DetFlow, "repro/internal/serve", true},
-		{DetFlow, "repro/internal/obs", true}, // snapshot ordering, not clocks
-		{DetFlow, "repro/tools/loadgen", true},
-		{DetFlow, "repro/internal/experiments", false}, // times and prints freely
+		// ctxflow covers every package with a cancellation contract:
+		// the construction layers, the engine and the serving layer.
 		{CtxFlow, "repro/internal/core", true},
+		{CtxFlow, "repro/internal/engine", true},
 		{CtxFlow, "repro/internal/serve", true},
+		{CtxFlow, "repro/internal/geom", false}, // matrix fill takes no ctx by design
 		// Value-flow analyzers. The kernel provers cover the six hot
 		// construction packages; nilflow adds the gated-observation and
-		// serving layers (nil receivers are their core idiom); chanleak
-		// adds every package that spawns goroutines against channels.
+		// serving layers (nil receivers are their core idiom).
 		{IndexBound, "repro/internal/core", true},
 		{IndexBound, "repro/internal/serve", false}, // no kernel index math
 		{NilFlow, "repro/internal/obs", true},
 		{NilFlow, "repro/cmd/bmstree", false}, // binaries fail loudly anyway
 		{IntWidth, "repro/internal/graph", true},
 		{IntWidth, "repro/internal/obs", false}, // counters are int64 end to end
-		{ChanLeak, "repro/internal/serve", true},
-		{ChanLeak, "repro/internal/obs", false}, // records in-line, never spawns
-		{CtxFlow, "repro/internal/geom", false}, // matrix fill takes no ctx by design
 		{AllocLoop, "repro/internal/core", true},
 		{AllocLoop, "repro/internal/steiner", true},
 		{AllocLoop, "repro/internal/engine", true},
@@ -294,17 +281,20 @@ func TestAppliesTo(t *testing.T) {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", c.a.Name, c.path, got, c.want)
 		}
 	}
-	if MapOrder.AppliesTo != nil {
-		t.Error("maporder must apply to every package")
-	}
-	if ErrDrop.AppliesTo != nil {
-		t.Error("errdrop must apply to every package")
+	// Every package owes determinism, error handling and goroutine
+	// hygiene, so these carry no allowlist.
+	for _, a := range []*Analyzer{DetFlow, ErrDrop, SharedWrite, ChanLeak} {
+		if a.AppliesTo != nil {
+			t.Errorf("%s must apply to every package", a.Name)
+		}
 	}
 }
 
 // TestSuppressionDiagnostics covers the directive edge cases: a
-// malformed directive (no reason) never suppresses and is reported,
-// and an unused directive for an analyzer that ran is reported.
+// malformed directive (no reason) never suppresses and is reported, an
+// unused directive for an analyzer that ran is reported, and a
+// directive naming no registered analyzer (here a retired one) is
+// reported even though it could never be used.
 func TestSuppressionDiagnostics(t *testing.T) {
 	src := `package fixture
 
@@ -317,29 +307,90 @@ func cmp(a, b float64) bool {
 func clean(a, b int) bool {
 	return a == b
 }
+
+//lint:ignore ctxpoll retired analyzer: folded into ctxflow
+func retired(a, b int) bool {
+	return a == b
+}
 `
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "suppress.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, info, err := typeCheck(fset, "repro/internal/fixture", []*ast.File{f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Package{ImportPath: "repro/internal/fixture", Fset: fset, Files: []*ast.File{f}, Types: pkg, Info: info}
 	var lines []string
-	for _, d := range Run(p, []*Analyzer{FloatCmp}) {
+	for _, d := range Run(inlinePackage(t, "repro/internal/fixture", src), []*Analyzer{FloatCmp}) {
 		lines = append(lines, fmt.Sprintf("%d %s", d.Pos.Line, d.Analyzer))
 	}
 	want := []string{
 		"4 lint",     // malformed: no reason
 		"5 floatcmp", // not suppressed by the malformed directive
 		"8 lint",     // unused directive
+		"13 lint",    // unknown analyzer
 	}
 	if strings.Join(lines, ", ") != strings.Join(want, ", ") {
 		t.Errorf("diagnostics = %v, want %v", lines, want)
 	}
+}
+
+// TestParallelGateCallerCheck covers the one-level caller check on the
+// module call graph: an unexported spawning helper passes only when
+// every call site in its package is gated, and a call site inside a
+// function literal is judged against the literal's own body.
+func TestParallelGateCallerCheck(t *testing.T) {
+	src := `package fixture
+
+func spawnGated(n int) {
+	go func() { _ = n }()
+}
+
+func spawnMixed(n int) {
+	go func() { _ = n }()
+}
+
+func spawnInLiteral(n int) {
+	go func() { _ = n }()
+}
+
+func gated(workers int) {
+	if workers > 1 {
+		spawnGated(workers)
+		spawnMixed(workers)
+		return
+	}
+}
+
+func ungated(workers int) {
+	spawnMixed(workers)
+}
+
+func gatedInLiteral(workers int) {
+	run := func() {
+		if workers > 1 {
+			spawnInLiteral(workers)
+		}
+	}
+	run()
+}
+`
+	var lines []string
+	for _, d := range Run(inlinePackage(t, "repro/internal/graph", src), []*Analyzer{ParallelGate}) {
+		lines = append(lines, fmt.Sprintf("%d %s", d.Pos.Line, d.Analyzer))
+	}
+	if want := "8 parallelgate"; strings.Join(lines, ", ") != want {
+		t.Errorf("diagnostics = %v, want [%s]", lines, want)
+	}
+}
+
+// inlinePackage parses and type-checks one import-free source file as
+// a package under importPath.
+func inlinePackage(t *testing.T, importPath, src string) *Package {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "inline.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, info, err := typeCheck(fset, importPath, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Package{ImportPath: importPath, Fset: fset, Files: []*ast.File{f}, Types: pkg, Info: info}
 }
 
 // TestLoadRepo smoke-tests the go list + export data loader on this

@@ -34,26 +34,12 @@ import (
 	"go/types"
 )
 
-var chanLeakPackages = []string{
-	"repro/internal/core",
-	"repro/internal/exact",
-	"repro/internal/steiner",
-	"repro/internal/geom",
-	"repro/internal/graph",
-	"repro/internal/engine",
-	"repro/internal/serve",
-	"repro/internal/router",
-}
-
 // ChanLeak reports spawned goroutines that can only exit through a
 // channel op with no pairing close/receive/send on every spawner path.
 var ChanLeak = &Analyzer{
 	Name: "chanleak",
 	Doc:  "a goroutine that can only exit via channel ops needs a pairing close/receive reachable on every spawner path",
-	AppliesTo: func(importPath string) bool {
-		return pathIn(importPath, chanLeakPackages...)
-	},
-	Run: runChanLeak,
+	Run:  runChanLeak,
 }
 
 // chanOpSummary records, per declared parameter position, whether a

@@ -199,6 +199,25 @@ func collectDefs(p *Pass, n ast.Node, blk *cfgBlock, addDef func(types.Object, d
 	})
 }
 
+// rootObject resolves e to the object of its leftmost identifier:
+// x -> x, x.f -> x, x[i] -> x, *x -> x.
+func rootObject(p *Pass, e ast.Expr) types.Object {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return p.Info.ObjectOf(v)
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		default:
+			return nil
+		}
+	}
+}
+
 // isSortCall reports whether call invokes the sort or slices package
 // (the approved ordering sinks that make map-derived sequences
 // deterministic again).

@@ -26,8 +26,7 @@ type Package struct {
 	Types      *types.Package
 	Info       *types.Info
 
-	cg  *callGraph // lazily built package-local call graph
-	mod *Module    // module this package was loaded into, when LoadModule was used
+	mod *Module // module this package was loaded into, when LoadModule was used
 }
 
 // listEntry is the subset of `go list -json` output the loader needs.

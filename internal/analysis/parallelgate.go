@@ -50,7 +50,6 @@ var ParallelGate = &Analyzer{
 }
 
 func runParallelGate(p *Pass) {
-	cg := pkgCallGraph(p)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
@@ -64,7 +63,7 @@ func runParallelGate(p *Pass) {
 			if gatedAt(p, funcBody(fn), gs.Pos()) {
 				return true
 			}
-			if callersAllGated(p, cg, fn) {
+			if callersAllGated(p, fn) {
 				return true
 			}
 			p.Reportf(gs.Pos(),
@@ -114,32 +113,45 @@ func gatedAt(p *Pass, body *ast.BlockStmt, pos token.Pos) bool {
 
 // callersAllGated implements the helper-function escape hatch: the
 // enclosing function is an unexported declaration, it has at least one
-// package-local call site, and every such site is dominated by a
-// worker gate in its own function.
-func callersAllGated(p *Pass, cg *callGraph, fn ast.Node) bool {
+// call site in its package, and every such site is dominated by a
+// worker gate in its own function (declaration or literal). Recursive
+// helpers may call themselves from inside the gated region they
+// establish; gatedAt decides that self-call like any other.
+func callersAllGated(p *Pass, fn ast.Node) bool {
 	fd, ok := fn.(*ast.FuncDecl)
 	if !ok || fd.Name.IsExported() {
 		return false
 	}
-	obj := p.Info.Defs[fd.Name]
-	if obj == nil {
+	m := p.module()
+	target := m.byObj[p.Info.Defs[fd.Name]]
+	if target == nil {
 		return false
 	}
-	sites := cg.sites[obj]
-	if len(sites) == 0 {
-		return false
+	sites := 0
+	var gated func(body *ast.BlockStmt) bool
+	gated = func(body *ast.BlockStmt) bool {
+		all := true
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				all = all && gated(n.Body)
+				return false
+			case *ast.CallExpr:
+				if m.resolve(p.pkg, n) == target {
+					sites++
+					all = all && gatedAt(p, body, n.Pos())
+				}
+			}
+			return all
+		})
+		return all
 	}
-	for _, site := range sites {
-		body := funcBody(site.inFunc)
-		if body == nil || !gatedAt(p, body, site.call.Pos()) {
-			// Recursive helpers may call themselves from inside the
-			// gated region they establish; a self-call dominated by
-			// the function's own entry gate is handled by gatedAt, so
-			// any failure here is a genuinely ungated site.
+	for _, caller := range m.order {
+		if caller.pkg == p.pkg && !gated(caller.decl.Body) {
 			return false
 		}
 	}
-	return true
+	return sites > 0
 }
 
 // workerGateCond reports whether the branch condition reads a worker
@@ -177,4 +189,30 @@ func workerishName(name string) bool {
 	}
 	lower := strings.ToLower(name)
 	return strings.Contains(lower, "worker") || strings.Contains(lower, "parallel")
+}
+
+// enclosingFuncNode returns the innermost function declaration or
+// literal in file f that contains pos, or nil.
+func enclosingFuncNode(f *ast.File, pos token.Pos) ast.Node {
+	var best ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			if n.Pos() <= pos && pos < n.End() {
+				best = n // innermost wins: Inspect visits outer first
+			}
+		}
+		return true
+	})
+	return best
+}
+
+func funcBody(fn ast.Node) *ast.BlockStmt {
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		return fn.Body
+	case *ast.FuncLit:
+		return fn.Body
+	}
+	return nil
 }

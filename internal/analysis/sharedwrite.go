@@ -13,18 +13,6 @@ import (
 	"go/types"
 )
 
-// sharedWritePackages host the goroutine fan-out kernels.
-var sharedWritePackages = []string{
-	"repro/internal/geom",
-	"repro/internal/graph",
-	"repro/internal/engine",
-	"repro/internal/router",
-	"repro/internal/serve",
-	"repro/internal/core",
-	"repro/internal/exact",
-	"repro/internal/steiner",
-}
-
 // SharedWrite flags writes from a goroutine body to variables captured
 // from the enclosing function:
 //
@@ -48,10 +36,7 @@ var sharedWritePackages = []string{
 var SharedWrite = &Analyzer{
 	Name: "sharedwrite",
 	Doc:  "goroutine writes to captured state must be index-disjoint, channel-funneled, or mutex-guarded",
-	AppliesTo: func(importPath string) bool {
-		return pathIn(importPath, sharedWritePackages...)
-	},
-	Run: runSharedWrite,
+	Run:  runSharedWrite,
 }
 
 func runSharedWrite(p *Pass) {

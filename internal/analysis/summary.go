@@ -1,11 +1,11 @@
 package analysis
 
-// summary.go grows the package-local view of callgraph.go into a
-// module-wide call graph with per-function summaries. Each declared
-// function in every loaded package becomes a modFunc node keyed by a
-// stable string id (import path + receiver + name), so a call site in
-// package A resolves to the source-checked declaration in package B
-// even though go/types gives A an export-data view of B's objects.
+// summary.go builds the one call graph the analyzers share: module-wide,
+// with per-function summaries. Each declared function in every loaded
+// package becomes a modFunc node keyed by a stable string id (import
+// path + receiver + name), so a call site in package A resolves to the
+// source-checked declaration in package B even though go/types gives A
+// an export-data view of B's objects.
 //
 // On top of the graph, the interprocedural analyzers compute summaries
 // by monotone fixed point: every summary bit starts at its optimistic
@@ -20,7 +20,9 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -214,4 +216,11 @@ func chainString(ids []string) string {
 		short[i] = id
 	}
 	return strings.Join(short, " -> ")
+}
+
+// lineOf renders pos as "file:line" for the origin chains diagnostics
+// carry.
+func lineOf(fset *token.FileSet, pos token.Pos) string {
+	pp := fset.Position(pos)
+	return pp.Filename + ":" + strconv.Itoa(pp.Line)
 }

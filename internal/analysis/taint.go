@@ -2,14 +2,12 @@ package analysis
 
 // taint.go is the determinism-taint engine behind the detflow analyzer
 // and the per-function taint summaries. A value is tainted when its
-// bytes (or the order of its elements) can differ between two runs on
-// the same input:
+// bytes can differ between two runs on the same input:
 //
-//   - a slice appended to, or a float/string accumulated into, under
-//     `range` over a map — the iteration order is randomized;
 //   - the winner of a select with two or more communication cases;
 //   - wall-clock reads (time.Now/Since/Until) and random values
-//     (math/rand, crypto/rand);
+//     (package-level math/rand and crypto/rand calls; a generator from
+//     rand.New is as deterministic as its seed);
 //   - formatted pointers/maps/channels/funcs (fmt.Sprintf("%v", ptr)
 //     prints an address that changes across runs).
 //
@@ -20,7 +18,8 @@ package analysis
 // conservative "any tainted argument taints the result" rule. A
 // sort.* / slices.* call over a value is a clean redefinition: sorting
 // is exactly the operation that turns a map-ordered sequence back into
-// a deterministic one.
+// a deterministic one. Map iteration order is not a taint source here:
+// detflow reports each map-order accumulation on its own line.
 
 import (
 	"go/ast"
@@ -63,7 +62,6 @@ type taintCtx struct {
 	body          *ast.BlockStmt
 	paramsTainted bool
 	facts         map[*dfDef]taintInfo
-	mapRanges     []*ast.RangeStmt
 	multiSelects  []*ast.SelectStmt
 }
 
@@ -79,18 +77,7 @@ func newTaintCtx(p *Pass, m *Module, du *defUse, body *ast.BlockStmt, paramsTain
 		if _, ok := n.(*ast.FuncLit); ok && n != body {
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if t := p.TypeOf(n.X); t != nil {
-				u := t.Underlying()
-				if ptr, ok := u.(*types.Pointer); ok {
-					u = ptr.Elem().Underlying()
-				}
-				if _, ok := u.(*types.Map); ok {
-					tc.mapRanges = append(tc.mapRanges, n)
-				}
-			}
-		case *ast.SelectStmt:
+		if n, ok := n.(*ast.SelectStmt); ok {
 			comms := 0
 			for _, cl := range n.Body.List {
 				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
@@ -119,25 +106,6 @@ func newTaintCtx(p *Pass, m *Module, du *defUse, body *ast.BlockStmt, paramsTain
 	return tc
 }
 
-func (tc *taintCtx) posString(pos token.Pos) string {
-	p := tc.p.Fset.Position(pos)
-	return p.Filename + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // defTaint derives the taint of one definition from its kind and
 // defining expression.
 func (tc *taintCtx) defTaint(d *dfDef) taintInfo {
@@ -152,85 +120,15 @@ func (tc *taintCtx) defTaint(d *dfDef) taintInfo {
 	case dfRangeKey, dfRangeVal:
 		// Ranging over a tainted sequence yields tainted elements; map
 		// keys/values themselves are deterministic values (only their
-		// order is not, which the accumulation rule below captures).
+		// order is not, which detflow reports where it accumulates).
 		rs := d.node.(*ast.RangeStmt)
 		return tc.taintExpr(rs.X, rs.X.Pos())
 	}
-	// dfAssign / dfWeak: the map-range accumulation rule first, then
-	// plain RHS evaluation.
-	if as, ok := d.node.(*ast.AssignStmt); ok {
-		if rs := tc.enclosingMapRange(as.Pos()); rs != nil {
-			if info, bad := tc.mapOrderAccumulation(as, rs); bad {
-				return info
-			}
-		}
-	}
+	// dfAssign / dfWeak: the defining expression.
 	if d.rhs != nil {
 		return tc.taintExpr(d.rhs, d.pos)
 	}
 	return cleanInfo
-}
-
-// enclosingMapRange returns the innermost map-range statement whose
-// body contains pos, or nil.
-func (tc *taintCtx) enclosingMapRange(pos token.Pos) *ast.RangeStmt {
-	var best *ast.RangeStmt
-	for _, rs := range tc.mapRanges {
-		if rs.Body.Pos() <= pos && pos < rs.Body.End() {
-			if best == nil || rs.Pos() > best.Pos() {
-				best = rs
-			}
-		}
-	}
-	return best
-}
-
-// mapOrderAccumulation reports whether the assignment leaks map
-// iteration order into an outer accumulator: s = append(s, ...) on a
-// slice declared outside the range, or s op= v on a float/string.
-func (tc *taintCtx) mapOrderAccumulation(as *ast.AssignStmt, rs *ast.RangeStmt) (taintInfo, bool) {
-	why := "map iteration order at " + tc.posString(rs.Pos())
-	switch as.Tok {
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-		lhs := as.Lhs[0]
-		t := tc.p.TypeOf(lhs)
-		if (isFloat(t) || isString(t)) && declaredOutside(tc.p, lhs, rs) {
-			return taintInfo{true, why}, true
-		}
-		return cleanInfo, false
-	}
-	for i, lhs := range as.Lhs {
-		if i >= len(as.Rhs) {
-			break
-		}
-		call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-		if !ok || !isBuiltinAppend(tc.p, call) {
-			continue
-		}
-		if sameRoot(tc.p, lhs, call) && declaredOutside(tc.p, lhs, rs) {
-			return taintInfo{true, why}, true
-		}
-	}
-	return cleanInfo, false
-}
-
-// sameRoot reports whether the append call grows the value it is
-// assigned back to (s = append(s, ...)).
-func sameRoot(p *Pass, lhs ast.Expr, call *ast.CallExpr) bool {
-	if len(call.Args) == 0 {
-		return false
-	}
-	lo := rootObject(p, lhs)
-	ro := rootObject(p, call.Args[0])
-	return lo != nil && lo == ro
-}
-
-func isString(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // taintExpr evaluates the taint of an expression at a program point.
@@ -263,7 +161,7 @@ func (tc *taintCtx) taintExpr(e ast.Expr, at token.Pos) taintInfo {
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			if sel := tc.enclosingMultiSelect(e.Pos()); sel != nil {
-				return taintInfo{true, "select winner order at " + tc.posString(sel.Pos())}
+				return taintInfo{true, "select winner order at " + lineOf(tc.p.Fset, sel.Pos())}
 			}
 		}
 		return tc.taintExpr(e.X, at)
@@ -340,14 +238,19 @@ func (tc *taintCtx) taintCall(call *ast.CallExpr, at token.Pos) taintInfo {
 			if tc.p.Pkg != nil && tc.p.Pkg.Path() == "repro/internal/obs" {
 				return cleanInfo
 			}
-			return taintInfo{true, "wall-clock read (time." + name + ") at " + tc.posString(call.Pos())}
+			return taintInfo{true, "wall-clock read (time." + name + ") at " + lineOf(tc.p.Fset, call.Pos())}
+		case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && strings.HasPrefix(name, "New"):
+			// rand.New(rand.NewSource(seed)) is as deterministic as its
+			// seed; the generator's methods then take the receiver's
+			// taint through the external-callee rule below.
+			return tc.argTaint(call, at)
 		case pkgPath == "math/rand" || pkgPath == "math/rand/v2" || pkgPath == "crypto/rand":
-			return taintInfo{true, "random value (" + pkgPath + "." + name + ") at " + tc.posString(call.Pos())}
+			return taintInfo{true, "random value (" + pkgPath + "." + name + ") at " + lineOf(tc.p.Fset, call.Pos())}
 		case pkgPath == "fmt" && strings.HasPrefix(name, "Sprint"),
 			pkgPath == "fmt" && strings.HasPrefix(name, "Append"):
 			for _, arg := range call.Args {
 				if addressish(p.TypeOf(arg)) {
-					return taintInfo{true, "formatted pointer value at " + tc.posString(call.Pos())}
+					return taintInfo{true, "formatted pointer value at " + lineOf(tc.p.Fset, call.Pos())}
 				}
 			}
 		}
@@ -382,13 +285,14 @@ func (tc *taintCtx) argTaint(call *ast.CallExpr, at token.Pos) taintInfo {
 }
 
 // calleePkgFunc resolves a call to (package path, name) for package-
-// level functions, or ("", "") otherwise.
+// level functions, or ("", "") otherwise: methods, func values and
+// builtins do not match.
 func calleePkgFunc(p *Pass, call *ast.CallExpr) (string, string) {
-	obj := calleeAny(p, call)
-	if obj == nil || obj.Pkg() == nil {
+	fn, ok := calleeAny(p, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return "", ""
 	}
-	return obj.Pkg().Path(), obj.Name()
+	return fn.Pkg().Path(), fn.Name()
 }
 
 // addressish reports whether formatting a value of type t prints a

@@ -27,6 +27,19 @@ func BuildDeep(ctx context.Context, weights []float64) float64 {
 	return outer(weights) // want:ctxflow
 }
 
+// scanRowsUnpolled: a worker-count loop is exempt, but the scan nested
+// inside it is instance-sized and never polls.
+func scanRowsUnpolled(ctx context.Context, rows [][]float64, w int) float64 {
+	_ = ctx
+	total := 0.0
+	for g := 0; g < w; g++ {
+		for _, x := range rows[g] { // want:ctxflow
+			total += heavy(x)
+		}
+	}
+	return total
+}
+
 // scanAll is the hungry leaf: instance-sized work loop, no poll, no
 // context to poll with.
 func scanAll(weights []float64) float64 {

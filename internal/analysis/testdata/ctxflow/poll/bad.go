@@ -1,5 +1,5 @@
-// Fixture: true positives for the ctxpoll analyzer (type-checked as if
-// it were a construction package). Lines marked `want:ctxpoll` must
+// Fixture: unpolled loops in cancellable scopes, true positives for the
+// ctxflow analyzer's local loop check. Lines marked `want:ctxflow` must
 // each produce exactly one diagnostic.
 package fixture
 
@@ -14,7 +14,7 @@ import (
 func scanWithoutPoll(chk *cancel.Checker, weights []float64) float64 {
 	_ = chk.Err() // polled once up front, not inside the loop
 	total := 0.0
-	for _, w := range weights { // want:ctxpoll
+	for _, w := range weights { // want:ctxflow
 		total += heavy(w)
 	}
 	return total
@@ -25,7 +25,7 @@ func scanWithoutPoll(chk *cancel.Checker, weights []float64) float64 {
 func drainUnderCtx(ctx context.Context, pending []int) int {
 	_ = ctx
 	total := 0
-	for len(pending) > 0 { // want:ctxpoll
+	for len(pending) > 0 { // want:ctxflow
 		total += heavyInt(pending[0])
 		pending = pending[1:]
 	}
@@ -40,7 +40,7 @@ func goroutineScopePollsBeforeLoop(chk *cancel.Checker, weights []float64) {
 		if chk.Err() != nil {
 			return
 		}
-		for _, w := range weights { // want:ctxpoll
+		for _, w := range weights { // want:ctxflow
 			heavy(w)
 		}
 		close(done)
@@ -48,6 +48,6 @@ func goroutineScopePollsBeforeLoop(chk *cancel.Checker, weights []float64) {
 	<-done
 }
 
-func heavy(w float64) float64 { return w * w }
-
 func heavyInt(n int) int { return n + 1 }
+
+func heavy(w float64) float64 { return w * w }

@@ -1,5 +1,5 @@
-// Fixture: clean cases for the ctxpoll analyzer — none of these lines
-// may produce a diagnostic.
+// Fixture: clean cases for the ctxflow analyzer's local loop check —
+// none of these lines may produce a diagnostic.
 package fixture
 
 import (
@@ -71,7 +71,7 @@ func workerCountLoop(ctx context.Context, w int) error {
 func suppressed(ctx context.Context, weights []float64) float64 {
 	_ = ctx
 	total := 0.0
-	//lint:ignore ctxpoll fixture: post-construction fold, cheap relative to the build
+	//lint:ignore ctxflow fixture: post-construction fold, cheap relative to the build
 	for _, w := range weights {
 		total += heavy(w)
 	}

@@ -5,24 +5,26 @@ package fixture
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 )
 
 // KeysUnsorted leaks map-iteration order through its exported return:
-// the slice is accumulated under a map range and never sorted.
+// the slice is accumulated under a map range and never sorted. The
+// finding lands on the accumulating append.
 func KeysUnsorted(m map[string]int) []string {
 	out := []string{}
 	for k := range m {
-		out = append(out, k)
+		out = append(out, k) // want:detflow
 	}
-	return out // want:detflow
+	return out
 }
 
-// KeysViaHelper leaks the same order interprocedurally: the taint is
-// introduced inside keysOf (see helper.go) and surfaces only at this
-// exported return.
+// KeysViaHelper leaks the same order through keysOf (see helper.go),
+// whose unsorted append carries the finding: map order is reported
+// where it accumulates, not propagated to this return.
 func KeysViaHelper(m map[string]int) []string {
-	return keysOf(m) // want:detflow
+	return keysOf(m)
 }
 
 // FirstWinner returns whichever channel happened to be ready first —
@@ -47,13 +49,37 @@ func Describe(n *node) string {
 }
 
 // dumpKeys is unexported, so its return is nobody's contract — but the
-// print writes map-ordered bytes to output.
+// print writes map-ordered bytes to output, accumulated by the append.
 func dumpKeys(m map[string]int) {
 	keys := []string{}
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, k) // want:detflow
 	}
-	fmt.Println(keys) // want:detflow
+	fmt.Println(keys)
+}
+
+// nestedRanges accumulates under two map ranges: one finding, against
+// the inner range.
+func nestedRanges(m map[string]map[string]int) []string {
+	var out []string
+	for _, inner := range m {
+		for k := range inner {
+			out = append(out, k) // want:detflow
+		}
+	}
+	return out
+}
+
+// ClockSeededDraw seeds its generator from the wall clock, so the draw
+// differs between runs.
+func ClockSeededDraw() float64 {
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	return rng.Float64() // want:detflow
+}
+
+// GlobalDraw reads the process-wide source, which is seeded at random.
+func GlobalDraw() float64 {
+	return rand.Float64() // want:detflow
 }
 
 type node struct{ next *node }

@@ -5,6 +5,7 @@ package fixture
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 )
 
@@ -19,9 +20,9 @@ func KeysSorted(m map[string]int) []string {
 	return out
 }
 
-// KeysSortedAcrossCalls sanitizes a value tainted by a helper: the
-// sort is a clean redefinition even though the taint came from another
-// function (and through a propagating identity call).
+// KeysSortedAcrossCalls sorts a helper's result (through a propagating
+// identity call): nothing here leaks, and keysOf's own append is
+// reported in helper.go.
 func KeysSortedAcrossCalls(m map[string]int) []string {
 	out := identity(keysOf(m))
 	sort.Strings(out)
@@ -56,10 +57,17 @@ func ValuesDeterministic(m map[string]int) int {
 func DebugKeys(m map[string]int) []string {
 	out := []string{}
 	for k := range m {
+		//lint:ignore detflow diagnostic-only dump; callers are pinned order-free by TestDebugKeysUnordered
 		out = append(out, k)
 	}
-	//lint:ignore detflow diagnostic-only dump; callers are pinned order-free by TestDebugKeysUnordered
 	return out
+}
+
+// SeededDraw draws from a generator seeded by its caller: for a fixed
+// seed the draw is fixed.
+func SeededDraw(seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed))
+	return rng.Float64()
 }
 
 // stale directive: nothing on the next line produces a detflow

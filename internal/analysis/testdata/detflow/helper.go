@@ -2,12 +2,12 @@
 // into findings reported in bad.go / clean.go.
 package fixture
 
-// keysOf introduces map-order taint; its callers inherit it through
-// the module taint summary.
+// keysOf accumulates map order into an unsorted slice: the finding is
+// this append, whichever caller later sorts or leaks the result.
 func keysOf(m map[string]int) []string {
 	out := []string{}
 	for k := range m {
-		out = append(out, k)
+		out = append(out, k) // want:detflow
 	}
 	return out
 }

@@ -1,5 +1,5 @@
-// Fixture: clean cases for the maporder analyzer — none of these
-// lines may produce a diagnostic.
+// Fixture: map-order clean cases for the detflow analyzer — none of
+// these lines may produce a diagnostic.
 package fixture
 
 import "sort"

@@ -78,7 +78,7 @@ func (r *Registry) SweepParallel(ctx context.Context, name string, in *inst.Inst
 	// sparse-capable constructor can skip the O(n²) matrix.
 	capable := r.sparseCapable(name)
 	needDense, needSparse := !capable, false
-	//lint:ignore ctxpoll cell validation is O(sweep cells) with constant per-cell work, bounded by the caller's sweep width, not instance size
+	//lint:ignore ctxflow cell validation is O(sweep cells) with constant per-cell work, bounded by the caller's sweep width, not instance size
 	for i := range ps {
 		if ps[i].Scratch != nil {
 			return nil, fmt.Errorf("engine: parallel sweep %s[%d]: Params.Scratch must be nil (scratches are per-worker)", name, i)
@@ -212,7 +212,7 @@ func (r *Registry) SweepParallel(ctx context.Context, name string, in *inst.Inst
 	// Fold per-cell registries into the callers' registries in input
 	// order — the merge order, not goroutine scheduling, decides gauge
 	// last-write-wins.
-	//lint:ignore ctxpoll post-barrier O(cells) registry fold; aborting it mid-merge would break the merge-order contract pinned by TestSweepParallelObsMergeDeterministic
+	//lint:ignore ctxflow post-barrier O(cells) registry fold; aborting it mid-merge would break the merge-order contract pinned by TestSweepParallelObsMergeDeterministic
 	for i, reg := range priv {
 		if reg != nil && ps[i].Obs != nil {
 			//lint:ignore allocloop snapshot merge allocates O(counters) per sweep cell, off the per-edge hot path

@@ -199,7 +199,7 @@ func BKSTBuild(ctx context.Context, in *inst.Instance, bounds core.Bounds, cfg C
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("steiner: internal error: %w", err)
 	}
-	//lint:ignore ctxpoll post-construction O(terminals) bound check; cancellation mid-build is already honored inside run(ctx) and the check itself is pinned by TestBKSTZeroEpsRespectsBound and TestBKSTLUBoundsRespected
+	//lint:ignore ctxflow post-construction O(terminals) bound check; cancellation mid-build is already honored inside run(ctx) and the check itself is pinned by TestBKSTZeroEpsRespectsBound and TestBKSTLUBoundsRespected
 	for t, d := range st.PathLengths() { //lint:ignore ctxflow post-construction O(terminals) path-length fold pinned by TestBKSTZeroEpsRespectsBound
 		if t == 0 {
 			continue

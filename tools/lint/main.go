@@ -1,8 +1,8 @@
-// Command lint runs the repository's domain-invariant analyzers (see
-// internal/analysis: floatcmp, maporder, wallclock, obsgate, ctxpoll,
-// parallelgate, waitpair, sharedwrite, errdrop, detflow, ctxflow,
-// allocloop, lockorder, indexbound, nilflow, intwidth, chanleak) over
-// the packages matching the given patterns
+// Command lint runs the repository's fifteen domain-invariant analyzers
+// (see internal/analysis: floatcmp, wallclock, obsgate, parallelgate,
+// waitpair, sharedwrite, errdrop, detflow, ctxflow, allocloop,
+// lockorder, indexbound, nilflow, intwidth, chanleak) over the packages
+// matching the given patterns
 // and prints one file:line:col diagnostic per finding. It exits 0 on a
 // clean tree, 1 when there are findings, and 2 on usage or load errors
 // — a package that fails to list, parse or type-check is reported by

@@ -174,7 +174,6 @@ func makeBodies(cfg config) [][]byte {
 			}
 		}
 		req := serve.BuildRequest{TimeoutMS: cfg.timeoutMS, Nets: []serve.NetRequest{net}}
-		//lint:ignore detflow rng is seeded from the -seed flag; request bodies are deterministic for a fixed seed by design
 		data, err := json.Marshal(&req)
 		if err != nil {
 			panic(err) // request structs are marshal-safe by construction
