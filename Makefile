@@ -47,8 +47,8 @@ race:
 # the parallel kernels under a fixed worker budget: GOMAXPROCS=4 makes
 # the gate/fallback split deterministic so the race detector exercises
 # the same schedule shape on every machine. geom and graph carry the
-# kernels (matrix fill, fallback sort), engine the parallel sweep;
-# core/exact/steiner are serial and run here as their consumers.
+# kernels (matrix fill, fallback sort); engine/core/exact/steiner are
+# serial and run here as their consumers.
 race-parallel:
 	GOMAXPROCS=4 $(GO) test -race ./internal/geom ./internal/graph ./internal/engine ./internal/core ./internal/exact ./internal/steiner
 
@@ -60,7 +60,7 @@ bench:
 # benchmarks (tools/benchjson parses the go test output into JSON)
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSweepParallel|BenchmarkBKRUSSweep' -benchmem ./internal/engine/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchmem ./internal/geom/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchmem ./internal/graph/ ; } \
 	| $(GO) run ./tools/benchjson -o BENCH_PR4.json
@@ -87,7 +87,7 @@ bench-json-pr9:
 # (bench-smoke runs it) but still compares ns/op and B/op on the rest.
 bench-diff:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSweepParallel|BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x -benchmem ./internal/graph/ ; } \
 	| $(GO) run ./tools/benchjson -o /tmp/bench_head.json
@@ -116,7 +116,7 @@ bench-gate:
 # one-iteration smoke over the same benchmarks, cheap enough for CI
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkSweepParallel' -benchtime 1x -benchmem ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
@@ -178,6 +178,7 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzReadInstance -fuzztime 30s ./internal/bench/
 	$(GO) test -fuzz FuzzReadNetlist -fuzztime 30s ./internal/router/
+	$(GO) test -fuzz FuzzBuildHandler -fuzztime 30s ./internal/serve/
 
 # end-to-end check of the -metrics pipeline: run one construction with
 # a metrics snapshot and verify the output is valid JSON with scopes

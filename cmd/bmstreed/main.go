@@ -9,8 +9,8 @@
 // Usage:
 //
 //	bmstreed [-addr :8344] [-workers N] [-queue N] [-cache-size N]
-//	         [-cache-bytes N] [-sweep-workers N]
-//	         [-default-timeout 5s] [-max-timeout 60s] [-drain 15s]
+//	         [-cache-bytes N] [-default-timeout 5s] [-max-timeout 60s]
+//	         [-drain 15s]
 //
 // Endpoints: POST /v1/build (batch construction), GET /v1/algos,
 // GET /healthz, GET /metrics (obs snapshot JSON), /debug/pprof.
@@ -47,7 +47,6 @@ func main() {
 		queue      = flag.Int("queue", serve.DefaultQueue, "requests allowed to wait for a worker slot (-1 = none: shed immediately)")
 		cacheSize  = flag.Int("cache-size", serve.DefaultCacheSize, "resident instance-cache entries (-1 = disable the cache)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "byte budget for resident instance-cache state (0 = unbounded, entry count only)")
-		sweepW     = flag.Int("sweep-workers", 0, "workers per eps_sweep net (0 = GOMAXPROCS, 1 = serial; results are identical)")
 
 		defTimeout = flag.Duration("default-timeout", serve.DefaultTimeout, "per-request deadline when the request carries no timeout_ms")
 		maxTimeout = flag.Duration("max-timeout", serve.DefaultMaxWait, "upper clamp on client-requested timeouts")
@@ -65,7 +64,6 @@ func main() {
 		Queue:          normalize(*queue),
 		CacheSize:      normalize(*cacheSize),
 		CacheBytes:     *cacheBytes,
-		SweepWorkers:   *sweepW,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
 		MaxBatch:       *maxBatch,

@@ -6,7 +6,7 @@ package analysis
 // spawner — a close or receive for its sends, a send or close for its
 // receives — on every ordinary path from the spawn to the spawner's
 // exit. Otherwise an early return between the spawn and the pairing op
-// parks the goroutine forever (the sweep pool's `close(next)` after the
+// parks the goroutine forever (the router pool's `close(jobs)` after the
 // feed loop is the canonical pairing).
 //
 // Definitions:

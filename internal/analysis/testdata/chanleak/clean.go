@@ -2,7 +2,7 @@
 // plus one stale suppression (want:lint).
 package fixture
 
-// RangeWorkerClean is the sweep pool idiom: the spawner closes the
+// RangeWorkerClean is the worker-pool idiom: the spawner closes the
 // work channel on every path, so the worker's range loop always
 // terminates, and it drains the result channel unconditionally.
 func RangeWorkerClean(items []float64) float64 {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -48,32 +47,3 @@ func BenchmarkBKRUSSweepFresh(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSweepParallel measures sweep throughput over a wider ε grid
-// at pinned worker counts. workers=1 is the serial-equivalent baseline;
-// on a multi-core host workers=4 should approach 4× cell throughput
-// (cells are independent and share no hot state).
-func BenchmarkSweepParallel(b *testing.B) {
-	in := bench.Random(5, 120, 1000)
-	in.DistMatrix()
-	eps := []float64{0.02, 0.05, 0.08, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.6, 0.7, 0.8, 1.0}
-	ps := make([]Params, len(eps))
-	for i, e := range eps {
-		ps[i] = Params{Eps: e}
-	}
-	for _, w := range []int{1, 4} {
-		b.Run(fmtWorkers(w), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := SweepParallel(context.Background(), "bkrus", in, ps, SweepOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(ps)), "cells/op")
-		})
-	}
-}
-
-func fmtWorkers(w int) string { return fmt.Sprintf("workers=%d", w) }

@@ -67,7 +67,7 @@ func steinerResult(st *steiner.SteinerTree, err error) (Result, error) {
 func init() {
 	// Unbounded references.
 	Register(Info{
-		Name: "mst", Kind: Spanning, SparseCapable: true,
+		Name: "mst", Kind: Spanning,
 		Doc: "minimal spanning tree (Kruskal); path lengths unbounded",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
 		if p.Geometry.Sparse(in.N()) {
@@ -98,7 +98,7 @@ func init() {
 
 	// The paper's core construction and its §6 window variant.
 	Register(Info{
-		Name: "bkrus", Kind: Spanning, Needs: []string{"eps"}, SparseCapable: true,
+		Name: "bkrus", Kind: Spanning, Needs: []string{"eps"},
 		Doc: "bounded Kruskal (§3): every source-sink path ≤ (1+ε)·R",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
 		if err := requireNonNegative("eps", p.Eps); err != nil {
@@ -107,7 +107,7 @@ func init() {
 		return spanning(core.BKRUSBuild(ctx, in, core.UpperOnly(in, p.Eps), p.coreConfig()))
 	})
 	Register(Info{
-		Name: "bkruslu", Kind: Spanning, Needs: []string{"eps1", "eps2"}, SparseCapable: true,
+		Name: "bkruslu", Kind: Spanning, Needs: []string{"eps1", "eps2"},
 		Doc: "bounded Kruskal with the §6 window: paths in [ε1·R, (1+ε2)·R]",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
 		if err := requireNonNegative("eps1", p.Eps1); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +44,8 @@ func TestPreCancelledContextAborts(t *testing.T) {
 
 // Cancelling between sweep iterations must stop the sweep at the next
 // boundary and return ctx.Err(), regardless of how cheap the individual
-// builds are.
+// builds are. A failing cell stops the sweep the same way: the first
+// failure by input order is the error, and no later cell runs.
 func TestSweepCancelledMidway(t *testing.T) {
 	r := NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -64,6 +66,24 @@ func TestSweepCancelledMidway(t *testing.T) {
 	if builds != 3 {
 		t.Errorf("sweep ran %d builds after cancellation at the 3rd, want exactly 3", builds)
 	}
+
+	sentinel := errors.New("boom")
+	failing := 0
+	r.Register(Info{Name: "flaky", Kind: Spanning}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
+		failing++
+		if p.Eps < 0.05 {
+			return Result{}, sentinel
+		}
+		return Result{Tree: mst.Kruskal(in.DistMatrix())}, nil
+	})
+	ps := []Params{{Eps: 0.3}, {Eps: 0.2}, {Eps: 0.01}, {Eps: 0.4}, {Eps: 0.02}}
+	_, err = r.Sweep(context.Background(), "flaky", bench.P1(), ps)
+	if !errors.Is(err, sentinel) || !strings.Contains(err.Error(), "flaky[2]") {
+		t.Fatalf("failing sweep returned %v, want the sentinel at flaky[2]", err)
+	}
+	if failing != 3 {
+		t.Errorf("sweep ran %d builds after the failure at the 3rd, want exactly 3", failing)
+	}
 }
 
 // A pre-cancelled sweep must not build anything.
@@ -73,5 +93,18 @@ func TestSweepPreCancelled(t *testing.T) {
 	ps := []Params{{Eps: 0.1}, {Eps: 0.2}}
 	if _, err := Sweep(ctx, "bkrus", bench.P4(), ps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled sweep returned %v, want context.Canceled", err)
+	}
+
+	r := NewRegistry()
+	builds := 0
+	r.Register(Info{Name: "counting", Kind: Spanning}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
+		builds++
+		return Result{Tree: mst.Kruskal(in.DistMatrix())}, nil
+	})
+	if _, err := r.Sweep(ctx, "counting", bench.P1(), ps); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled sweep returned %v, want context.Canceled", err)
+	}
+	if builds != 0 {
+		t.Errorf("pre-cancelled sweep ran %d builds, want 0", builds)
 	}
 }

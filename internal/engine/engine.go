@@ -100,7 +100,7 @@ type Params struct {
 	// Not safe for concurrent use.
 	Scratch *core.Scratch
 	// Geometry selects the geometric substrate for the constructors that
-	// support both (Info.SparseCapable): dense materializes the distance
+	// support both (mst, bkrus, bkruslu): dense materializes the distance
 	// matrix and complete edge list (the historical behaviour), sparse
 	// runs on the distance oracle and octant neighbor graph with no
 	// O(n²) state. The zero value GeomAuto resolves by instance size
@@ -184,10 +184,6 @@ type Info struct {
 	Kind  Kind
 	Needs []string
 	Doc   string
-	// SparseCapable marks constructors that honour Params.Geometry and
-	// can run on the sparse substrate (oracle + neighbor graph) without
-	// materializing the distance matrix.
-	SparseCapable bool
 }
 
 // spec is the registry's concrete Constructor.
@@ -255,15 +251,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// sparseCapable reports whether the named constructor honours
-// Params.Geometry (false for unknown names).
-func (r *Registry) sparseCapable(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.byName[name]
-	return ok && s.info.SparseCapable
-}
-
 // List returns every registration's Info, sorted by name.
 func (r *Registry) List() []Info {
 	r.mu.RLock()
@@ -321,12 +308,22 @@ func (r *Registry) Build(ctx context.Context, name string, in *inst.Instance, p 
 	return c.Build(ctx, in, p)
 }
 
+// ScopeName is the obs scope the engine layer records into.
+const ScopeName = "engine"
+
+// CtrSweepRuns counts sweep cells completed by Sweep, recorded into the
+// engine scope of each cell's Params.Obs. OBSERVABILITY.md is the
+// catalogue.
+const CtrSweepRuns = "sweep_runs"
+
 // Sweep runs one named constructor over a list of parameter settings on
 // a single instance, reusing one scratch for the whole sweep: the edge
-// list is sorted once and the working buffers allocated once. The context is
-// checked between runs (and inside each construction's own loops), so a
-// cancelled ctx aborts the sweep promptly. Results are returned in
-// input order; the first error aborts the sweep.
+// list is sorted once and the working buffers allocated once. A cell
+// that pins Params.Scratch (the serving layer pins its cache entry's)
+// uses that scratch instead, so the sorted prefix outlives the sweep.
+// The context is checked between runs (and inside each construction's
+// own loops), so a cancelled ctx aborts the sweep promptly. Results are
+// returned in input order; the first error aborts the sweep.
 func (r *Registry) Sweep(ctx context.Context, name string, in *inst.Instance, ps []Params) ([]Result, error) {
 	c, err := r.Lookup(name)
 	if err != nil {
@@ -351,6 +348,9 @@ func (r *Registry) Sweep(ctx context.Context, name string, in *inst.Instance, ps
 			return nil, fmt.Errorf("engine: sweep %s[%d]: %w", name, i, err)
 		}
 		out[i] = res
+		if p.Obs != nil {
+			p.Obs.Scope(ScopeName).Counter(CtrSweepRuns).Inc()
+		}
 	}
 	return out, nil
 }

@@ -160,19 +160,23 @@ func TestResultCost(t *testing.T) {
 	}
 }
 
-// A sweep must reuse one scratch and still produce the same trees as
-// independent builds.
+// A sweep must reuse one scratch and still produce the same trees and
+// the same construction counters as independent builds, and count one
+// sweep_runs per cell. An empty sweep is a no-op; an unknown name is an
+// error.
 func TestSweepMatchesIndependentBuilds(t *testing.T) {
 	in := bench.P4()
 	epss := []float64{0.1, 0.25, 0.4, 0.1}
+	sweepReg := obs.NewRegistry()
 	ps := make([]Params, len(epss))
 	for i, e := range epss {
-		ps[i] = Params{Eps: e}
+		ps[i] = Params{Eps: e, Obs: sweepReg}
 	}
 	swept, err := Sweep(context.Background(), "bkrus", in, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
+	buildReg := obs.NewRegistry()
 	for i, e := range epss {
 		want, err := core.BKRUS(in, e)
 		if err != nil {
@@ -181,6 +185,26 @@ func TestSweepMatchesIndependentBuilds(t *testing.T) {
 		if got := swept[i].Tree; !sameEdges(got, want) {
 			t.Errorf("sweep[%d] (eps=%g) differs from a fresh build", i, e)
 		}
+		if _, err := Build(context.Background(), "bkrus", in, Params{Eps: e, Obs: buildReg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{core.CtrEdgesExamined, core.CtrMerges, core.CtrWitnessScans} {
+		got := sweepReg.Scope(core.ScopeName).Counter(name).Load()
+		want := buildReg.Scope(core.ScopeName).Counter(name).Load()
+		if got != want {
+			t.Errorf("sweep %s = %d, independent builds sum to %d", name, got, want)
+		}
+	}
+	if got := sweepReg.Scope(ScopeName).Counter(CtrSweepRuns).Load(); got != int64(len(ps)) {
+		t.Errorf("%s = %d, want %d", CtrSweepRuns, got, len(ps))
+	}
+
+	if got, err := Sweep(context.Background(), "bkrus", in, nil); err != nil || len(got) != 0 {
+		t.Errorf("empty sweep: %v, %v", got, err)
+	}
+	if _, err := Sweep(context.Background(), "no-such", in, ps[:1]); err == nil {
+		t.Error("unknown constructor accepted")
 	}
 }
 

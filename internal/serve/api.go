@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/engine"
@@ -200,10 +202,22 @@ func steinerResult(eps float64, in *inst.Instance, st *steiner.SteinerTree) Tree
 	return out
 }
 
-// encodeResult dispatches on which tree the engine result holds.
-func encodeResult(eps float64, in *inst.Instance, res engine.Result) TreeResult {
+// encodeResult dispatches on which tree the engine result holds. A tree
+// whose metrics overflow float64 — terminals spread across most of the
+// float range — has no JSON form (encoding/json rejects ±Inf and NaN),
+// so it is an error. Edge and wire lengths are bounded by the cost, so
+// the four metrics cover them.
+func encodeResult(eps float64, in *inst.Instance, res engine.Result) (TreeResult, error) {
+	var out TreeResult
 	if res.Steiner != nil {
-		return steinerResult(eps, in, res.Steiner)
+		out = steinerResult(eps, in, res.Steiner)
+	} else {
+		out = treeResult(eps, in, res.Tree)
 	}
-	return treeResult(eps, in, res.Tree)
+	for _, v := range []float64{out.Cost, out.Radius, out.R, out.PathRatio} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return TreeResult{}, errors.New("tree metrics overflow float64: the terminals span too wide a range")
+		}
+	}
+	return out, nil
 }

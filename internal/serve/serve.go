@@ -19,8 +19,9 @@
 //   - reuse: an LRU instance cache keyed by point-set hash pins one
 //     core.Scratch per resident instance, so repeated requests for the
 //     same net re-serve the partially drained sorted-edge prefix
-//     instead of re-sorting O(n²) edges, and ε-sweeps run through the
-//     engine sweep machinery (engine.SweepParallel when multi-core);
+//     instead of re-sorting O(n²) edges, and ε-sweeps run through
+//     engine.Sweep on that same scratch, so a sweep's sorted prefix
+//     serves the next request for its net;
 //   - observation: every admission decision and build lands in an
 //     internal/obs registry served at /metrics, with /debug/pprof for
 //     profiles.
@@ -30,7 +31,7 @@
 // flag-parsing main around this package. SERVING.md is the operator
 // runbook and API reference; DESIGN.md §11 documents the architecture
 // and the determinism contract (same request body → byte-identical
-// response body, regardless of worker counts).
+// response body, regardless of the admission worker count).
 package serve
 
 import (
@@ -84,10 +85,6 @@ type Config struct {
 	// re-measured after every build). 0 or negative means unbounded —
 	// the historical entry-count-only behavior.
 	CacheBytes int64
-	// SweepWorkers is the worker count handed to engine.SweepParallel
-	// for eps_sweep nets. 0 means runtime.GOMAXPROCS; 1 forces the
-	// serial sweep (byte-identical results either way).
-	SweepWorkers int
 	// MaxBatch bounds nets per request (0 = DefaultMaxBatch).
 	MaxBatch int
 	// MaxPoints bounds terminals per net (0 = DefaultMaxPoints).
@@ -118,7 +115,6 @@ type Server struct {
 	gate  *gate
 	cache *instCache
 
-	sweepWorkers   int
 	maxBatch       int
 	maxPoints      int
 	maxSweep       int
@@ -154,15 +150,10 @@ func New(cfg Config) *Server {
 	case cacheSize < 0:
 		cacheSize = 0
 	}
-	sweepWorkers := cfg.SweepWorkers
-	if sweepWorkers <= 0 {
-		sweepWorkers = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{
 		reg:            reg,
 		gate:           newGate(workers, queue),
 		cache:          newInstCache(cacheSize, cfg.CacheBytes),
-		sweepWorkers:   sweepWorkers,
 		maxBatch:       orDefault(cfg.MaxBatch, DefaultMaxBatch),
 		maxPoints:      orDefault(cfg.MaxPoints, DefaultMaxPoints),
 		maxSweep:       orDefault(cfg.MaxSweep, DefaultMaxSweep),
@@ -473,11 +464,8 @@ func (s *Server) buildNet(ctx context.Context, cn checkedNet) (NetResult, error)
 }
 
 // buildTrees holds the cache entry's lock (scratch and lazy distance
-// matrix are single-holder state) and runs either a single build pinned
-// to the entry's scratch, or an eps_sweep through the engine sweep
-// machinery — SweepParallel when multi-core sweeping is configured, the
-// serial Sweep sharing the entry scratch otherwise. Both paths produce
-// byte-identical trees (pinned by the engine conformance suite).
+// matrix are single-holder state) and runs either a single build or an
+// eps_sweep through engine.Sweep, both pinned to the entry's scratch.
 func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntry) ([]TreeResult, error) {
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
@@ -499,27 +487,23 @@ func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntr
 			return nil, err
 		}
 		//lint:ignore ctxflow response encoding runs after the build completed; the result must be written whole
-		return []TreeResult{encodeResult(n.Eps, entry.in, res)}, nil
+		tr, err := encodeResult(n.Eps, entry.in, res)
+		if err != nil {
+			return nil, err
+		}
+		return []TreeResult{tr}, nil
 	}
 
 	base := n.params()
 	base.Obs = s.obsd
+	base.Scratch = &entry.scratch
 	ps := make([]engine.Params, len(n.EpsSweep))
 	for j, eps := range n.EpsSweep {
 		p := base
 		p.Eps = eps
 		ps[j] = p
 	}
-	var results []engine.Result
-	var err error
-	if s.sweepWorkers > 1 {
-		results, err = s.reg.SweepParallel(ctx, n.Algo, entry.in, ps, engine.SweepOptions{Workers: s.sweepWorkers})
-	} else {
-		for j := range ps {
-			ps[j].Scratch = &entry.scratch
-		}
-		results, err = s.reg.Sweep(ctx, n.Algo, entry.in, ps)
-	}
+	results, err := s.reg.Sweep(ctx, n.Algo, entry.in, ps)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +513,9 @@ func (s *Server) buildTrees(ctx context.Context, cn checkedNet, entry *cacheEntr
 		if err := chk.Err(); err != nil {
 			return nil, err
 		}
-		out[j] = encodeResult(n.EpsSweep[j], entry.in, res)
+		if out[j], err = encodeResult(n.EpsSweep[j], entry.in, res); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

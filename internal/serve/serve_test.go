@@ -47,6 +47,12 @@ func postBuild(t *testing.T, url, body string) (int, []byte, http.Header) {
 // counterValue fetches one serve-scope counter from /metrics.
 func counterValue(t *testing.T, url, name string) int64 {
 	t.Helper()
+	return scopeCounter(t, url, ScopeName, name)
+}
+
+// scopeCounter fetches one counter of the named obs scope from /metrics.
+func scopeCounter(t *testing.T, url, scope, name string) int64 {
+	t.Helper()
 	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -57,7 +63,7 @@ func counterValue(t *testing.T, url, name string) int64 {
 		t.Fatalf("decode metrics: %v", err)
 	}
 	for _, sc := range snap.Scopes {
-		if sc.Name != ScopeName {
+		if sc.Name != scope {
 			continue
 		}
 		for _, c := range sc.Counters {
@@ -66,7 +72,7 @@ func counterValue(t *testing.T, url, name string) int64 {
 			}
 		}
 	}
-	t.Fatalf("counter %s/%s not in snapshot", ScopeName, name)
+	t.Fatalf("counter %s/%s not in snapshot", scope, name)
 	return 0
 }
 
@@ -120,7 +126,10 @@ func TestBuildPinnedAgainstEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := encodeResult(0.25, in, res)
+	want, err := encodeResult(0.25, in, res)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	gotJSON, _ := json.Marshal(got.Results[0].Trees[0])
 	wantJSON, _ := json.Marshal(want)
@@ -157,17 +166,17 @@ func TestSteinerResponse(t *testing.T) {
 }
 
 // TestSweepWorkerCountInvariance is the determinism contract of
-// DESIGN.md §11: the same request body yields byte-identical response
-// bodies whether eps sweeps run serially or on a parallel pool.
+// DESIGN.md §11: the same eps_sweep request body yields byte-identical
+// response bodies whatever the admission worker count.
 func TestSweepWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	body := `{"nets":[` + randomNetJSON(rng, 40, "bkrus", `"eps_sweep":[0,0.1,0.2,0.4,0.8,2]`) + `]}`
 
-	_, serial := newTestServer(t, Config{SweepWorkers: 1})
-	_, pooled := newTestServer(t, Config{SweepWorkers: 4})
+	_, one := newTestServer(t, Config{Workers: 1})
+	_, four := newTestServer(t, Config{Workers: 4})
 
-	c1, b1, _ := postBuild(t, serial.URL, body)
-	c2, b2, _ := postBuild(t, pooled.URL, body)
+	c1, b1, _ := postBuild(t, one.URL, body)
+	c2, b2, _ := postBuild(t, four.URL, body)
 	if c1 != http.StatusOK || c2 != http.StatusOK {
 		t.Fatalf("statuses %d %d", c1, c2)
 	}
@@ -176,29 +185,37 @@ func TestSweepWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// tinyNet is a valid one-sink bkrus net.
+const tinyNet = `{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}`
+
+// malformedCases are bodies that a daemon with MaxBatch 2, MaxPoints 5
+// and MaxSweep 3 must reject with 400; FuzzBuildHandler seeds its
+// corpus with them.
+var malformedCases = []struct {
+	name, body string
+}{
+	{"invalid json", `{"nets":`},
+	{"unknown field", `{"nets":[],"bogus":1}`},
+	{"no nets", `{"nets":[]}`},
+	{"negative timeout", `{"timeout_ms":-5,"nets":[` + tinyNet + `]}`},
+	{"too many nets", `{"nets":[` + tinyNet + `,` + tinyNet + `,` + tinyNet + `]}`},
+	{"no sinks", `{"nets":[{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[]}]}`},
+	{"too many points", `{"nets":[{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1},{"x":2,"y":2},{"x":3,"y":3},{"x":4,"y":4},{"x":5,"y":5}]}]}`},
+	{"unknown algo", `{"nets":[{"algo":"nope","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"unknown metric", `{"nets":[{"algo":"bkrus","metric":"l7","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"oversized sweep", `{"nets":[{"algo":"bkrus","eps_sweep":[0.1,0.2,0.3,0.4],"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"negative workers", `{"nets":[{"algo":"bkrus","workers":-1,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"oversized workers", `{"nets":[{"algo":"bkrus","workers":65,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"retired workers field", `{"nets":[{"algo":"bkrus","workers":2,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
+	{"cost overflows float64", `{"nets":[{"algo":"mst","source":{"x":-1e308,"y":0},"sinks":[{"x":1e308,"y":1e308}]}]}`},
+	{"steiner cost overflows float64", `{"nets":[{"algo":"bkst","eps":0.1,"source":{"x":-1e308,"y":0},"sinks":[{"x":1e308,"y":1e308},{"x":3,"y":3}]}]}`},
+}
+
 // TestMalformedRequests walks the 400 surface: bad JSON, unknown
 // fields, limit violations, unknown names.
 func TestMalformedRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 2, MaxPoints: 5, MaxSweep: 3})
-	net1 := `{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}`
-	cases := []struct {
-		name, body string
-	}{
-		{"invalid json", `{"nets":`},
-		{"unknown field", `{"nets":[],"bogus":1}`},
-		{"no nets", `{"nets":[]}`},
-		{"negative timeout", `{"timeout_ms":-5,"nets":[` + net1 + `]}`},
-		{"too many nets", `{"nets":[` + net1 + `,` + net1 + `,` + net1 + `]}`},
-		{"no sinks", `{"nets":[{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[]}]}`},
-		{"too many points", `{"nets":[{"algo":"bkrus","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1},{"x":2,"y":2},{"x":3,"y":3},{"x":4,"y":4},{"x":5,"y":5}]}]}`},
-		{"unknown algo", `{"nets":[{"algo":"nope","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-		{"unknown metric", `{"nets":[{"algo":"bkrus","metric":"l7","source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-		{"oversized sweep", `{"nets":[{"algo":"bkrus","eps_sweep":[0.1,0.2,0.3,0.4],"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-		{"negative workers", `{"nets":[{"algo":"bkrus","workers":-1,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-		{"oversized workers", `{"nets":[{"algo":"bkrus","workers":65,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-		{"retired workers field", `{"nets":[{"algo":"bkrus","workers":2,"source":{"x":0,"y":0},"sinks":[{"x":1,"y":1}]}]}`},
-	}
-	for _, c := range cases {
+	for _, c := range malformedCases {
 		code, data, _ := postBuild(t, ts.URL, c.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (want 400), body %s", c.name, code, data)
@@ -209,8 +226,8 @@ func TestMalformedRequests(t *testing.T) {
 			t.Errorf("%s: 400 body is not an error document: %s", c.name, data)
 		}
 	}
-	if got := counterValue(t, ts.URL, CtrBadRequests); got != int64(len(cases)) {
-		t.Errorf("bad_requests = %d, want %d", got, len(cases))
+	if got := counterValue(t, ts.URL, CtrBadRequests); got != int64(len(malformedCases)) {
+		t.Errorf("bad_requests = %d, want %d", got, len(malformedCases))
 	}
 }
 
@@ -322,7 +339,9 @@ func TestQueueFullShedding(t *testing.T) {
 
 // TestInstanceCacheHit sends the same net twice and requires the second
 // answer to come from the cached instance — flagged in the response,
-// counted in the metrics, and byte-identical to the first.
+// counted in the metrics, and byte-identical to the first. An eps_sweep
+// shares the cache too: a single-ε repeat of one of its values hits the
+// entry the sweep left and returns the sweep's tree at that ε.
 func TestInstanceCacheHit(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	rng := rand.New(rand.NewSource(11))
@@ -357,6 +376,36 @@ func TestInstanceCacheHit(t *testing.T) {
 	}
 	if misses := counterValue(t, ts.URL, CtrCacheMisses); misses != 1 {
 		t.Errorf("cache_misses = %d, want 1", misses)
+	}
+
+	sweep := []float64{0.05, 0.3, 0.6}
+	net := randomNetJSON(rng, 30, "bkrus", `"eps_sweep":[0.05,0.3,0.6]`)
+	c3, b3, _ := postBuild(t, ts.URL, `{"nets":[`+net+`]}`)
+	single := strings.Replace(net, `"eps_sweep":[0.05,0.3,0.6]`, `"eps":0.3`, 1)
+	c4, b4, _ := postBuild(t, ts.URL, `{"nets":[`+single+`]}`)
+	if c3 != http.StatusOK || c4 != http.StatusOK {
+		t.Fatalf("sweep statuses %d %d", c3, c4)
+	}
+	var rs, rr BuildResponse
+	if err := json.Unmarshal(b3, &rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b4, &rr); err != nil {
+		t.Fatal(err)
+	}
+	if rs.Results[0].CacheHit || len(rs.Results[0].Trees) != len(sweep) {
+		t.Fatalf("sweep: cache_hit %v with %d trees, want a miss with %d", rs.Results[0].CacheHit, len(rs.Results[0].Trees), len(sweep))
+	}
+	if !rr.Results[0].CacheHit {
+		t.Error("single-eps repeat of a swept net missed the instance cache")
+	}
+	js, _ := json.Marshal(rs.Results[0].Trees[1])
+	jr, _ := json.Marshal(rr.Results[0].Trees)
+	if want := "[" + string(js) + "]"; string(jr) != want {
+		t.Errorf("repeat tree differs from the sweep's tree at eps 0.3:\n%s\n%s", jr, want)
+	}
+	if runs := scopeCounter(t, ts.URL, engine.ScopeName, engine.CtrSweepRuns); runs != int64(len(sweep)) {
+		t.Errorf("%s = %d, want %d", engine.CtrSweepRuns, runs, len(sweep))
 	}
 }
 

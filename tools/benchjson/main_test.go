@@ -17,7 +17,7 @@ goos: linux
 goarch: amd64
 pkg: repro/internal/engine
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkSweepParallel/workers=4-4   	       5	 210000000 ns/op	        16.00 cells/op	 1000 B/op	      10 allocs/op
+BenchmarkBKRUSSweepPooled-4          	       5	 210000000 ns/op	        16.00 cells/op	 1000 B/op	      10 allocs/op
 PASS
 ok  	repro/internal/engine	1.234s
 `
