@@ -37,7 +37,7 @@ test:
 # registry builds valid, bound-feasible, byte-deterministic trees on the
 # shared fixtures
 conformance:
-	$(GO) test -run 'TestConformance|TestCancel|TestSweep' -v ./internal/engine/
+	$(GO) test -run 'TestConformance|TestCancel|TestSweep|TestPreCancelled' -v ./internal/engine/
 
 # the whole suite under the race detector (the obs layer and the
 # parallel router are the concurrency-heavy parts)

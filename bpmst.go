@@ -188,7 +188,11 @@ func (n *Net) SPT() *Tree { return n.wrap(mst.SPT(n.in.DistMatrix(), graph.Sourc
 
 // MaxST returns the maximal spanning tree, the expensive end of the
 // paper's Figure 11 cost chart.
-func (n *Net) MaxST() *Tree { return n.wrap(mst.Maximal(n.in.DistMatrix())) }
+func (n *Net) MaxST() *Tree {
+	// Background never cancels, and the complete graph always connects.
+	t, _ := mst.Maximal(context.Background(), n.in.DistMatrix())
+	return n.wrap(t)
+}
 
 // BKRUS constructs a bounded path length spanning tree by the paper's
 // bounded Kruskal heuristic (§3.1). Always succeeds for eps ≥ 0 (eps may

@@ -128,8 +128,9 @@ func BRBC(in *inst.Instance, eps float64) (*graph.Tree, error) {
 }
 
 // BRBCBuild is BRBC with an explicit counter set (nil = counting off)
-// and a context polled at each construction phase (after the MST,
-// after the tour), bounding post-cancellation work to one phase.
+// and a context polled inside the MST scan and again after the tour,
+// bounding post-cancellation work to one stride of the scan or the
+// O(n) tour.
 func BRBCBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters) (*graph.Tree, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("baseline: negative eps %g", eps)
@@ -137,9 +138,8 @@ func BRBCBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters)
 	chk := cancel.New(ctx, 1)
 	dm := in.DistMatrix()
 	n := in.N()
-	//lint:ignore ctxflow phase-level polling is the documented BRBC contract: the MST phase runs whole, the checker fires right after it
-	m := mst.Kruskal(dm)
-	if err := chk.Err(); err != nil {
+	m, err := mst.KruskalFrom(ctx, n, graph.NewEdgeStream(dm))
+	if err != nil {
 		return nil, err
 	}
 	if math.IsInf(eps, 1) || n <= 2 {

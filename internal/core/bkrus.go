@@ -183,23 +183,29 @@ type Scratch struct {
 	streamSparse bool
 }
 
-// edgeStream returns the cached lazy edge stream for in, rebuilding it
-// only when the instance or the substrate changes and rewinding it
-// otherwise. In sparse mode the stream draws from the octant neighbor
-// edge set; dm is only consulted on the dense path, so a sparse run
-// never enumerates the complete graph.
-func (s *Scratch) edgeStream(in *inst.Instance, dm graph.Weights, sparse bool) *graph.EdgeStream {
-	if s.streamFor != in || s.streamSparse != sparse {
-		if sparse {
-			s.stream = graph.NewSparseEdgeStream(in.Index(), graph.Source)
-		} else {
-			s.stream = graph.NewEdgeStream(dm)
-		}
-		s.streamFor = in
-		s.streamSparse = sparse
-	} else {
-		s.stream.Reset()
+// EdgeStream returns the cached lazy edge stream for in on the
+// substrate g selects, rebuilding it only when the instance or the
+// substrate changes and rewinding it otherwise. Dense streams the
+// complete graph over in's distance matrix; sparse streams the octant
+// neighbor edge set plus the source star and never enumerates the
+// complete graph. It is the one place a Kruskal scan's substrate is
+// picked: BKRUS and the engine's mst constructor both read it. A nil
+// scratch returns a fresh stream that nothing caches.
+func (s *Scratch) EdgeStream(in *inst.Instance, g Geometry) *graph.EdgeStream {
+	if s == nil {
+		s = new(Scratch)
 	}
+	sparse := g.Sparse(in.N())
+	if s.streamFor == in && s.streamSparse == sparse {
+		s.stream.Reset()
+		return s.stream
+	}
+	if sparse {
+		s.stream = graph.NewSparseEdgeStream(in.Index(), graph.Source)
+	} else {
+		s.stream = graph.NewEdgeStream(in.DistMatrix())
+	}
+	s.streamFor, s.streamSparse = in, sparse
 	return s.stream
 }
 
@@ -258,7 +264,7 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 		b:      b,
 		f:      &s.f,
 		c:      cfg.Counters,
-		stream: s.edgeStream(in, dm, sparse),
+		stream: s.EdgeStream(in, cfg.Geometry),
 	}
 	// Opportunistic instrumentation: when no explicit counter set was
 	// given and a binary has installed a process-wide registry,

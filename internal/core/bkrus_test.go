@@ -353,22 +353,20 @@ func BenchmarkBKRUS100(b *testing.B) {
 func TestBKRUSWithStats(t *testing.T) {
 	in := inst.MustNew(geom.Point{},
 		[]geom.Point{{X: 8, Y: 4}, {X: 4, Y: 8}}, geom.Manhattan)
-	tr, st, err := BKRUSWithStats(in, UpperOnly(in, 0))
+	tr, c, err := runCounted(in, UpperOnly(in, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Merges != len(tr.Edges) || st.Merges != 2 {
-		t.Errorf("Merges = %d, edges = %d", st.Merges, len(tr.Edges))
+	merges, bound := c.Merges.Load(), c.BoundRejections.Load()
+	if merges != int64(len(tr.Edges)) || merges != 2 {
+		t.Errorf("Merges = %d, edges = %d", merges, len(tr.Edges))
 	}
 	// the (a,b) edge must have been bound-rejected in this fixture
-	if st.BoundRejections == 0 {
-		t.Errorf("expected a bound rejection: %v", st)
+	if bound == 0 {
+		t.Errorf("expected a bound rejection: %v", loads(c))
 	}
-	if st.EdgesExamined < st.Merges+st.BoundRejections {
-		t.Errorf("inconsistent counters: %v", st)
-	}
-	if st.String() == "" {
-		t.Error("empty String()")
+	if c.EdgesExamined.Load() < merges+bound {
+		t.Errorf("inconsistent counters: %v", loads(c))
 	}
 	// instrumentation off (plain BKRUS) must agree on the tree
 	plain, err := BKRUS(in, 0)
@@ -382,7 +380,7 @@ func TestBKRUSWithStats(t *testing.T) {
 
 func TestBKRUSWithStatsBadBounds(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, _, err := BKRUSWithStats(in, Bounds{Lower: 5, Upper: 1}); err == nil {
+	if _, _, err := runCounted(in, Bounds{Lower: 5, Upper: 1}); err == nil {
 		t.Error("invalid bounds accepted")
 	}
 }
@@ -404,7 +402,7 @@ func TestBKRUSFigure4Style(t *testing.T) {
 	if in.R() != 8 {
 		t.Fatalf("fixture R = %v, want 8", in.R())
 	}
-	tr, st, err := BKRUSWithStats(in, UpperOnly(in, 0.5)) // bound 12
+	tr, c, err := runCounted(in, UpperOnly(in, 0.5)) // bound 12
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +424,8 @@ func TestBKRUSFigure4Style(t *testing.T) {
 		t.Errorf("cost = %v, want 24", tr.Cost())
 	}
 	// (c,d) via (3-b), (S,a) via (3-a), plus further rejected candidates
-	if st.BoundRejections < 2 {
-		t.Errorf("expected at least the Figure 4 rejections, got %v", st)
+	if c.BoundRejections.Load() < 2 {
+		t.Errorf("expected at least the Figure 4 rejections, got %v", loads(c))
 	}
 	d := tr.PathLengthsFrom(graph.Source)
 	for v := 1; v < tr.N; v++ {

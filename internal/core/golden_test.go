@@ -8,9 +8,10 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/inst"
+	"repro/internal/obs"
 )
 
-// goldenCounts is the part of BuildStats that records the scan order:
+// goldenCounts is the part of the core counters that records the scan order:
 // which edges were examined, why each was rejected, and how many live
 // members the (3-b) witness scans read — plus where the edge stream's
 // partition frontier ran: how many sorted batches it produced and
@@ -74,8 +75,8 @@ func TestGoldenCounters(t *testing.T) {
 			if _, err := BKRUSBuild(context.Background(), in, UpperOnly(in, tc.eps), Config{Counters: c, Geometry: tc.geo}); err != nil {
 				t.Fatal(err)
 			}
-			s := c.stats()
-			got := goldenCounts{s.EdgesExamined, s.CycleRejections, s.BoundRejections, s.Merges, s.WitnessScans, s.StreamBatches, s.StreamFallbacks}
+			l := func(ctr *obs.Counter) int { return int(ctr.Load()) }
+			got := goldenCounts{l(c.EdgesExamined), l(c.CycleRejections), l(c.BoundRejections), l(c.Merges), l(c.WitnessScans), l(c.StreamBatches), l(c.StreamFallbacks)}
 			if got != tc.want {
 				t.Errorf("counters %+v, want %+v", got, tc.want)
 			}

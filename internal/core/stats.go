@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/graph"
-	"repro/internal/inst"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // ScopeName is the obs scope the core layer records into. When a
 // process-wide default registry is installed (obs.SetDefault), every
@@ -36,7 +29,7 @@ const GaugeRefreshWorkers = "refresh_workers"
 // NewCounters; a set resolved from a shared scope accumulates across
 // every construction recording into it (the aggregate view binaries
 // want), while a standalone set (NewCounters(nil)) isolates one run
-// (the BKRUSWithStats view).
+// (pass it through Config.Counters and read it after the build).
 type Counters struct {
 	EdgesExamined   *obs.Counter // candidate edges popped from the sorted list
 	CycleRejections *obs.Counter // condition (2): endpoints already connected
@@ -61,55 +54,4 @@ func NewCounters(sc *obs.Scope) *Counters {
 		StreamBatches:   sc.Counter(CtrStreamBatches),
 		StreamFallbacks: sc.Counter(CtrStreamFallbacks),
 	}
-}
-
-// stats reads the counter set back into the legacy BuildStats view.
-func (c *Counters) stats() BuildStats {
-	return BuildStats{
-		EdgesExamined:   int(c.EdgesExamined.Load()),
-		CycleRejections: int(c.CycleRejections.Load()),
-		BoundRejections: int(c.BoundRejections.Load()),
-		LemmaRejections: int(c.LemmaRejections.Load()),
-		Merges:          int(c.Merges.Load()),
-		WitnessScans:    int(c.WitnessScans.Load()),
-		StreamBatches:   int(c.StreamBatches.Load()),
-		StreamFallbacks: int(c.StreamFallbacks.Load()),
-	}
-}
-
-// BuildStats describes one BKRUS construction run: how many candidate
-// edges were examined and why they were discarded. Useful for
-// diagnosing why a construction came out expensive (many bound
-// rejections force direct source edges) and for verifying the
-// complexity analysis empirically.
-//
-// BuildStats is the per-run shim over the obs-backed Counters the
-// engine actually counts into; field order and meaning are unchanged
-// from before the migration.
-type BuildStats struct {
-	EdgesExamined   int // candidate edges popped from the sorted list
-	CycleRejections int // condition (2): endpoints already connected
-	BoundRejections int // condition (3): merge would break the bound
-	LemmaRejections int // Lemma 6.1: direct source edge below the lower bound
-	Merges          int // accepted edges (always N-1 on success)
-	WitnessScans    int // live members read by (3-b) witness scans
-	StreamBatches   int // sorted batches the lazy edge stream produced
-	StreamFallbacks int // whole-tail fallback sorts the stream took
-}
-
-// String summarizes the stats on one line.
-func (s BuildStats) String() string {
-	return fmt.Sprintf("examined %d: %d merges, %d cycle, %d bound, %d lemma rejections; %d witness scans",
-		s.EdgesExamined, s.Merges, s.CycleRejections, s.BoundRejections, s.LemmaRejections, s.WitnessScans)
-}
-
-// BKRUSWithStats is BKRUSBounds returning construction statistics
-// alongside the tree. On error the stats cover the work done before the
-// failure. The run counts into a private counter set, so the returned
-// stats describe exactly this construction even when a default registry
-// is installed.
-func BKRUSWithStats(in *inst.Instance, b Bounds) (*graph.Tree, BuildStats, error) {
-	c := NewCounters(nil)
-	t, err := BKRUSBuild(context.Background(), in, b, Config{Counters: c})
-	return t, c.stats(), err
 }

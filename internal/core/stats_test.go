@@ -5,12 +5,30 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/graph"
+	"repro/internal/inst"
 	"repro/internal/obs"
 )
 
-// BKRUSBuild with explicit counters must produce the same tree as
-// BKRUSBounds and record exactly the counts BKRUSWithStats reports for
-// the same instance.
+// runCounted runs BKRUS on a standalone counter set (NewCounters(nil)),
+// the per-run view: no registry, nothing else counts into it.
+func runCounted(in *inst.Instance, b Bounds) (*graph.Tree, *Counters, error) {
+	c := NewCounters(nil)
+	t, err := BKRUSBuild(context.Background(), in, b, Config{Counters: c})
+	return t, c, err
+}
+
+// loads reads every counter of c, in declaration order.
+func loads(c *Counters) [8]int64 {
+	return [8]int64{
+		c.EdgesExamined.Load(), c.CycleRejections.Load(), c.BoundRejections.Load(), c.LemmaRejections.Load(),
+		c.Merges.Load(), c.WitnessScans.Load(), c.StreamBatches.Load(), c.StreamFallbacks.Load(),
+	}
+}
+
+// BKRUSBuild with counters resolved in a registry scope must produce
+// the same tree as BKRUSBounds and record exactly the counts a
+// standalone counter set records for the same instance.
 func TestBKRUSBuildCountersMatchWithStats(t *testing.T) {
 	in := bench.P3()
 	b := UpperOnly(in, 0.25)
@@ -19,7 +37,7 @@ func TestBKRUSBuildCountersMatchWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := BKRUSWithStats(in, b)
+	_, alone, err := runCounted(in, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +52,14 @@ func TestBKRUSBuildCountersMatchWithStats(t *testing.T) {
 	if observed.Cost() != plain.Cost() || len(observed.Edges) != len(plain.Edges) {
 		t.Errorf("observed tree differs: cost %v vs %v", observed.Cost(), plain.Cost())
 	}
-	got := c.stats()
-	if got != st {
-		t.Errorf("observed counters %+v differ from WithStats %+v", got, st)
+	if got, want := loads(c), loads(alone); got != want {
+		t.Errorf("registry counters %v differ from standalone %v", got, want)
 	}
-	if got.Merges != in.N()-1 {
-		t.Errorf("merges = %d, want %d", got.Merges, in.N()-1)
+	if got := c.Merges.Load(); got != int64(in.N()-1) {
+		t.Errorf("merges = %d, want %d", got, in.N()-1)
 	}
-	if got.EdgesExamined == 0 || got.WitnessScans == 0 {
-		t.Errorf("hot-path counters empty: %+v", got)
+	if c.EdgesExamined.Load() == 0 || c.WitnessScans.Load() == 0 {
+		t.Errorf("hot-path counters empty: %v", loads(c))
 	}
 }
 
@@ -80,7 +97,7 @@ func TestBKRUSBuildScratchReuse(t *testing.T) {
 }
 
 // With a default registry installed, plain BKRUS accumulates into its
-// core scope; WithStats stays per-run isolated.
+// core scope; a standalone counter set stays per-run isolated.
 func TestDefaultRegistryPickup(t *testing.T) {
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
@@ -103,17 +120,18 @@ func TestDefaultRegistryPickup(t *testing.T) {
 		t.Errorf("counters did not accumulate: %d vs %d", got, 2*merges)
 	}
 
-	// WithStats isolates its run: the default scope must not move.
+	// A standalone counter set isolates its run: the default scope must
+	// not move.
 	before := reg.Scope(ScopeName).Counter(CtrEdgesExamined).Load()
-	_, st, err := BKRUSWithStats(in, UpperOnly(in, 0.2))
+	_, c, err := runCounted(in, UpperOnly(in, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Merges != in.N()-1 {
-		t.Errorf("WithStats merges = %d", st.Merges)
+	if got := c.Merges.Load(); got != int64(in.N()-1) {
+		t.Errorf("standalone merges = %d", got)
 	}
 	if after := reg.Scope(ScopeName).Counter(CtrEdgesExamined).Load(); after != before {
-		t.Errorf("WithStats leaked into the default scope: %d -> %d", before, after)
+		t.Errorf("standalone run leaked into the default scope: %d -> %d", before, after)
 	}
 }
 

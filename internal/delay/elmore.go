@@ -213,9 +213,12 @@ func BKRUSElmoreBuild(ctx context.Context, in *inst.Instance, eps float64, m Mod
 	starR := StarR(in, m)
 	bound := (1 + eps) * starR
 	best := (*graph.Tree)(nil)
+	// One lazy stream, rewound per step, sorts only the deepest prefix read.
+	edges := graph.NewEdgeStream(in.DistMatrix())
 	for _, f := range []float64{1.0, 0.8, 0.6, 0.4, 0.2} {
 		accept := starR + f*(bound-starR)
-		t, ok, err := buildElmore(ctx, in, m, accept)
+		edges.Reset()
+		t, ok, err := buildElmore(ctx, in, edges, m, accept)
 		if err != nil {
 			return nil, err
 		}
@@ -247,9 +250,9 @@ func starTree(in *inst.Instance) *graph.Tree {
 	return t
 }
 
-// buildElmore runs one greedy bounded-Kruskal pass with the given
-// acceptance bound, reporting whether it spanned the net.
-func buildElmore(ctx context.Context, in *inst.Instance, m Model, bound float64) (*graph.Tree, bool, error) {
+// buildElmore runs one greedy bounded-Kruskal pass over edges with the
+// given acceptance bound, reporting whether it spanned the net.
+func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m Model, bound float64) (*graph.Tree, bool, error) {
 	dm := in.DistMatrix()
 	n := in.N()
 	ds := graph.NewDisjointSet(n)
@@ -260,13 +263,12 @@ func buildElmore(ctx context.Context, in *inst.Instance, m Model, bound float64)
 		compLoad[i] = m.LoadAt(i)
 		totalLoad += m.LoadAt(i)
 	}
-	edges := graph.CompleteEdges(dm)
-	graph.SortEdges(edges)
 	t := graph.NewTree(n)
 
 	chk := cancel.New(ctx, 16)
-	for _, ed := range edges {
-		if len(t.Edges) == n-1 {
+	for len(t.Edges) < n-1 {
+		ed, more := edges.Next()
+		if !more {
 			break
 		}
 		if err := chk.Tick(); err != nil {

@@ -70,18 +70,10 @@ func init() {
 		Name: "mst", Kind: Spanning,
 		Doc: "minimal spanning tree (Kruskal); path lengths unbounded",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if p.Geometry.Sparse(in.N()) {
-			// Kruskal over the octant neighbor stream selects exactly the
-			// dense MST edges (the neighbor graph contains them all, and
-			// a greedy scan over a superset of its own selection makes
-			// identical decisions) without enumerating the complete graph.
-			t, ok := mst.KruskalFrom(in.N(), graph.NewSparseEdgeStream(in.Index(), graph.Source))
-			if !ok {
-				return Result{}, fmt.Errorf("engine: sparse mst left %d of %d nodes unconnected", in.N()-1-len(t.Edges), in.N())
-			}
-			return spanning(t, nil)
-		}
-		return spanning(mst.Kruskal(in.DistMatrix()), nil)
+		// The scan reads the stream BKRUS reads: the complete graph, or on
+		// the sparse substrate the octant neighbor edges, which contain
+		// every MST edge, so both select the same tree.
+		return spanning(mst.KruskalFrom(ctx, in.N(), p.Scratch.EdgeStream(in, p.Geometry)))
 	})
 	Register(Info{
 		Name: "spt", Kind: Spanning,
@@ -93,7 +85,7 @@ func init() {
 		Name: "maxst", Kind: Spanning,
 		Doc: "maximal-cost spanning tree; adversarial reference for bound experiments",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		return spanning(mst.Maximal(in.DistMatrix()), nil)
+		return spanning(mst.Maximal(ctx, in.DistMatrix()))
 	})
 
 	// The paper's core construction and its §6 window variant.

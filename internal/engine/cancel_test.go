@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,15 +32,77 @@ func TestCancelAbortsBMSTGMidSearch(t *testing.T) {
 	}
 }
 
-// A pre-cancelled context must abort every registered constructor that
-// does nontrivial work, before or shortly after it starts.
+// A pre-cancelled context must abort every registered constructor:
+// Build checks it before dispatch, so even a constructor without a loop
+// to poll (spt) returns context.Canceled.
 func TestPreCancelledContextAborts(t *testing.T) {
 	in := bench.P3()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"bmstg", "bkh2", "bkex"} {
+	for _, name := range Names() {
 		if _, err := Build(ctx, name, in, conformanceParams[name]); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with cancelled ctx returned %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// cancelAfterFirstPoll is a context whose Done channel is closed from
+// the start but whose Err reports nil to the first caller: Build's
+// pre-dispatch check passes, and the construction's first poll of its
+// own sees context.Canceled. No clock decides when it fires. It records
+// the call stack of that firing poll, so a test can tell which loop
+// polled.
+type cancelAfterFirstPoll struct {
+	context.Context
+	done  chan struct{}
+	polls atomic.Int32
+	fired []string // functions on the stack of the poll that returned Canceled
+}
+
+func newCancelAfterFirstPoll() *cancelAfterFirstPoll {
+	c := &cancelAfterFirstPoll{Context: context.Background(), done: make(chan struct{})}
+	close(c.done)
+	return c
+}
+
+func (c *cancelAfterFirstPoll) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfterFirstPoll) Err() error {
+	if c.polls.Add(1) == 1 {
+		return nil
+	}
+	if c.fired == nil {
+		pcs := make([]uintptr, 32)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+		for {
+			f, more := frames.Next()
+			c.fired = append(c.fired, f.Function)
+			if !more {
+				break
+			}
+		}
+	}
+	return context.Canceled
+}
+
+// The Kruskal-scan constructors poll inside their scan: cancelled after
+// Build's own check, each stops at the first poll of its edge-stream
+// scan instead of finishing the tree.
+func TestCancelStopsKruskalScans(t *testing.T) {
+	in := bench.Random(11, 1000, 1000)
+	for _, tc := range []struct{ name, scan string }{
+		{"mst", "repro/internal/mst.KruskalFrom"},
+		{"maxst", "repro/internal/mst.KruskalFrom"},
+		{"brbc", "repro/internal/mst.KruskalFrom"},
+		{"elmore", "repro/internal/delay.buildElmore"},
+	} {
+		ctx := newCancelAfterFirstPoll()
+		if _, err := Build(ctx, tc.name, in, conformanceParams[tc.name]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s cancelled mid-scan returned %v, want context.Canceled", tc.name, err)
+			continue
+		}
+		if !slices.Contains(ctx.fired, tc.scan) {
+			t.Errorf("%s: the cancelling poll came from %v, want it inside %s", tc.name, ctx.fired, tc.scan)
 		}
 	}
 }

@@ -288,10 +288,14 @@ func List() []Info { return defaultRegistry.List() }
 var scratchPool = sync.Pool{New: func() interface{} { return new(core.Scratch) }}
 
 // Build resolves name and runs it with a pooled scratch (unless the
-// caller pinned one in p.Scratch).
+// caller pinned one in p.Scratch). A cancelled ctx returns before
+// dispatch, so even a constructor with no loop to poll (spt) honours it.
 func (r *Registry) Build(ctx context.Context, name string, in *inst.Instance, p Params) (Result, error) {
 	c, err := r.Lookup(name)
 	if err != nil {
+		return Result{}, err
+	}
+	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	if p.Scratch == nil {

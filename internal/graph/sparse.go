@@ -21,9 +21,12 @@ import (
 
 // EdgeSeq is the consumer-side view of an ordered edge source: Next
 // yields edges in nondecreasing weight order (compareEdges order) until
-// exhaustion. EdgeStream is the canonical implementation; Kruskal-style
-// scans (mst.KruskalFrom, the BKRUS engine) consume this interface so
-// dense and sparse supplies are interchangeable.
+// exhaustion. EdgeStream is the canonical implementation. Every
+// Kruskal-style scan that stops after n−1 merges reads one —
+// mst.KruskalFrom (behind mst.Kruskal, mst.Maximal, the engine's mst
+// constructor and BRBC), the Elmore ladder and the BKRUS engine — so
+// dense and sparse supplies are interchangeable and no such scan sorts
+// the whole complete graph up front.
 type EdgeSeq interface {
 	// Next yields the next edge in nondecreasing weight order,
 	// reporting false when the sequence is exhausted.

@@ -3,70 +3,62 @@
 // Dijkstra shortest path tree (SPT), the maximal spanning tree (the
 // high-cost endpoint of the paper's Figure 11 cost chart), and the
 // constrained Kruskal construction needed by the Gabow-style exact
-// spanning-tree enumeration.
+// spanning-tree enumeration. KruskalFrom is the one Kruskal scan; every
+// Kruskal here feeds it a lazy graph.EdgeStream, never a full sort.
 package mst
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 
+	"repro/internal/cancel"
 	"repro/internal/graph"
 )
 
+// ErrDisconnected is wrapped by KruskalFrom's error for a short sequence.
+var ErrDisconnected = errors.New("mst: edge sequence does not span the nodes")
+
+// cancelStride is how many edges KruskalFrom examines between context
+// polls; each examination is one union-find step.
+const cancelStride = 256
+
 // Kruskal returns a minimal spanning tree of the complete graph over w.
 func Kruskal(w graph.Weights) *graph.Tree {
-	edges := graph.CompleteEdges(w)
-	graph.SortEdges(edges)
-	t, _ := KruskalEdges(w.Len(), edges)
+	// Background never cancels, and the complete graph always connects.
+	t, _ := KruskalFrom(context.Background(), w.Len(), graph.NewEdgeStream(w))
 	return t
 }
 
-// KruskalEdges runs Kruskal on a pre-sorted edge list over n nodes. It
-// reports false if the edges do not connect all n nodes. The edge list
-// must already be in nondecreasing weight order.
-func KruskalEdges(n int, sorted []graph.Edge) (*graph.Tree, bool) {
-	t := graph.NewTree(n)
-	if n <= 1 {
-		return t, true
-	}
-	ds := graph.NewDisjointSet(n)
-	for _, e := range sorted {
-		if ds.Union(e.U, e.V) {
-			t.Edges = append(t.Edges, e)
-			if len(t.Edges) == n-1 {
-				return t, true
-			}
-		}
-	}
-	return t, false
-}
-
 // KruskalFrom runs Kruskal over an ordered edge sequence (graph.EdgeSeq
-// yields nondecreasing weight order) instead of a materialized sorted
-// slice. It reports false if the sequence does not connect all n nodes.
-// Fed a lazy stream over the sparse octant neighbor edge set
-// (graph.NewSparseEdgeStream), this reproduces Kruskal(w) exactly — the
+// yields nondecreasing weight order) and stops after n−1 merges, so a
+// lazy stream sorts only the prefix the scan reads. It returns ctx.Err()
+// from a poll every cancelStride edges, and wraps ErrDisconnected when
+// the sequence runs out first. Fed the sparse octant neighbor stream
+// (graph.NewSparseEdgeStream) it reproduces Kruskal(w) exactly — the
 // neighbor graph contains every dense-selected MST edge, and a greedy
-// scan over a superset of its own selection makes identical accept
-// decisions — without ever enumerating the complete graph.
-func KruskalFrom(n int, seq graph.EdgeSeq) (*graph.Tree, bool) {
+// scan over a superset of its own selection makes identical decisions.
+func KruskalFrom(ctx context.Context, n int, seq graph.EdgeSeq) (*graph.Tree, error) {
 	t := graph.NewTree(n)
 	if n <= 1 {
-		return t, true
+		return t, nil
 	}
+	chk := cancel.New(ctx, cancelStride)
 	ds := graph.NewDisjointSet(n)
-	for {
+	for len(t.Edges) < n-1 {
 		e, ok := seq.Next()
 		if !ok {
-			break
+			return nil, fmt.Errorf("%w: %d of %d tree edges", ErrDisconnected, len(t.Edges), n-1)
+		}
+		if err := chk.Tick(); err != nil {
+			return nil, err
 		}
 		if ds.Union(e.U, e.V) {
 			t.Edges = append(t.Edges, e)
-			if len(t.Edges) == n-1 {
-				return t, true
-			}
 		}
 	}
-	return t, false
+	return t, nil
 }
 
 // Prim returns a minimal spanning tree grown from root over the complete
@@ -112,20 +104,25 @@ func Prim(w graph.Weights, root int) *graph.Tree {
 
 // Maximal returns a maximum-weight spanning tree of the complete graph
 // over w. The paper's Figure 11 uses it as the most expensive spanning
-// topology for calibration.
-func Maximal(w graph.Weights) *graph.Tree {
-	edges := graph.CompleteEdges(w)
-	// sort by descending weight with the same deterministic tie-break
-	for i := range edges {
-		edges[i].W = -edges[i].W
+// topology for calibration. It is KruskalFrom over the lazy stream of
+// negated weights — descending weight, ties in ascending (U,V) order —
+// with the signs flipped back on the tree's edges.
+func Maximal(ctx context.Context, w graph.Weights) (*graph.Tree, error) {
+	t, err := KruskalFrom(ctx, w.Len(), graph.NewEdgeStream(negated{w}))
+	if err != nil {
+		return nil, err
 	}
-	graph.SortEdges(edges)
-	for i := range edges {
-		edges[i].W = -edges[i].W
+	for i := range t.Edges {
+		t.Edges[i].W = -t.Edges[i].W
 	}
-	t, _ := KruskalEdges(w.Len(), edges)
-	return t
+	return t, nil
 }
+
+// negated is w with every weight's sign flipped.
+type negated struct{ w graph.Weights }
+
+func (n negated) At(i, j int) float64 { return -n.w.At(i, j) }
+func (n negated) Len() int            { return n.w.Len() }
 
 // sptItem is a priority-queue entry for Dijkstra.
 type sptItem struct {

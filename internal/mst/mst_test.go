@@ -1,6 +1,9 @@
 package mst
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,58 +49,125 @@ func TestKruskalTrivialSizes(t *testing.T) {
 	}
 }
 
-func TestKruskalEdgesDisconnected(t *testing.T) {
-	edges := []graph.Edge{{U: 0, V: 1, W: 1}}
-	_, ok := KruskalEdges(3, edges)
-	if ok {
-		t.Error("disconnected edge set should report false")
+// eagerKruskal is the reference scan the lazy one must reproduce:
+// enumerate the complete graph, sort all of it, then take every edge
+// that joins two components. With negate it orders by descending weight
+// (ties in ascending (U,V) order) and flips the signs back, the
+// maximal spanning tree.
+func eagerKruskal(dm graph.Weights, negate bool) []graph.Edge {
+	edges := graph.CompleteEdges(dm)
+	if negate {
+		for i := range edges {
+			edges[i].W = -edges[i].W
+		}
 	}
+	graph.SortEdges(edges)
+	ds := graph.NewDisjointSet(dm.Len())
+	var out []graph.Edge
+	for _, e := range edges {
+		if ds.Union(e.U, e.V) {
+			if negate {
+				e.W = -e.W
+			}
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// sameEdges fails t unless got is want edge for edge, bit for bit.
+func sameEdges(t *testing.T, label string, got, want []graph.Edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", label, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] || math.Signbit(got[k].W) != math.Signbit(want[k].W) {
+			t.Fatalf("%s edge %d: got %v, want %v", label, k, got[k], want[k])
+		}
+	}
+}
+
+// lattice returns a side×side grid of unit spacing with every fourth
+// point doubled: almost every weight ties, and coincident points add
+// zero-weight edges, so the (U,V) tie-break decides most of the order.
+func lattice(side int) []geom.Point {
+	var pts []geom.Point
+	for i := 0; i < side*side; i++ {
+		p := geom.Point{X: float64(i % side), Y: float64(i / side)}
+		pts = append(pts, p)
+		if i%4 == 0 {
+			pts = append(pts, p)
+		}
+	}
+	return pts
 }
 
 func TestKruskalFromMatchesKruskal(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, m := range []geom.Metric{geom.Manhattan, geom.Euclidean} {
-		for _, n := range []int{1, 2, 3, 40, 200} {
-			pts := randomPoints(rng, n, 100)
+		for _, pts := range [][]geom.Point{
+			randomPoints(rng, 1, 100), randomPoints(rng, 2, 100), randomPoints(rng, 3, 100),
+			randomPoints(rng, 40, 100), randomPoints(rng, 200, 100), lattice(12),
+		} {
+			n := len(pts)
 			dm := geom.NewDistMatrix(pts, m)
-			want := Kruskal(dm)
+			want := eagerKruskal(dm, false)
+			label := fmt.Sprintf("%v n=%d", m, n)
+			sameEdges(t, label+" Kruskal", Kruskal(dm).Edges, want)
 
-			// Fed the complete graph's lazy stream, KruskalFrom is Kruskal.
-			got, ok := KruskalFrom(n, graph.NewEdgeStream(dm))
-			if !ok {
-				t.Fatalf("%v n=%d: complete stream reported disconnected", m, n)
+			// Fed the sparse octant neighbor stream, the scan still
+			// selects the same tree: the neighbor graph contains every
+			// MST edge (Yao / Guibas–Stolfi) and a greedy scan over a
+			// superset of its own selection makes identical decisions.
+			sp, err := KruskalFrom(context.Background(), n, graph.NewSparseEdgeStream(geom.NewIndex(pts, m), 0))
+			if err != nil {
+				t.Fatalf("%s: sparse stream: %v", label, err)
 			}
-			if len(got.Edges) != len(want.Edges) {
-				t.Fatalf("%v n=%d: %d edges, want %d", m, n, len(got.Edges), len(want.Edges))
-			}
-			for k := range want.Edges {
-				if got.Edges[k] != want.Edges[k] {
-					t.Fatalf("%v n=%d edge %d: got %v, want %v", m, n, k, got.Edges[k], want.Edges[k])
-				}
-			}
+			sameEdges(t, label+" sparse", sp.Edges, want)
 
-			// Fed the sparse octant neighbor stream, it still is: the
-			// neighbor graph contains every MST edge (Yao / Guibas–Stolfi)
-			// and a greedy scan over a superset of its own selection makes
-			// identical decisions.
-			ix := geom.NewIndex(pts, m)
-			sp, ok := KruskalFrom(n, graph.NewSparseEdgeStream(ix, 0))
-			if !ok {
-				t.Fatalf("%v n=%d: sparse stream reported disconnected", m, n)
+			mx, err := Maximal(context.Background(), dm)
+			if err != nil {
+				t.Fatalf("%s: Maximal: %v", label, err)
 			}
-			for k := range want.Edges {
-				if sp.Edges[k] != want.Edges[k] {
-					t.Fatalf("%v n=%d sparse edge %d: got %v, want %v", m, n, k, sp.Edges[k], want.Edges[k])
-				}
-			}
+			sameEdges(t, label+" Maximal", mx.Edges, eagerKruskal(dm, true))
 		}
 	}
 }
 
 func TestKruskalFromDisconnected(t *testing.T) {
 	seq := graph.NewEdgeStreamFrom([]graph.Edge{{U: 0, V: 1, W: 1}})
-	if _, ok := KruskalFrom(3, seq); ok {
-		t.Error("disconnected stream should report false")
+	if _, err := KruskalFrom(context.Background(), 3, seq); !errors.Is(err, ErrDisconnected) {
+		t.Errorf("disconnected stream returned %v, want ErrDisconnected", err)
+	}
+}
+
+// countingSeq counts the edges a scan draws from the wrapped sequence.
+type countingSeq struct {
+	seq   graph.EdgeSeq
+	drawn int
+}
+
+func (c *countingSeq) Next() (graph.Edge, bool) {
+	c.drawn++
+	return c.seq.Next()
+}
+
+// A cancelled context stops the scan at its first poll, one stride into
+// the sequence, long before the tree spans the nodes.
+func TestKruskalFromCancelledMidScan(t *testing.T) {
+	dm := matrixFor(randomPoints(rand.New(rand.NewSource(5)), 300, 1000))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seq := &countingSeq{seq: graph.NewEdgeStream(dm)}
+	if _, err := KruskalFrom(ctx, dm.Len(), seq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	if seq.drawn != cancelStride {
+		t.Errorf("cancelled scan drew %d edges, want one stride (%d)", seq.drawn, cancelStride)
+	}
+	if _, err := Maximal(ctx, dm); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Maximal returned %v, want context.Canceled", err)
 	}
 }
 
@@ -169,7 +239,10 @@ func TestMaximalAtLeastMST(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(20)
 		dm := matrixFor(randomPoints(rng, n, 100))
-		mx := Maximal(dm)
+		mx, err := Maximal(context.Background(), dm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := mx.Validate(); err != nil {
 			t.Fatal(err)
 		}

@@ -20,9 +20,9 @@
 //
 // Binaries install a process-wide default registry with SetDefault;
 // layers pick it up opportunistically via DefaultScope, which returns
-// nil — observation off — when no registry is installed. Library code
-// that wants per-run isolation (e.g. core.BKRUSWithStats) passes an
-// explicit scope or a standalone counter set instead.
+// nil — observation off — when no registry is installed. Code that
+// wants per-run isolation passes an explicit scope or a standalone
+// counter set instead (e.g. core.NewCounters(nil) in core.Config).
 //
 // Counter, gauge, timer, and histogram names follow Prometheus-style
 // snake_case with the unit suffixed (edges_examined, route_wall,

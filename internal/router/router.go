@@ -89,7 +89,7 @@ func MSTPolicy() Policy {
 	return Policy{
 		Name: "mst",
 		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return mst.Kruskal(in.DistMatrix()), nil
+			return mst.KruskalFrom(ctx, in.N(), graph.NewEdgeStream(in.DistMatrix()))
 		},
 	}
 }
