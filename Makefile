@@ -44,11 +44,11 @@ conformance:
 race:
 	$(GO) test -race ./...
 
-# the parallel kernels under a fixed worker budget: GOMAXPROCS=4 makes
-# the gate/fallback split deterministic so the race detector exercises
-# the same schedule shape on every machine. geom and graph carry the
-# kernels (matrix fill, fallback sort); engine/core/exact/steiner are
-# serial and run here as their consumers.
+# the parallel kernel under a fixed worker budget: GOMAXPROCS=4 makes
+# the gate/serial split deterministic so the race detector exercises
+# the same schedule shape on every machine. geom carries the kernel
+# (matrix fill); graph (the edge stream) and engine/core/exact/steiner
+# are serial and run here as its consumers.
 race-parallel:
 	GOMAXPROCS=4 $(GO) test -race ./internal/geom ./internal/graph ./internal/engine ./internal/core ./internal/exact ./internal/steiner
 
@@ -62,7 +62,7 @@ bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchmem ./internal/geom/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchmem ./internal/graph/ ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchmem ./internal/graph/ ; } \
 	| $(GO) run ./tools/benchjson -o BENCH_PR4.json
 
 # machine-readable record of the sub-quadratic geometry benchmarks:
@@ -89,7 +89,7 @@ bench-diff:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/ && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x -benchmem ./internal/graph/ ; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x -benchmem ./internal/graph/ ; } \
 	| $(GO) run ./tools/benchjson -o /tmp/bench_head.json
 	$(GO) run ./tools/benchjson -diff BENCH_PR4.json /tmp/bench_head.json
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=(1000|10000)$$|BenchmarkBKRUSDense' -benchtime 1x -benchmem ./internal/core/ \
@@ -118,7 +118,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
-	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix|BenchmarkParallelSortEdges' -benchtime 1x ./internal/graph/
+	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
 
 # CPU profile of the sparse BKRUS hot path (n = 10⁴, ε = 0.2): runs
@@ -133,7 +133,7 @@ profile-sparse:
 
 # the dense twin of profile-sparse: BenchmarkBKRUSStream at n = 1000
 # (a fresh complete-graph stream per op, both ε rows) under -cpuprofile,
-# so the stream's partition and sorts show next to the scan and the
+# so the stream's bucket passes and sorts show next to the scan and the
 # forest bookkeeping. Writes $(PROFILE_DENSE_OUT).prof and .test.
 PROFILE_DENSE_OUT ?= /tmp/bkrus_dense
 profile-dense:

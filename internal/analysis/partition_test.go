@@ -8,14 +8,14 @@ import (
 )
 
 // TestPartitionKernelsProved is the static half of the partition
-// property pact (the dynamic half is TestParallelSortEdgesMatchesSerial
-// in internal/graph): indexbound must classify the subscripts inside
-// the split-and-merge edge sort kernel as PROVED, not merely fail to
-// report them through a data/guarded exemption. If a kernel edit
-// demotes a partition subscript to "unknown" the invariant still lints
-// clean (the positive-evidence doctrine stays quiet), but this test
-// fails, which is the point: kernel changes are gated on the proofs,
-// not the silence.
+// property pact (the dynamic half is TestEdgeStreamMatchesSortEdges in
+// internal/graph): indexbound must classify subscripts inside the edge
+// stream's bucket scatter kernel — the prefix sum over the bucket
+// offsets — as PROVED, not merely fail to report them through a
+// data/guarded exemption. If a kernel edit demotes every such subscript
+// to "unknown" the invariant still lints clean (the positive-evidence
+// doctrine stays quiet), but this test fails, which is the point:
+// kernel changes are gated on the proofs, not the silence.
 func TestPartitionKernelsProved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: loads a real package with dependencies")
@@ -26,7 +26,7 @@ func TestPartitionKernelsProved(t *testing.T) {
 	}
 	// kernelFile -> classification counts observed inside it.
 	kernels := map[string]map[string]int{
-		filepath.Join("graph", "psort.go"): {},
+		filepath.Join("graph", "stream.go"): {},
 	}
 	for _, pkg := range mod.Pkgs {
 		fset := pkg.Fset
@@ -46,10 +46,10 @@ func TestPartitionKernelsProved(t *testing.T) {
 	}
 	for suffix, counts := range kernels {
 		if counts["finding"] > 0 {
-			t.Errorf("%s: %d partition subscripts classified as findings", suffix, counts["finding"])
+			t.Errorf("%s: %d kernel subscripts classified as findings", suffix, counts["finding"])
 		}
 		if counts["proved"] == 0 {
-			t.Errorf("%s: no partition subscript classified proved (got %v); the static witness is gone", suffix, counts)
+			t.Errorf("%s: no kernel subscript classified proved (got %v); the static witness is gone", suffix, counts)
 		}
 	}
 }

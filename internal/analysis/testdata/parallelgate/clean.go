@@ -32,7 +32,7 @@ func gatedFanOut(rows [][]float64) {
 }
 
 // selfGatedRecursive gates on its own depth budget, serial arm first —
-// the psort shape.
+// the shape of a recursive split-and-merge kernel.
 func selfGatedRecursive(rows [][]float64, depth int) {
 	if depth <= 0 || len(rows) < parallelMin {
 		for i := range rows {

@@ -162,7 +162,7 @@ func BKRUSBuild(ctx context.Context, in *inst.Instance, b Bounds, cfg Config) (*
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow the lazy stream's tail sort is run-to-completion by design (deterministic merge, amortized across the sweep); run(ctx) polls every cancelStride edges around it
+	//lint:ignore ctxflow the lazy stream's bucket passes (range, count, scatter over the n(n-1)/2 edges) are run-to-completion by design, amortized across the sweep; run(ctx) polls every cancelStride edges after them
 	e := newEngine(in, b, cfg)
 	return e.run(ctx)
 }
@@ -285,16 +285,15 @@ const cancelStride = 64
 func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 	chk := cancel.New(ctx, cancelStride)
 	t := graph.NewTree(e.n)
-	batches0, fallbacks0 := e.stream.Batches(), e.stream.Fallbacks()
+	batches0 := e.stream.Batches()
 	defer func() {
 		if e.c != nil {
 			e.c.StreamBatches.Add(int64(e.stream.Batches() - batches0))
-			e.c.StreamFallbacks.Add(int64(e.stream.Fallbacks() - fallbacks0))
 			e.c.WitnessScans.Add(e.f.scans)
 		}
 	}()
 	for len(t.Edges) < e.n-1 {
-		ed, ok := e.stream.Next() //lint:ignore allocloop the tail sort allocates once when the stream first reaches it, amortized over every later iteration (lazy-stream contract, pinned by BenchmarkBKRUSStream)
+		ed, ok := e.stream.Next()
 		if !ok {
 			break
 		}

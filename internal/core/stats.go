@@ -18,8 +18,12 @@ const (
 	CtrMerges          = "merges"
 	CtrWitnessScans    = "witness_scans"
 	CtrStreamBatches   = "stream_batches"
-	CtrStreamFallbacks = "stream_fallback_sorts"
 )
+
+// CtrStreamFallbacks is no longer recorded: the bucketed edge stream
+// has no whole-tail fallback sort. The name stays because the perfbench
+// module still reads it.
+const CtrStreamFallbacks = "stream_fallback_sorts"
 
 // GaugeRefreshWorkers is no longer recorded: the per-merge refresh is
 // serial. The name stays because the perfbench module still reads it.
@@ -37,8 +41,7 @@ type Counters struct {
 	LemmaRejections *obs.Counter // Lemma 6.1: direct source edge below the lower bound
 	Merges          *obs.Counter // accepted edges (always N-1 on success)
 	WitnessScans    *obs.Counter // live members read by (3-b) witness scans
-	StreamBatches   *obs.Counter // sorted batches the lazy edge stream produced
-	StreamFallbacks *obs.Counter // whole-tail fallback sorts the stream took
+	StreamBatches   *obs.Counter // buckets the lazy edge stream sorted
 }
 
 // NewCounters resolves the core counter set inside sc. A nil scope
@@ -52,6 +55,5 @@ func NewCounters(sc *obs.Scope) *Counters {
 		Merges:          sc.Counter(CtrMerges),
 		WitnessScans:    sc.Counter(CtrWitnessScans),
 		StreamBatches:   sc.Counter(CtrStreamBatches),
-		StreamFallbacks: sc.Counter(CtrStreamFallbacks),
 	}
 }

@@ -19,10 +19,10 @@ func runCounted(in *inst.Instance, b Bounds) (*graph.Tree, *Counters, error) {
 }
 
 // loads reads every counter of c, in declaration order.
-func loads(c *Counters) [8]int64 {
-	return [8]int64{
+func loads(c *Counters) [7]int64 {
+	return [7]int64{
 		c.EdgesExamined.Load(), c.CycleRejections.Load(), c.BoundRejections.Load(), c.LemmaRejections.Load(),
-		c.Merges.Load(), c.WitnessScans.Load(), c.StreamBatches.Load(), c.StreamFallbacks.Load(),
+		c.Merges.Load(), c.WitnessScans.Load(), c.StreamBatches.Load(),
 	}
 }
 

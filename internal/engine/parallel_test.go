@@ -12,8 +12,8 @@ import (
 )
 
 // buildAtProcs runs one Build with GOMAXPROCS pinned to procs, the only
-// input the surviving parallel kernels (the distance-matrix fill and the
-// edge-stream fallback sort) read to pick their worker count. Callers
+// input the surviving parallel kernel (the distance-matrix fill) reads
+// to pick its worker count. Callers
 // pass a fresh instance, so its lazily cached geometry is built at that
 // setting too.
 func buildAtProcs(t *testing.T, procs int, name string, in *inst.Instance, p Params) Result {

@@ -125,6 +125,10 @@ func (dm *DistMatrix) Len() int { return dm.n }
 // At returns the distance between points i and j.
 func (dm *DistMatrix) At(i, j int) float64 { return dm.d[i*dm.n+j] }
 
+// Row returns the distances from point i to every point, indexed by
+// point, as a view of the matrix's storage that must not be modified.
+func (dm *DistMatrix) Row(i int) []float64 { return dm.d[i*dm.n : (i+1)*dm.n] }
+
 // BBox is an axis-aligned bounding box.
 type BBox struct {
 	MinX, MinY, MaxX, MaxY float64

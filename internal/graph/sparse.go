@@ -91,9 +91,9 @@ func NewSparseEdgeStream(ix *geom.Index, root int) *EdgeStream {
 }
 
 // MemBytes estimates the heap bytes retained by the stream's packed
-// edge array and partition-frontier buffer.
+// edge array, re-split buffer and pending bucket ends.
 func (s *EdgeStream) MemBytes() int64 {
-	return int64(cap(s.edges))*packedEdgeBytes + int64(cap(s.stack))*8
+	return int64(cap(s.edges)+cap(s.tmp))*packedEdgeBytes + int64(cap(s.ends))*8
 }
 
 // MemBytes estimates the heap bytes retained by the disjoint set's

@@ -2,25 +2,39 @@ package graph
 
 // This file implements lazy sorted-edge streaming. A Kruskal-style scan
 // over the complete geometric graph usually merges its V-1 edges after
-// examining only a short prefix of the weight order, yet an eager
+// examining only a prefix of the weight order, yet an eager
 // CompleteEdges+SortEdges build pays O(n² log n) for the whole ~n²/2
 // edge list every time. EdgeStream yields edges in exactly the
-// SortEdges order but sorts incrementally: it maintains a quicksort
-// partition frontier and only fully orders the next small batch when
-// the consumer actually reaches it (incremental quicksort), so a build
-// that stops early never pays for the tail.
+// SortEdges order but sorts lazily: a counting sort distributes the
+// edges into linear weight buckets — one pass for the weight range, one
+// to count each bucket, one to scatter each entry into its bucket's
+// slots — and a bucket is sorted only when the consumer reaches it, so
+// a build that stops early never pays for ordering the tail.
+//
+// A reached bucket larger than bucketCap is bucketed again over its own
+// weight range instead of sorted. That keeps the stream lazy on skewed
+// inputs (one far outlier crowds every other edge into the first
+// bucket) and on ranges too large for the cache, which are first spread
+// over only narrowBuckets buckets and refined where the consumer reads.
+// NewEdgeStream scatters from the weights straight into the packed
+// array, so the complete graph is never held twice; a re-split, and
+// the first split of a NewEdgeStreamFrom set, scatter from a copy of
+// the bucket they split.
 //
 // Order equivalence: compareEdges is a strict total order (weight, then
 // the unique (U,V) pair), so the sorted permutation of any edge set is
 // unique — whatever method produces a sorted sequence produces *the*
-// sorted sequence. The stream therefore emits bit-identical order to
-// SortEdges by construction; TestEdgeStreamMatchesSortEdges pins it.
+// sorted sequence. The bucket index is nondecreasing in the weight
+// (float rounding is monotone), so equal weights, +0 and −0 included,
+// share a bucket and the concatenated sorted buckets are that sequence:
+// the stream emits bit-identical order to SortEdges by construction;
+// TestEdgeStreamMatchesSortEdges pins it.
 //
 // Representation: the stream holds packedEdge entries, 16 bytes each
 // (the weight and both endpoints in one key), instead of 24-byte Edges,
-// and orders them with typed comparators — a partition swap moves two
-// words and no sort goes through reflection. Next unpacks one Edge at a
-// time.
+// and orders them with typed comparators — a scatter or sort move copies
+// two words and no sort goes through reflection. Next unpacks one Edge
+// at a time.
 
 import (
 	"math"
@@ -28,15 +42,19 @@ import (
 )
 
 const (
-	// streamBatch is the target size of one sorted batch: segments at
-	// most this long are sorted outright instead of partitioned further.
-	streamBatch = 256
-	// streamFallbackDen: once a consumer has drained more than
-	// 1/streamFallbackDen of the edges, the stream stops partitioning
-	// and sorts the whole remaining tail in one (parallel) shot — a
-	// deep drain is going to pay for the full order anyway, and the
-	// batched refinement would just add partition overhead on top.
-	streamFallbackDen = 2
+	// bucketMean is the target number of entries per bucket of a
+	// range that fits in cache.
+	bucketMean = 64
+	// cacheEntries is the largest range (1 MiB of entries) bucketed
+	// bucketMean to a bucket. A larger range is spread over only
+	// narrowBuckets buckets: writes scattered over more streams miss
+	// the cache on nearly every entry, and the reached buckets are
+	// bucketed again once they fit.
+	cacheEntries  = 1 << 16
+	narrowBuckets = 16
+	// bucketCap is the largest bucket sorted outright when reached;
+	// a larger one is bucketed again over its own weight range.
+	bucketCap = 1024
 )
 
 // EdgeStream yields the edges of a complete graph in nondecreasing
@@ -49,12 +67,12 @@ type EdgeStream struct {
 	edges []packedEdge
 	pos   int // next index to emit; edges[:pos] already emitted this pass
 	ready int // high-water mark: edges[:ready] are in final sorted order
-	// stack holds quicksort partition boundaries above ready, bottom
-	// entry len(edges). Invariant: for the top boundary t, every edge
-	// in [ready, t) precedes (comparePacked) every edge in [t, len(edges)).
-	stack     []int
-	batches   int // sorted batches produced, including fallback sorts
-	fallbacks int // whole-tail fallback sorts taken (at most one)
+	// ends holds the end offsets of the unsorted buckets above ready,
+	// the nearest on top. Every edge of a bucket precedes
+	// (comparePacked) every edge of the buckets below it on the stack.
+	ends    []int
+	tmp     []packedEdge // the copy a re-split scatters from
+	batches int          // buckets sorted
 }
 
 // packedEdge is the stream's entry: the weight and the key
@@ -82,8 +100,8 @@ func (p packedEdge) edge() Edge {
 	return Edge{U: int(p.uv >> 32), V: int(p.uv & math.MaxUint32), W: p.w}
 }
 
-// comparePacked is compareEdges over packed entries. It is small
-// enough to inline into the partition and merge loops.
+// comparePacked is compareEdges over packed entries, small enough to
+// inline.
 func comparePacked(a, b packedEdge) int {
 	switch {
 	case a.w < b.w:
@@ -109,32 +127,66 @@ func guardVertexID(v int) {
 }
 
 // NewEdgeStream builds a lazy sorted stream over the complete graph of
-// w's nodes. Construction enumerates the edges (O(n²)) straight into
-// the packed array but sorts nothing yet.
+// w's nodes. Construction reads the edges (O(n²)) three times — weight
+// range, bucket counts, scatter — straight into the bucketed packed
+// array, but sorts nothing yet.
 func NewEdgeStream(w Weights) *EdgeStream {
 	n := w.Len()
-	edges := make([]packedEdge, 0, n*(n-1)/2)
+	guardVertexID(max(n-1, 0))
+	var buf []float64
+	r := weightRange{math.Inf(1), math.Inf(-1)}
 	for i := 0; i < n; i++ {
+		row := weightRow(w, i, &buf)
 		for j := i + 1; j < n; j++ {
-			edges = append(edges, packEdge(Edge{U: i, V: j, W: w.At(i, j)}))
+			r.add(row[j])
 		}
 	}
-	return newStream(edges)
+	b := r.buckets(n * (n - 1) / 2)
+	off := make([]int, b.last+2)
+	for i := 0; i < n; i++ {
+		row := weightRow(w, i, &buf)
+		for j := i + 1; j < n; j++ {
+			off[b.index(row[j])+1]++
+		}
+	}
+	s := &EdgeStream{edges: make([]packedEdge, n*(n-1)/2)}
+	next := s.pushBuckets(0, off)
+	for i := 0; i < n; i++ {
+		row := weightRow(w, i, &buf)
+		for j := i + 1; j < n; j++ {
+			k := b.index(row[j])
+			s.edges[next[k]] = packedEdge{row[j], uint64(i)<<32 | uint64(j)}
+			next[k]++
+		}
+	}
+	return s
+}
+
+// weightRow returns a row of weights whose entries j > i are w(i, j):
+// w's own storage when w exposes its rows (geom.DistMatrix does), else
+// *buf filled from At.
+func weightRow(w Weights, i int, buf *[]float64) []float64 {
+	if r, ok := w.(interface{ Row(i int) []float64 }); ok {
+		return r.Row(i)
+	}
+	n := w.Len()
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	for j := i + 1; j < n; j++ {
+		(*buf)[j] = w.At(i, j)
+	}
+	return *buf
 }
 
 // NewEdgeStreamFrom builds a lazy sorted stream over an explicit edge
-// set. The stream copies the edges into its own packed array and leaves
-// the slice untouched. Every endpoint must lie in [0, MaxInt32].
+// set. The stream copies the edges into its own packed array, as one
+// bucket the first Next splits, and leaves the slice untouched. Every
+// endpoint must lie in [0, MaxInt32].
 func NewEdgeStreamFrom(edges []Edge) *EdgeStream {
-	packed := make([]packedEdge, len(edges))
+	s := &EdgeStream{edges: make([]packedEdge, len(edges)), ends: []int{len(edges)}}
 	for i, e := range edges {
-		packed[i] = packEdge(e)
+		s.edges[i] = packEdge(e)
 	}
-	return newStream(packed)
-}
-
-func newStream(edges []packedEdge) *EdgeStream {
-	return &EdgeStream{edges: edges, stack: []int{len(edges)}}
+	return s
 }
 
 // Len returns the total number of edges the stream will yield.
@@ -147,13 +199,9 @@ func (s *EdgeStream) Drained() int { return s.pos }
 // sorted order — the prefix a Reset pass re-serves without sorting.
 func (s *EdgeStream) SortedPrefix() int { return s.ready }
 
-// Batches returns how many sorted batches the stream has produced so
-// far (monotone across Resets; includes fallback tail sorts).
+// Batches returns how many buckets the stream has sorted so far
+// (monotone across Resets).
 func (s *EdgeStream) Batches() int { return s.batches }
-
-// Fallbacks returns how many whole-tail fallback sorts the stream has
-// taken (0 or 1 over its lifetime).
-func (s *EdgeStream) Fallbacks() int { return s.fallbacks }
 
 // Next yields the next edge in nondecreasing weight order, reporting
 // false when the stream is exhausted.
@@ -176,84 +224,114 @@ func (s *EdgeStream) Next() (Edge, bool) {
 // immutable instance.
 func (s *EdgeStream) Reset() { s.pos = 0 }
 
-// fill extends the sorted prefix past pos: it refines the partition
-// frontier until the next batch (at least one edge) is in final order.
-// Called only with pos == ready < len(edges).
+// fill sorts the next bucket, bucketing it again first while it is
+// larger than bucketCap and its weights still spread. Called only with
+// pos == ready < len(edges).
 func (s *EdgeStream) fill() {
-	n := len(s.edges)
-	if s.ready*streamFallbackDen >= n {
-		// The consumer has drained deep into the edge order; sorting
-		// the whole tail now is cheaper than batch-refining it.
-		s.sortTail()
-		return
-	}
 	for {
-		hi := s.stack[len(s.stack)-1]
-		if hi == s.ready {
-			// Exhausted segment; the boundary below takes over. The
-			// bottom entry is n > ready, so the stack never empties.
-			s.stack = s.stack[:len(s.stack)-1]
-			continue
+		hi := s.ends[len(s.ends)-1]
+		s.ends = s.ends[:len(s.ends)-1]
+		e := s.edges[s.ready:hi]
+		if len(e) > bucketCap {
+			r := weightRange{math.Inf(1), math.Inf(-1)}
+			for _, p := range e {
+				r.add(p.w)
+			}
+			if b := r.buckets(len(e)); b.last > 0 {
+				// Scatter from a copy of the bucket back into it:
+				// the same counting sort NewEdgeStream runs. A copy
+				// that fits in cache reuses one buffer, so a deep
+				// drain does not turn the edge array into garbage.
+				src := append(s.tmp[:0], e...)
+				if len(e) <= cacheEntries {
+					s.tmp = src
+				}
+				off := make([]int, b.last+2)
+				for _, p := range src {
+					off[b.index(p.w)+1]++
+				}
+				next := s.pushBuckets(s.ready, off)
+				for _, p := range src {
+					k := b.index(p.w)
+					e[next[k]-s.ready] = p
+					next[k]++
+				}
+				continue
+			}
 		}
-		if hi-s.ready <= streamBatch {
-			slices.SortFunc(s.edges[s.ready:hi], comparePacked)
-			s.ready = hi
-			s.stack = s.stack[:len(s.stack)-1]
-			s.batches++
-			return
-		}
-		p := s.partition(s.ready, hi)
-		if p-s.ready <= streamBatch {
-			// Small left side: sort it together with the pivot (which
-			// is already in final position at p) and emit as one batch.
-			// The untouched right side stays bounded by the old top.
-			slices.SortFunc(s.edges[s.ready:p+1], comparePacked)
-			s.ready = p + 1
-			s.batches++
-			return
-		}
-		s.stack = append(s.stack, p)
-	}
-}
-
-// sortTail puts every remaining edge into final order in one shot.
-func (s *EdgeStream) sortTail() {
-	if s.ready == len(s.edges) {
+		slices.SortFunc(e, comparePacked)
+		s.ready = hi
+		s.batches++
 		return
 	}
-	parallelSort(s.edges[s.ready:])
-	s.ready = len(s.edges)
-	s.stack = s.stack[:1] // keep only the bottom boundary len(edges)
-	s.batches++
-	s.fallbacks++
 }
 
-// partition performs a Lomuto partition of edges[lo:hi] around a
-// median-of-three pivot and returns the pivot's final index. All edges
-// left of it precede it; all edges right of it follow it (strictly —
-// comparePacked is total). The pivot choice is a pure function of the data,
-// so partitioning is deterministic.
-func (s *EdgeStream) partition(lo, hi int) int {
-	e := s.edges
-	mid := lo + (hi-lo)/2
-	// Order the (lo, mid, hi-1) trio so the median lands at hi-1.
-	if comparePacked(e[mid], e[lo]) < 0 {
-		e[mid], e[lo] = e[lo], e[mid]
+// pushBuckets turns off, the per-bucket counts of a range starting at
+// lo shifted up one slot (off[k+1] counts bucket k), into bucket start
+// offsets, pushes the ends of the non-empty buckets, the first on top,
+// and returns each bucket's first slot as an absolute index — the
+// write cursors of the scatter that follows.
+func (s *EdgeStream) pushBuckets(lo int, off []int) []int {
+	off[0] = lo
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
 	}
-	if comparePacked(e[hi-1], e[lo]) < 0 {
-		e[hi-1], e[lo] = e[lo], e[hi-1]
-	}
-	if comparePacked(e[mid], e[hi-1]) < 0 {
-		e[mid], e[hi-1] = e[hi-1], e[mid]
-	}
-	pivot := e[hi-1]
-	i := lo
-	for j := lo; j < hi-1; j++ {
-		if comparePacked(e[j], pivot) < 0 {
-			e[i], e[j] = e[j], e[i]
-			i++
+	for k := len(off) - 1; k > 0; k-- {
+		if off[k] > off[k-1] {
+			s.ends = append(s.ends, off[k])
 		}
 	}
-	e[i], e[hi-1] = e[hi-1], e[i]
-	return i
+	return off[:len(off)-1]
+}
+
+// weightRange is the [lo, hi] span of the finite weights added to it,
+// empty ([+Inf, −Inf]) before the first.
+type weightRange struct{ lo, hi float64 }
+
+func (r *weightRange) add(w float64) {
+	if w-w != 0 { // ±Inf and NaN: ±Inf−±Inf and NaN−NaN are NaN
+		return
+	}
+	if w < r.lo {
+		r.lo = w
+	}
+	if w > r.hi {
+		r.hi = w
+	}
+}
+
+// buckets spreads the range of m entries over linear buckets:
+// m/bucketMean of them when m fits in cacheEntries, narrowBuckets
+// otherwise. A range that does not spread over a finite span (no finite
+// weight, one distinct value, or an overflowing span) gets the single
+// bucket 0.
+func (r weightRange) buckets(m int) bucketing {
+	nb := narrowBuckets
+	if m <= cacheEntries {
+		nb = m / bucketMean
+	}
+	span := r.hi - r.lo
+	if nb <= 1 || !(span > 0 && span <= math.MaxFloat64) {
+		return bucketing{lo: r.lo}
+	}
+	return bucketing{lo: r.lo, scale: float64(nb) / span, last: nb - 1}
+}
+
+// bucketing maps a weight to its bucket, nondecreasing in the weight:
+// weights at or below lo (−Inf included) go to bucket 0, weights whose
+// offset reaches the last bucket (+Inf included) to last. NaN, which
+// no order places, goes to bucket 0.
+type bucketing struct {
+	lo, scale float64
+	last      int
+}
+
+func (b bucketing) index(w float64) int {
+	if !(w > b.lo) {
+		return 0
+	}
+	if f := (w - b.lo) * b.scale; f < float64(b.last) {
+		return int(f)
+	}
+	return b.last
 }

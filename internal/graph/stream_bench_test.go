@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -14,13 +13,11 @@ func BenchmarkEdgeStreamPrefix(b *testing.B) {
 	for _, n := range []int{100, 250, 500, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(17))
-			base := NewEdgeStreamFrom(randomEdges(rng, n)).edges
-			work := make([]packedEdge, len(base))
+			edges := randomEdges(rng, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(work, base)
-				s := newStream(work)
+				s := NewEdgeStreamFrom(edges)
 				for k := 0; k < n-1; k++ {
 					if _, ok := s.Next(); !ok {
 						b.Fatal("stream ended early")
@@ -29,28 +26,5 @@ func BenchmarkEdgeStreamPrefix(b *testing.B) {
 			}
 			b.ReportMetric(float64(n-1), "edges/op")
 		})
-	}
-}
-
-// BenchmarkParallelSortEdges measures the stream's full-sort fallback
-// kernel over packed entries with GOMAXPROCS pinned to the row's worker
-// count (1 = the serial slices.SortFunc path).
-func BenchmarkParallelSortEdges(b *testing.B) {
-	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
-	for _, n := range []int{250, 500, 1000} {
-		rng := rand.New(rand.NewSource(19))
-		base := NewEdgeStreamFrom(randomEdges(rng, n)).edges
-		for _, w := range workerSet {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
-				work := make([]packedEdge, len(base))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(work, base)
-					parallelSort(work)
-				}
-			})
-		}
 	}
 }

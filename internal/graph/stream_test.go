@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -57,6 +58,35 @@ func extremeEdges(rng *rand.Rand) []Edge {
 	return edges
 }
 
+// skewedEdges builds shuffled complete-graph edge sets over n nodes
+// whose weights defeat an even spread over linear buckets: one far
+// outlier, two tight clusters far apart, all-equal weights, negated
+// weights (the descending order mst.Maximal streams), and finite weights
+// mixed with ±Inf. Each set is large enough that its first bucketing
+// leaves buckets above bucketCap to be bucketed again.
+func skewedEdges(rng *rand.Rand, n int) map[string][]Edge {
+	build := func(weight func() float64) []Edge {
+		edges := randomEdges(rng, n)
+		for i := range edges {
+			edges[i].W = weight()
+		}
+		return edges
+	}
+	out := map[string][]Edge{
+		"outlier": build(func() float64 { return float64(rng.Intn(1000)) }),
+		"clusters": build(func() float64 {
+			return []float64{1, 1e6}[rng.Intn(2)] + float64(rng.Intn(100))*1e-9
+		}),
+		"equal":   build(func() float64 { return 3 }),
+		"negated": build(func() float64 { return -float64(rng.Intn(7)) }),
+		"inf": build(func() float64 {
+			return []float64{math.Inf(1), math.Inf(-1), float64(rng.Intn(50))}[rng.Intn(3)]
+		}),
+	}
+	out["outlier"][rng.Intn(len(out["outlier"]))].W = 1e12
+	return out
+}
+
 // sameEdge compares weights by bits, so +0 and −0 differ.
 func sameEdge(a, b Edge) bool {
 	return a.U == b.U && a.V == b.V && math.Float64bits(a.W) == math.Float64bits(b.W)
@@ -69,6 +99,10 @@ func TestEdgeStreamMatchesSortEdges(t *testing.T) {
 		inputs = append(inputs, randomEdges(rng, n))
 	}
 	inputs = append(inputs, extremeEdges(rng))
+	skewed := skewedEdges(rng, 100)
+	for _, name := range []string{"outlier", "clusters", "equal", "negated", "inf"} {
+		inputs = append(inputs, skewed[name])
+	}
 	for k, edges := range inputs {
 		want := append([]Edge(nil), edges...)
 		SortEdges(want)
@@ -118,19 +152,84 @@ func TestPackedEdgeSize(t *testing.T) {
 	}
 }
 
+// weightFunc is a Weights over n nodes computed by f.
+type weightFunc struct {
+	n int
+	f func(i, j int) float64
+}
+
+func (w weightFunc) At(i, j int) float64 { return w.f(i, j) }
+func (w weightFunc) Len() int            { return w.n }
+
+// clusteredPoints places n points in two tight clusters 10⁶ apart.
+func clusteredPoints(rng *rand.Rand, n int) []geom.Point {
+	pts := randomPoints(rng, n)
+	for i := range pts {
+		pts[i].X = pts[i].X*1e-6 + float64(i%2)*1e6
+	}
+	return pts
+}
+
+// TestEdgeStreamFromWeights checks the complete-graph stream against
+// SortEdges over CompleteEdges, bit for bit, on grid points in both
+// metrics and on weight sets that skew the buckets.
 func TestEdgeStreamFromWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	cases := map[string]Weights{}
 	for _, m := range []geom.Metric{geom.Manhattan, geom.Euclidean} {
-		dm := geom.NewDistMatrix(randomPoints(rng, 35), m)
-		want := CompleteEdges(dm)
+		cases[fmt.Sprintf("%v", m)] = geom.NewDistMatrix(randomPoints(rng, 35), m)
+		outlier := append(randomPoints(rng, 79), geom.Point{X: 1e6, Y: 1e6})
+		cases[fmt.Sprintf("%v/outlier", m)] = geom.NewDistMatrix(outlier, m)
+		cases[fmt.Sprintf("%v/clusters", m)] = geom.NewDistMatrix(clusteredPoints(rng, 80), m)
+	}
+	grid := geom.NewDistMatrix(randomPoints(rng, 80), geom.Manhattan)
+	cases["negated"] = weightFunc{80, func(i, j int) float64 { return -grid.At(i, j) }}
+	cases["equal"] = weightFunc{80, func(i, j int) float64 { return 1 }}
+	cases["inf"] = weightFunc{80, func(i, j int) float64 {
+		if (i+j)%3 == 0 {
+			return math.Inf(1)
+		}
+		return grid.At(i, j)
+	}}
+	for n := 0; n <= 2; n++ { // m ∈ {0, 0, 1}
+		cases[fmt.Sprintf("n=%d", n)] = geom.NewDistMatrix(randomPoints(rng, n), geom.Euclidean)
+	}
+	for name, w := range cases {
+		want := CompleteEdges(w)
 		SortEdges(want)
-		s := NewEdgeStream(dm)
-		for i, w := range want {
+		s := NewEdgeStream(w)
+		for i, e := range want {
 			got, ok := s.Next()
-			if !ok || got != w {
-				t.Fatalf("%v: edge %d = %v ok=%v, want %v", m, i, got, ok, w)
+			if !ok || !sameEdge(got, e) {
+				t.Fatalf("%s: edge %d = %v ok=%v, want %v", name, i, got, ok, e)
 			}
 		}
+		if _, ok := s.Next(); ok {
+			t.Fatalf("%s: stream yielded past the end", name)
+		}
+	}
+}
+
+// TestEdgeStreamLazyWithOutlier pins the oversize rule: one point 10⁶
+// away from 399 others puts nearly every edge in the first bucket of the
+// first bucketing, and draining the n−1 shortest edges must still sort
+// only a few buckets' worth — the crowded bucket is bucketed again over
+// its own range instead of sorted whole.
+func TestEdgeStreamLazyWithOutlier(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pts := make([]geom.Point, 0, 400)
+	for i := 0; i < 399; i++ {
+		pts = append(pts, geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000})
+	}
+	pts = append(pts, geom.Point{X: 1e6, Y: 1e6})
+	s := NewEdgeStream(geom.NewDistMatrix(pts, geom.Euclidean))
+	for i := 0; i < len(pts)-1; i++ {
+		if _, ok := s.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}
+	if sp := s.SortedPrefix(); sp > 4*bucketCap {
+		t.Fatalf("SortedPrefix = %d of %d edges after draining %d, want at most %d", sp, s.Len(), len(pts)-1, 4*bucketCap)
 	}
 }
 
@@ -179,45 +278,31 @@ func TestEdgeStreamPartialDrainAndReset(t *testing.T) {
 	}
 }
 
-func TestEdgeStreamFallbackSortsWholeTail(t *testing.T) {
+// TestEdgeStreamFullDrain drains every edge, then drains again after a
+// Reset: the first pass leaves the whole array sorted, and the second
+// re-serves it without sorting a bucket.
+func TestEdgeStreamFullDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	edges := randomEdges(rng, 80) // 3160 edges, many batches without fallback
+	edges := randomEdges(rng, 80) // 3160 edges, above bucketCap
 	want := append([]Edge(nil), edges...)
 	SortEdges(want)
 
 	s := NewEdgeStreamFrom(edges)
-	for i := range want {
-		got, ok := s.Next()
-		if !ok || got != want[i] {
-			t.Fatalf("edge %d = %v ok=%v, want %v", i, got, ok, want[i])
-		}
-	}
-	if s.Fallbacks() != 1 {
-		t.Fatalf("Fallbacks = %d, want exactly 1 for a full drain", s.Fallbacks())
-	}
-	if s.SortedPrefix() != s.Len() {
-		t.Fatalf("SortedPrefix = %d, want %d after full drain", s.SortedPrefix(), s.Len())
-	}
-}
-
-// TestParallelSortEdgesMatchesSerial pins the determinism contract of
-// the fallback sort kernel: at 2, 4 and 8 workers (recursion depth 1, 2
-// and 3) the merge sort over the stream's packed entries is
-// byte-identical to SortEdges.
-func TestParallelSortEdgesMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	// 120 nodes -> 7140 edges, above parallelSortMin.
-	edges := randomEdges(rng, 120)
-	want := append([]Edge(nil), edges...)
-	SortEdges(want)
-
-	for _, c := range []struct{ workers, depth int }{{2, 1}, {4, 2}, {8, 3}} {
-		got := NewEdgeStreamFrom(edges).edges
-		parallelMergeSort(got, make([]packedEdge, len(got)), c.depth)
+	batches := 0
+	for pass := 0; pass < 2; pass++ {
 		for i := range want {
-			if got[i].edge() != want[i] {
-				t.Fatalf("workers=%d: edge %d = %v, want %v", c.workers, i, got[i].edge(), want[i])
+			got, ok := s.Next()
+			if !ok || got != want[i] {
+				t.Fatalf("pass %d: edge %d = %v ok=%v, want %v", pass, i, got, ok, want[i])
 			}
 		}
+		if s.SortedPrefix() != s.Len() {
+			t.Fatalf("pass %d: SortedPrefix = %d, want %d after full drain", pass, s.SortedPrefix(), s.Len())
+		}
+		if pass == 1 && s.Batches() != batches {
+			t.Fatalf("the Reset re-drain sorted %d new buckets", s.Batches()-batches)
+		}
+		batches = s.Batches()
+		s.Reset()
 	}
 }
