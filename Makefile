@@ -113,13 +113,16 @@ bench-gate:
 	    -require 'BenchmarkBKRUSRefresh/n=1000/workers=1,BenchmarkBKRUSRefreshSparse/n=10000/workers=1' \
 	    BENCH_PR9.json /tmp/bench_head_pr9.json
 
-# one-iteration smoke over the same benchmarks, cheap enough for CI
+# one-iteration smoke over the same benchmarks, cheap enough for CI,
+# plus the sparse pipeline's per-layer rows at n = 10⁴ (index, edges,
+# build; BenchmarkSparseLayers)
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkSparseLayers' -benchtime 1x -benchmem ./internal/core/
 
 # CPU profile of the sparse BKRUS hot path (n = 10⁴, ε = 0.2): runs
 # BenchmarkBKRUSRefreshSparse under -cpuprofile and prints the 15

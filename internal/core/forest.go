@@ -14,8 +14,10 @@ import (
 // O(n²) bytes and makes every merge of two source-free trees write a
 // cross-product of entries. Forest keeps the forest itself instead:
 //
-//   - adj[x]: the partial forest's adjacency lists (tree edges accepted
-//     so far), O(n) total;
+//   - half/head/tail: the partial forest's adjacency (tree edges
+//     accepted so far) as one arena of half-edges, two per accepted
+//     edge, each node's half-edges chained in acceptance order from
+//     head[x] to tail[x], O(n) total and allocated once per Reset;
 //   - distS[x]: the in-tree path length from the source to x, defined
 //     only once x joins the source tree — tree paths never change after
 //     a merge, so one assignment per node suffices;
@@ -68,7 +70,9 @@ type Forest struct {
 	pair  Pairs
 	b     Bounds
 	ds    *graph.DisjointSet
-	adj   [][]graph.Adj
+	half  []halfEdge // the adjacency arena, 2(n−1) entries at most
+	head  []int32    // head[x] = x's first half-edge, -1 while x has none
+	tail  []int32    // tail[x] = x's last half-edge, valid once head[x] >= 0
 	distS []float64
 	r     []float64
 	live  [][]int32
@@ -82,19 +86,27 @@ type Forest struct {
 	stack []int32
 }
 
+// halfEdge is one direction of an accepted edge: the edge's weight, the
+// node it leads to, and the next half-edge leaving the same node (-1
+// ends the chain).
+type halfEdge struct {
+	w        float64
+	to, next int32
+}
+
+// halfEdgeBytes is the size of one halfEdge, for MemBytes.
+const halfEdgeBytes = 16
+
 // Reset empties the forest to n singleton trees with the source at src,
 // source distances dS(x), pair metric pair and bound window b, reusing
 // the buffers of earlier constructions.
 func (f *Forest) Reset(n, src int, dS func(x int) float64, pair Pairs, b Bounds) {
 	guardVertexIDSpace(n)
 	f.src, f.pair, f.b, f.scans = src, pair, b, 0
-	if cap(f.adj) < n {
-		f.adj = make([][]graph.Adj, n)
+	if m := 2 * max(n-1, 0); cap(f.half) < m {
+		f.half = make([]halfEdge, 0, m)
 	} else {
-		f.adj = f.adj[:n]
-	}
-	for i := range f.adj {
-		f.adj[i] = f.adj[i][:0]
+		f.half = f.half[:0]
 	}
 	if cap(f.distS) < n {
 		f.dS = make([]float64, n)
@@ -102,10 +114,16 @@ func (f *Forest) Reset(n, src int, dS func(x int) float64, pair Pairs, b Bounds)
 		f.r = make([]float64, n)
 		f.dist = make([]float64, n)
 		f.stamp = make([]uint32, n)
+		f.head = make([]int32, n)
+		f.tail = make([]int32, n)
 	} else {
 		f.dS, f.distS, f.r, f.dist, f.stamp = f.dS[:n], f.distS[:n], f.r[:n], f.dist[:n], f.stamp[:n]
+		f.head, f.tail = f.head[:n], f.tail[:n]
 		clear(f.r)
 		clear(f.stamp)
+	}
+	for x := range f.head {
+		f.head[x] = -1
 	}
 	f.epoch = 0
 	for x := range f.distS {
@@ -121,8 +139,7 @@ func (f *Forest) Reset(n, src int, dS func(x int) float64, pair Pairs, b Bounds)
 	for x := range f.live {
 		f.live[x] = f.live[x][:0]
 		if x != src && f.alive(x) {
-			//lint:ignore intwidth x is a vertex id < n, and Reset guards n <= MaxInt32 (guardVertexIDSpace, pinned by TestVertexIDSpaceGuard)
-			f.live[x] = append(f.live[x], int32(x))
+			f.live[x] = append(f.live[x], id32(x))
 		}
 	}
 	if f.ds == nil || f.ds.Len() != n {
@@ -135,14 +152,11 @@ func (f *Forest) Reset(n, src int, dS func(x int) float64, pair Pairs, b Bounds)
 // MemBytes estimates the heap bytes the forest's buffers retain.
 func (f *Forest) MemBytes() int64 {
 	b := int64(cap(f.dS)+cap(f.distS)+cap(f.r)+cap(f.dist)) * 8
-	b += int64(cap(f.stamp)+cap(f.stack)) * 4
+	b += int64(cap(f.stamp)+cap(f.stack)+cap(f.head)+cap(f.tail)) * 4
+	b += int64(cap(f.half)) * halfEdgeBytes
 	b += int64(cap(f.live)) * 24
-	for i := range f.live {
-		b += int64(cap(f.live[i])) * 4
-	}
-	b += int64(cap(f.adj)) * 24
-	for i := range f.adj {
-		b += int64(cap(f.adj[i])) * 16
+	for _, l := range f.live[:cap(f.live)] {
+		b += int64(cap(l)) * 4
 	}
 	if f.ds != nil {
 		b += f.ds.MemBytes()
@@ -260,12 +274,25 @@ func (f *Forest) Link(u, v int, w float64) {
 		f.mergeFree(u, v, w)
 		free = true
 	}
-	f.adj[u] = append(f.adj[u], graph.Adj{To: v, W: w})
-	f.adj[v] = append(f.adj[v], graph.Adj{To: u, W: w})
+	f.addHalf(u, v, w)
+	f.addHalf(v, u, w)
 	f.ds.Union(u, v)
 	if free {
 		f.mergeLive(a, b)
 	}
+}
+
+// addHalf appends the half-edge x→y of weight w to the arena and to the
+// end of x's chain.
+func (f *Forest) addHalf(x, y int, w float64) {
+	h := id32(len(f.half))
+	f.half = append(f.half, halfEdge{w: w, to: id32(y), next: -1})
+	if f.head[x] < 0 {
+		f.head[x] = h
+	} else {
+		f.half[f.tail[x]].next = h
+	}
+	f.tail[x] = h
 }
 
 // joinSource records the source paths of v's tree as it joins the
@@ -364,8 +391,7 @@ func (f *Forest) startFill(root int) {
 	}
 	f.stamp[root] = f.epoch
 	f.dist[root] = 0
-	//lint:ignore intwidth root is a vertex id < n, and Reset guards n <= MaxInt32 (guardVertexIDSpace, pinned by TestVertexIDSpaceGuard)
-	f.stack = append(f.stack[:0], int32(root))
+	f.stack = append(f.stack[:0], id32(root))
 }
 
 // fillUntil advances the current fill until target has been reached
@@ -376,20 +402,20 @@ func (f *Forest) startFill(root int) {
 // been expanded. Entries of dist outside the reached set keep stale
 // values; callers only read reached members.
 func (f *Forest) fillUntil(target int) {
-	adj, dist, stamp, ep := f.adj, f.dist, f.stamp, f.epoch
+	half, head, dist, stamp, ep := f.half, f.head, f.dist, f.stamp, f.epoch
 	st := f.stack
 	for len(st) > 0 && (target < 0 || stamp[target] != ep) {
 		last := len(st) - 1
-		x := int(st[last])
+		x := st[last]
 		st = st[:last]
-		for _, a := range adj[x] {
-			if stamp[a.To] == ep {
+		for h := head[x]; h >= 0; h = half[h].next {
+			e := &half[h]
+			if stamp[e.to] == ep {
 				continue // x's DFS parent
 			}
-			stamp[a.To] = ep
-			dist[a.To] = dist[x] + a.W
-			//lint:ignore intwidth adjacency targets are vertex ids < n, and Reset guards n <= MaxInt32 (guardVertexIDSpace, pinned by TestVertexIDSpaceGuard)
-			st = append(st, int32(a.To))
+			stamp[e.to] = ep
+			dist[e.to] = dist[x] + e.w
+			st = append(st, e.to)
 		}
 	}
 	f.stack = st

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/inst"
 )
 
@@ -44,4 +46,51 @@ func BenchmarkBKRUSDense(b *testing.B) {
 	// n = 10⁴ dense already allocates ~800 MB of matrix per op; only the
 	// n = 10³ row is worth a committed baseline.
 	b.Run("n=1000", func(b *testing.B) { benchmarkBKRUSGeometry(b, 1000, GeomDense) })
+}
+
+// Sinks for the layer rows' results, so the compiler keeps the calls.
+var (
+	layerIndex  *geom.Index
+	layerStream *graph.EdgeStream
+)
+
+// BenchmarkSparseLayers splits the sparse pipeline of
+// BenchmarkBKRUSSparse/n=10000 into its layers over one instance (ε = 2
+// as there): layer=index is the octant index (geom.NewIndex),
+// layer=edges the candidate set and its stream (graph.NewSparseEdgeStream
+// over a built index), layer=build the scan and the forest bookkeeping
+// (BKRUSBuild over a fresh stream, so the bucket sorts the scan reaches
+// count here). The rows sum to that benchmark's op less the instance's
+// own construction.
+func BenchmarkSparseLayers(b *testing.B) {
+	const nodes = 10000
+	in := randomInstance(rand.New(rand.NewSource(29)), nodes-1, 1000)
+	pts := in.Points()
+	b.Run("layer=index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			layerIndex = geom.NewIndex(pts, in.Metric())
+		}
+	})
+	ix := in.Index()
+	b.Run("layer=edges", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			layerStream = graph.NewSparseEdgeStream(ix, graph.Source)
+		}
+	})
+	b.Run("layer=build", func(b *testing.B) {
+		bounds := UpperOnly(in, 2)
+		var s Scratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s.Release()
+			s.EdgeStream(in, GeomSparse) // a fresh stream, cached for the build
+			b.StartTimer()
+			if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Scratch: &s, Geometry: GeomSparse}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -93,8 +93,8 @@ func bookkeepingCheck(t *testing.T, e *engine, partial *graph.Tree, merges int) 
 	const tol = 1e-6
 	f := e.f
 	for x, want := range partial.Adjacency() {
-		if !slices.Equal(f.adj[x], want) {
-			t.Fatalf("after %d merges: adj[%d] = %v, partial tree has %v", merges, x, f.adj[x], want)
+		if got := forestAdj(f, x); !slices.Equal(got, want) {
+			t.Fatalf("after %d merges: adj[%d] = %v, partial tree has %v", merges, x, got, want)
 		}
 	}
 	dS := partial.PathLengthsFrom(graph.Source)
@@ -139,6 +139,16 @@ func bookkeepingCheck(t *testing.T, e *engine, partial *graph.Tree, merges int) 
 			t.Fatalf("after %d merges: live list of %d holds %v, want %v", merges, x, got, want)
 		}
 	}
+}
+
+// forestAdj reads x's chain of half-edges out of the forest's arena, in
+// acceptance order.
+func forestAdj(f *Forest, x int) []graph.Adj {
+	var adj []graph.Adj
+	for h := f.head[x]; h >= 0; h = f.half[h].next {
+		adj = append(adj, graph.Adj{To: int(f.half[h].to), W: f.half[h].w})
+	}
+	return adj
 }
 
 // TestMergeBookkeepingMatchesTreeRecompute drives the BKRUS scan on
@@ -309,5 +319,47 @@ func TestReleasedScratchHoldsNoQuadraticState(t *testing.T) {
 	s.Release()
 	if got := s.MemBytes(); got <= 0 || got >= 1<<20 {
 		t.Fatalf("released scratch retains %d bytes after a dense n = %d build, want (0, 1 MiB)", got, nodes)
+	}
+}
+
+// TestForestArenaAfterShrink pins the half-edge arena's sizing and the
+// forest's byte accounting across a Reset to a smaller instance, as a
+// pooled scratch sees: Reset sizes the arena to the 2(n−1) half-edges a
+// full build links, so the build never regrows it; a Reset to n = 100
+// keeps the n = 10⁴ buffers; and MemBytes still counts all of them,
+// including the live lists past the new n.
+func TestForestArenaAfterShrink(t *testing.T) {
+	var s Scratch
+	build := func(nodes int) {
+		t.Helper()
+		in := randomInstance(rand.New(rand.NewSource(int64(nodes))), nodes-1, 1000)
+		if _, err := BKRUSBuild(context.Background(), in, UpperOnly(in, 0.5), Config{Scratch: &s, Geometry: GeomSparse}); err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	}
+	const big, small = 10000, 100
+	build(big)
+	f := &s.f
+	if len(f.half) != 2*(big-1) || cap(f.half) != 2*(big-1) {
+		t.Fatalf("after an n = %d build the arena holds %d of %d half-edges, want %d of %d",
+			big, len(f.half), cap(f.half), 2*(big-1), 2*(big-1))
+	}
+	build(small)
+	if len(f.half) != 2*(small-1) || cap(f.half) != 2*(big-1) {
+		t.Fatalf("after an n = %d build the arena holds %d of %d half-edges, want %d of the retained %d",
+			small, len(f.half), cap(f.half), 2*(small-1), 2*(big-1))
+	}
+	// Every buffer the forest holds, summed independently of MemBytes:
+	// the arena and the per-node arrays sized by the n = 10⁴ build, the
+	// DFS stack, every live list (the ones past n = 100 too) and the
+	// disjoint set.
+	want := int64(2*(big-1))*halfEdgeBytes + int64(big)*(3*4+4*8) + int64(cap(f.stack))*4 + f.ds.MemBytes()
+	want += int64(cap(f.live)) * 24
+	for _, l := range f.live[:cap(f.live)] {
+		want += int64(cap(l)) * 4
+	}
+	if got := f.MemBytes(); got != want {
+		t.Fatalf("MemBytes after the shrink = %d, want %d", got, want)
 	}
 }

@@ -20,9 +20,10 @@ package geom
 // internal/core pin it empirically for both metrics).
 //
 // The search is a ring expansion over grid cells: for point u the scan
-// visits cells in increasing Chebyshev ring order and stops an octant
-// as soon as the ring's minimum possible distance exceeds the octant's
-// current best (or the octant's dominant-axis cutoff proves it empty).
+// visits cells in increasing Chebyshev ring order, side by side, and
+// skips a side of a ring once the side's minimum possible distance
+// exceeds the current best of every octant the side can hold (or the
+// octant's dominant-axis cutoff proves it empty).
 // Uniform instances touch O(1) cells per point; the worst case
 // (all points in one cell) degrades to the brute-force scan, never to
 // an incorrect answer.
@@ -66,7 +67,6 @@ type Index struct {
 	bb           BBox
 	nx, ny       int
 	cellW, cellH float64
-	minSide      float64 // min(cellW, cellH): ring-distance lower bound unit
 
 	start []int32 // CSR cell offsets, len nx*ny+1
 	ids   []int32 // point ids, bucket-major, ascending within a cell
@@ -114,7 +114,6 @@ func NewIndex(pts []Point, m Metric) *Index {
 	if ix.cellH <= 0 {
 		ix.cellH = 1
 	}
-	ix.minSide = math.Min(ix.cellW, ix.cellH)
 
 	// CSR bucket fill: count, prefix-sum, place. Iterating ids in
 	// ascending order keeps each bucket sorted by id, so the scan order
@@ -218,30 +217,7 @@ func (ix *Index) searchOctants(i int) {
 
 	ucx := ix.clampX(int((u.X - ix.bb.MinX) / ix.cellW))
 	ucy := ix.clampY(int((u.Y - ix.bb.MinY) / ix.cellH))
-	maxRing := ix.nx + ix.ny + 2 // safety: past this every cell is out of range
-	for r := 0; r <= maxRing; r++ {
-		// Any point in Chebyshev cell-ring r is displaced at least r-1
-		// whole cells along some axis, hence at least (r-1)·minSide in
-		// either metric.
-		ringMin := float64(r-1) * ix.minSide
-		if r <= 1 {
-			ringMin = 0
-		}
-		done := true
-		for o := 0; o < Octants; o++ {
-			if ringMin > cutoff[o] {
-				continue // octant provably holds no point this far out
-			}
-			if bestID[o] >= 0 && ringMin > bestD[o] {
-				continue // current best beats everything in this ring onward
-			}
-			done = false
-			break
-		}
-		if done {
-			break
-		}
-		ix.scanRing(i, u, ucx, ucy, r, &bestD, &bestID)
+	for r := 0; ix.scanRing(i, u, ucx, ucy, r, &cutoff, &bestD, &bestID); r++ {
 	}
 	for o := 0; o < Octants; o++ {
 		ix.nbr[Octants*i+o] = bestID[o]
@@ -269,33 +245,77 @@ func (ix *Index) clampY(cy int) int {
 	return cy
 }
 
-// scanRing visits every in-grid cell at Chebyshev distance exactly r
-// from cell (ucx,ucy) and folds its points into the octant bests.
-func (ix *Index) scanRing(i int, u Point, ucx, ucy, r int, bestD *[Octants]float64, bestID *[Octants]int32) {
+// The octants a side of a ring can hold. Cell indices are monotone in
+// the coordinates, so a cell in a row above u's holds only points
+// strictly above u (octants 0–3), and likewise below (4–7), right (6,
+// 7, 0, 1) and left (2–5).
+const (
+	octAbove uint8 = 0x0F
+	octBelow uint8 = 0xF0
+	octRight uint8 = 0xC3
+	octLeft  uint8 = 0x3C
+)
+
+// scanRing visits the in-grid cells at Chebyshev distance exactly r
+// from cell (ucx,ucy) and folds their points into the octant bests. It
+// skips a side of the ring when every octant the side can hold is
+// settled: the side's points lie at least r−1 whole cells from u along
+// its axis, and both metrics are at least the axis displacement, so a
+// side is skipped when (r−1)·cell exceeds min(cutoff[o], bestD[o]) for
+// each of its octants. The comparison is strict because a point at
+// exactly bestD[o] may still win the tie on id. A skipped or
+// out-of-grid side stays so on every later ring (the bound grows,
+// bestD only shrinks), so scanRing reports whether it scanned any side:
+// once it scans none, no later ring can change a best.
+func (ix *Index) scanRing(i int, u Point, ucx, ucy, r int, cutoff, bestD *[Octants]float64, bestID *[Octants]int32) bool {
 	if r == 0 {
 		ix.scanCell(i, u, ucx, ucy, bestD, bestID)
-		return
+		return true
 	}
+	lowY := float64(r-1) * ix.cellH
+	lowX := float64(r-1) * ix.cellW
 	x0, x1 := ucx-r, ucx+r
 	y0, y1 := ucy-r, ucy+r
-	// Top and bottom rows of the ring (full width, clamped).
-	for _, cy := range [2]int{y0, y1} {
-		if cy < 0 || cy >= ix.ny {
+	scanned := false
+	// Bottom and top rows of the ring (full width, clamped).
+	for _, row := range [2]struct {
+		cy  int
+		oct uint8
+	}{{y0, octBelow}, {y1, octAbove}} {
+		if row.cy < 0 || row.cy >= ix.ny || settled(lowY, row.oct, cutoff, bestD) {
 			continue
 		}
+		scanned = true
 		for cx := maxIntGeom(x0, 0); cx <= minIntGeom(x1, ix.nx-1); cx++ {
-			ix.scanCell(i, u, cx, cy, bestD, bestID)
+			ix.scanCell(i, u, cx, row.cy, bestD, bestID)
 		}
 	}
-	// Left and right columns, excluding the corners already visited.
-	for _, cx := range [2]int{x0, x1} {
-		if cx < 0 || cx >= ix.nx {
+	// Left and right columns, excluding the corners (the rows own them).
+	for _, col := range [2]struct {
+		cx  int
+		oct uint8
+	}{{x0, octLeft}, {x1, octRight}} {
+		if col.cx < 0 || col.cx >= ix.nx || settled(lowX, col.oct, cutoff, bestD) {
 			continue
 		}
+		scanned = true
 		for cy := maxIntGeom(y0+1, 0); cy <= minIntGeom(y1-1, ix.ny-1); cy++ {
-			ix.scanCell(i, u, cx, cy, bestD, bestID)
+			ix.scanCell(i, u, col.cx, cy, bestD, bestID)
 		}
 	}
+	return scanned
+}
+
+// settled reports whether no point at distance low or more can enter
+// any octant of the set oct: each such octant is provably empty that
+// far out (cutoff) or already holds a strictly closer point.
+func settled(low float64, oct uint8, cutoff, bestD *[Octants]float64) bool {
+	for o := 0; o < Octants; o++ {
+		if oct>>o&1 != 0 && low <= cutoff[o] && low <= bestD[o] {
+			return false
+		}
+	}
+	return true
 }
 
 // scanCell tests every point of cell (cx,cy) against point i's octant

@@ -38,48 +38,86 @@ func bruteOctantNearest(pts []Point, m Metric, i int) ([Octants]int32, [Octants]
 	return bestID, bestD
 }
 
-func TestIndexOctantNearestMatchesBruteForce(t *testing.T) {
-	for _, m := range []Metric{Manhattan, Euclidean} {
-		for _, n := range []int{1, 2, 3, 10, 57, 200} {
-			rng := rand.New(rand.NewSource(int64(31*n) + int64(m)))
-			pts := randIndexPoints(rng, n)
-			ix := NewIndex(pts, m)
-			for i := 0; i < n; i++ {
-				wantID, wantD := bruteOctantNearest(pts, m, i)
-				for o := 0; o < Octants; o++ {
-					j, d, ok := ix.Neighbor(i, o)
-					if ok != (wantID[o] >= 0) || (ok && (int32(j) != wantID[o] || d != wantD[o])) {
-						t.Fatalf("%v n=%d point %d octant %d: got (%d,%g,%v) want (%d,%g)",
-							m, n, i, o, j, d, ok, wantID[o], wantD[o])
-					}
-				}
+// checkIndexMatchesBrute fails unless every octant slot of every point
+// agrees with bruteOctantNearest, id and distance bit for bit.
+func checkIndexMatchesBrute(t *testing.T, name string, pts []Point, m Metric) {
+	t.Helper()
+	ix := NewIndex(pts, m)
+	for i := range pts {
+		wantID, wantD := bruteOctantNearest(pts, m, i)
+		for o := 0; o < Octants; o++ {
+			j, d, ok := ix.Neighbor(i, o)
+			if ok != (wantID[o] >= 0) || (ok && (int32(j) != wantID[o] || d != wantD[o])) {
+				t.Fatalf("%s %v n=%d point %d octant %d: got (%d,%g,%v) want (%d,%g)",
+					name, m, len(pts), i, o, j, d, ok, wantID[o], wantD[o])
 			}
 		}
 	}
 }
 
-// TestIndexDegenerateLayouts covers collapsed bounding boxes: collinear
-// point sets have zero extent on one axis and must still index cleanly.
+// randBox draws n points uniformly from the w×h box at the origin.
+func randBox(rng *rand.Rand, n int, w, h float64) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: rng.Float64() * w, Y: rng.Float64() * h}
+	}
+	return pts
+}
+
+// TestIndexOctantNearestMatchesBruteForce checks the ring search,
+// including its side pruning, against a brute-force scan on layouts
+// that shape the grid differently: uniform squares, strips and a 1:50
+// box (cells far from square, so the row and column bounds differ),
+// clusters (most cells empty), and points exactly on cell boundaries
+// (the bounding box is [0,100]², the grid 10×10, every coordinate a
+// multiple of 10).
+func TestIndexOctantNearestMatchesBruteForce(t *testing.T) {
+	for _, m := range []Metric{Manhattan, Euclidean} {
+		for _, n := range []int{1, 2, 3, 10, 57, 200} {
+			rng := rand.New(rand.NewSource(int64(31*n) + int64(m)))
+			checkIndexMatchesBrute(t, "uniform", randIndexPoints(rng, n), m)
+		}
+		rng := rand.New(rand.NewSource(int64(m) + 7))
+		checkIndexMatchesBrute(t, "strip1000x10", randBox(rng, 600, 1000, 10), m)
+		checkIndexMatchesBrute(t, "strip10x1000", randBox(rng, 600, 10, 1000), m)
+		checkIndexMatchesBrute(t, "box1:50", randBox(rng, 1000, 20, 1000), m)
+		checkIndexMatchesBrute(t, "box50:1", randBox(rng, 1000, 1000, 20), m)
+
+		var clusters []Point
+		for c := 0; c < 4; c++ {
+			cx, cy := rng.Float64()*1000, rng.Float64()*1000
+			for k := 0; k < 150; k++ {
+				clusters = append(clusters, Point{X: cx + rng.NormFloat64()*5, Y: cy + rng.NormFloat64()*5})
+			}
+		}
+		checkIndexMatchesBrute(t, "clusters", clusters, m)
+
+		onEdges := []Point{{0, 0}, {100, 100}}
+		for len(onEdges) < 100 {
+			onEdges = append(onEdges, Point{X: float64(10 * rng.Intn(11)), Y: float64(10 * rng.Intn(11))})
+		}
+		checkIndexMatchesBrute(t, "cell-boundaries", onEdges, m)
+	}
+}
+
+// TestIndexDegenerateLayouts covers collapsed and extreme bounding
+// boxes: collinear point sets have zero extent on one axis and must
+// still index cleanly, and so must near-collinear strips, a cluster
+// with one far outlier, and coincident points.
 func TestIndexDegenerateLayouts(t *testing.T) {
 	layouts := map[string][]Point{
-		"horizontal": {{0, 5}, {1, 5}, {2, 5}, {9, 5}},
-		"vertical":   {{3, 0}, {3, 2}, {3, 7}, {3, 8}},
-		"single":     {{4, 4}},
-		"coincident": {{1, 1}, {1, 1}, {1, 1}},
+		"horizontal":  {{0, 5}, {1, 5}, {2, 5}, {9, 5}},
+		"vertical":    {{3, 0}, {3, 2}, {3, 7}, {3, 8}},
+		"single":      {{4, 4}},
+		"coincident":  {{1, 1}, {1, 1}, {1, 1}},
+		"thin-x":      {{0, 0}, {250, 1e-9}, {500, 0}, {750, 2e-9}, {1000, 1e-9}, {125, 0}},
+		"thin-y":      {{0, 0}, {1e-9, 250}, {0, 500}, {2e-9, 750}, {1e-9, 1000}, {0, 125}},
+		"outlier":     {{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.5, 0.5}, {1e6, 1e6}},
+		"lattice1:50": {{0, 0}, {1, 0}, {2, 0}, {0, 50}, {1, 50}, {2, 50}, {0, 100}, {1, 100}, {2, 100}},
 	}
 	for name, pts := range layouts {
 		for _, m := range []Metric{Manhattan, Euclidean} {
-			ix := NewIndex(pts, m)
-			for i := range pts {
-				wantID, wantD := bruteOctantNearest(pts, m, i)
-				for o := 0; o < Octants; o++ {
-					j, d, ok := ix.Neighbor(i, o)
-					if ok != (wantID[o] >= 0) || (ok && (int32(j) != wantID[o] || d != wantD[o])) {
-						t.Fatalf("%s %v point %d octant %d: got (%d,%g,%v) want (%d,%g)",
-							name, m, i, o, j, d, ok, wantID[o], wantD[o])
-					}
-				}
-			}
+			checkIndexMatchesBrute(t, name, pts, m)
 		}
 	}
 }
@@ -106,6 +144,10 @@ func TestOctantPartition(t *testing.T) {
 	}
 }
 
+// TestIndexCountersAndMemBytes checks the search counters and the
+// accessors, and pins the search effort on a uniform n = 10⁴ set: the
+// side-pruned ring search probes 60.8 cells per point under L1 and 45.4
+// under L2 there, so a search that stops later, side or ring, fails.
 func TestIndexCountersAndMemBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pts := randIndexPoints(rng, 64)
@@ -121,5 +163,17 @@ func TestIndexCountersAndMemBytes(t *testing.T) {
 	}
 	if d := ix.Dist(0, 1); d != Euclidean.Dist(pts[0], pts[1]) {
 		t.Fatalf("Dist oracle mismatch: %g", d)
+	}
+
+	const n = 10000
+	uniform := randIndexPoints(rand.New(rand.NewSource(1)), n)
+	for _, c := range []struct {
+		m        Metric
+		maxProbe float64
+	}{{Manhattan, 65}, {Euclidean, 50}} {
+		ix := NewIndex(uniform, c.m)
+		if per := float64(ix.Probes()) / n; per > c.maxProbe {
+			t.Errorf("%v: %.1f probes per point on a uniform n = %d set, want at most %g", c.m, per, n, c.maxProbe)
+		}
 	}
 }

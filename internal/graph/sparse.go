@@ -12,12 +12,7 @@ package graph
 // it eagerly, and identical to the dense scan wherever the two edge
 // sets coincide.
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // EdgeSeq is the consumer-side view of an ordered edge source: Next
 // yields edges in nondecreasing weight order (compareEdges order) until
@@ -40,20 +35,29 @@ var _ EdgeSeq = (*EdgeStream)(nil)
 // for both metrics — see geom.Index) united with the star of direct
 // edges from root (by repository convention the source, so bounded
 // constructions can always complete). Edges are canonical (U < V),
-// deduplicated, and at most (Octants+1)·n of them; weights come from
-// the index's metric, bit-identical to the dense matrix entries. The
-// result is sorted by (U,V), not by weight — order it with SortEdges or
-// stream it through NewEdgeStreamFrom.
+// distinct, and at most (Octants+1)·n of them; weights come from the
+// index's metric, bit-identical to the dense matrix entries. The order
+// is generation order, not weight order — order the set with SortEdges
+// or stream it through NewEdgeStreamFrom, whose strict total order
+// makes the result independent of the input order.
 func NeighborEdges(ix *geom.Index, root int) []Edge {
 	n := ix.Len()
 	if n == 0 {
 		return nil
 	}
 	edges := make([]Edge, 0, (geom.Octants+1)*n)
+	// Every pair is emitted once, without a dedupe pass: the star owns
+	// the pairs at root, and a pair {i, j} that both endpoints list
+	// belongs to the smaller one. A point is listed at most once by
+	// another (it lies in one octant of it), so each side's scan emits
+	// a pair at most once.
 	for i := 0; i < n; i++ {
+		if i == root {
+			continue
+		}
 		for o := 0; o < geom.Octants; o++ {
 			j, d, ok := ix.Neighbor(i, o)
-			if !ok {
+			if !ok || j == root || (j < i && lists(ix, j, i)) {
 				continue
 			}
 			edges = append(edges, Edge{U: i, V: j, W: d}.Canon())
@@ -65,22 +69,17 @@ func NeighborEdges(ix *geom.Index, root int) []Edge {
 		}
 		edges = append(edges, Edge{U: root, V: v, W: ix.Dist(root, v)}.Canon())
 	}
-	// Deduplicate without map iteration (deterministic by construction):
-	// sort by the canonical endpoint pair and compact runs in place.
-	// Duplicates carry bit-identical weights — every occurrence of a
-	// pair computes the same metric distance — so keeping the first of a
-	// run loses nothing.
-	slices.SortFunc(edges, func(a, b Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	out := edges[:0]
-	for _, e := range edges {
-		if len(out) > 0 && out[len(out)-1].U == e.U && out[len(out)-1].V == e.V {
-			continue
+	return edges
+}
+
+// lists reports whether i is one of point j's octant neighbors.
+func lists(ix *geom.Index, j, i int) bool {
+	for o := 0; o < geom.Octants; o++ {
+		if k, _, ok := ix.Neighbor(j, o); ok && k == i {
+			return true
 		}
-		out = append(out, e)
 	}
-	return out
+	return false
 }
 
 // NewSparseEdgeStream builds a lazy sorted stream over the sparse

@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -44,6 +48,86 @@ func TestNeighborEdgesWellFormed(t *testing.T) {
 			}
 			if starSeen != n-1 {
 				t.Fatalf("%v n=%d: source star incomplete: %d of %d edges", m, n, starSeen, n-1)
+			}
+		}
+	}
+}
+
+// sortDedupeNeighborEdges is the reference NeighborEdges: every octant
+// edge of every point plus the star, sorted by the canonical endpoint
+// pair and compacted to the first edge of each run.
+func sortDedupeNeighborEdges(ix *geom.Index, root int) []Edge {
+	n := ix.Len()
+	var edges []Edge
+	for i := 0; i < n; i++ {
+		for o := 0; o < geom.Octants; o++ {
+			if j, d, ok := ix.Neighbor(i, o); ok {
+				edges = append(edges, Edge{U: i, V: j, W: d}.Canon())
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		if v != root {
+			edges = append(edges, Edge{U: root, V: v, W: ix.Dist(root, v)}.Canon())
+		}
+	}
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return slices.CompactFunc(edges, func(a, b Edge) bool { return a.U == b.U && a.V == b.V })
+}
+
+// latticePoints lays out a w×h integer lattice, row by row.
+func latticePoints(w, h int) []geom.Point {
+	pts := make([]geom.Point, 0, w*h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			pts = append(pts, geom.Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	return pts
+}
+
+// TestNeighborEdgesMatchesSortDedupe pins the one-pass dedupe against
+// the sort-and-compact it replaced: the same edge set, each edge with a
+// bit-identical weight, on both metrics, with the star rooted at 0 and
+// mid-set, over layouts that stress ties (lattices, coincident points)
+// and skewed grids (strips).
+func TestNeighborEdgesMatchesSortDedupe(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	coincident := make([]geom.Point, 300)
+	for i := range coincident {
+		coincident[i] = geom.Point{X: float64(rng.Intn(4)), Y: float64(rng.Intn(4))}
+	}
+	layouts := []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"random", randSparsePoints(rng, 2000)},
+		{"lattice", latticePoints(40, 40)},
+		{"coincident", coincident},
+		{"strip1000x10", latticePoints(1000, 10)},
+		{"strip10x1000", latticePoints(10, 1000)},
+	}
+	for _, l := range layouts {
+		for _, m := range []geom.Metric{geom.Manhattan, geom.Euclidean} {
+			ix := geom.NewIndex(l.pts, m)
+			for _, root := range []int{0, len(l.pts) / 2} {
+				name := fmt.Sprintf("%s/%v/root=%d", l.name, m, root)
+				got := NeighborEdges(ix, root)
+				want := sortDedupeNeighborEdges(ix, root)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d edges, reference has %d", name, len(got), len(want))
+				}
+				slices.SortFunc(got, func(a, b Edge) int {
+					return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+				})
+				for k := range got {
+					g, w := got[k], want[k]
+					if g.U != w.U || g.V != w.V || math.Float64bits(g.W) != math.Float64bits(w.W) {
+						t.Fatalf("%s: edge %d is %v, reference %v", name, k, g, w)
+					}
+				}
 			}
 		}
 	}
