@@ -362,21 +362,11 @@ type BufferedTree struct {
 	bt  *delay.BufferedTree
 }
 
-// InsertBuffers greedily places up to maxBuffers repeaters on the tree
-// to minimize its worst source-sink Elmore delay.
-func InsertBuffers(t *Tree, m RCModel, buf BufferSpec, maxBuffers int) (*BufferedTree, error) {
-	bt, err := delay.InsertBuffers(t.t, m, buf, maxBuffers)
-	if err != nil {
-		return nil, err
-	}
-	return &BufferedTree{net: t.net, bt: bt}, nil
-}
-
-// InsertBuffersOptimal places buffers by van Ginneken's dynamic program:
-// provably minimal worst Elmore delay over placements at tree nodes
-// (maxBuffers < 0 = unlimited). Exponential-free: the DP prunes
+// InsertBuffers places up to maxBuffers repeaters (< 0 = unlimited) on
+// the tree by van Ginneken's dynamic program: the minimal worst
+// source-sink Elmore delay over placements at tree nodes. The DP prunes
 // dominated (capacitance, required-time) options bottom-up.
-func InsertBuffersOptimal(t *Tree, m RCModel, buf BufferSpec, maxBuffers int) (*BufferedTree, error) {
+func InsertBuffers(t *Tree, m RCModel, buf BufferSpec, maxBuffers int) (*BufferedTree, error) {
 	bt, err := delay.VanGinneken(t.t, m, buf, maxBuffers)
 	if err != nil {
 		return nil, err

@@ -107,25 +107,3 @@ func TestSizeWiresFacade(t *testing.T) {
 		t.Error("bad width set accepted")
 	}
 }
-
-func TestInsertBuffersOptimalFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := randomNet(rng, 9, 400)
-	m := RCModel{RUnit: 0.3, CUnit: 0.3, RDriver: 6, CDriver: 1}
-	tree, err := BKRUS(n, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := BufferSpec{RDrive: 0.4, CIn: 0.4, Delay: 3}
-	optimal, err := InsertBuffersOptimal(tree, m, buf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	greedy, err := InsertBuffers(tree, m, buf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if optimal.WorstDelay() > greedy.WorstDelay()+1e-9 {
-		t.Errorf("optimal (%v) lost to greedy (%v)", optimal.WorstDelay(), greedy.WorstDelay())
-	}
-}

@@ -2,8 +2,6 @@ package delay
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -34,9 +32,6 @@ type BufferedTree struct {
 	Model Model
 	Buf   Buffer
 	At    []bool // At[v]: a buffer sits at node v (never the source)
-	fa    []int
-	order []int // pre-order from the source
-	faLen []float64
 }
 
 // NewBufferedTree prepares buffered-delay computation for tree t with
@@ -58,54 +53,7 @@ func NewBufferedTree(t *graph.Tree, m Model, buf Buffer, at []bool) (*BufferedTr
 	if at[graph.Source] {
 		return nil, fmt.Errorf("delay: the source already drives the net; no buffer allowed there")
 	}
-	bt := &BufferedTree{Tree: t, Model: m, Buf: buf, At: append([]bool(nil), at...)}
-	bt.index()
-	return bt, nil
-}
-
-func (bt *BufferedTree) index() {
-	t := bt.Tree
-	adj := t.Adjacency()
-	bt.fa = make([]int, t.N)
-	bt.faLen = make([]float64, t.N)
-	bt.order = make([]int, 0, t.N)
-	seen := make([]bool, t.N)
-	seen[graph.Source] = true
-	bt.fa[graph.Source] = -1
-	stack := []int{graph.Source}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		bt.order = append(bt.order, u)
-		for _, a := range adj[u] {
-			if !seen[a.To] {
-				seen[a.To] = true
-				bt.fa[a.To] = u
-				bt.faLen[a.To] = a.W
-				stack = append(stack, a.To)
-			}
-		}
-	}
-}
-
-// stageCaps returns, for every node, the capacitance of its downstream
-// stage subtree: the wire and load caps below it, with buffered subtrees
-// replaced by the buffer input capacitance.
-func (bt *BufferedTree) stageCaps() []float64 {
-	caps := make([]float64, bt.Tree.N)
-	m := bt.Model
-	for i := len(bt.order) - 1; i >= 0; i-- {
-		v := bt.order[i]
-		caps[v] += m.LoadAt(v)
-		if p := bt.fa[v]; p >= 0 {
-			contribution := caps[v]
-			if bt.At[v] {
-				contribution = bt.Buf.CIn // subtree decoupled
-			}
-			caps[p] += contribution + m.CUnit*bt.faLen[v]
-		}
-	}
-	return caps
+	return &BufferedTree{Tree: t, Model: m, Buf: buf, At: append([]bool(nil), at...)}, nil
 }
 
 // Delays returns the source-to-node delay of every node, staged through
@@ -113,37 +61,14 @@ func (bt *BufferedTree) stageCaps() []float64 {
 // its stage's RC tree; crossing a buffer adds its intrinsic delay plus
 // its drive delay into the downstream stage capacitance.
 func (bt *BufferedTree) Delays() []float64 {
-	m := bt.Model
-	caps := bt.stageCaps()
-	d := make([]float64, bt.Tree.N)
-	d[graph.Source] = m.RDriver * (m.CDriver + caps[graph.Source])
-	for _, v := range bt.order[1:] {
-		p := bt.fa[v]
-		l := bt.faLen[v]
-		// wire delay within the parent's stage, charged against the
-		// downstream cap as seen by that stage
-		downstream := caps[v]
-		if bt.At[v] {
-			downstream = bt.Buf.CIn
-		}
-		d[v] = d[p] + m.RUnit*l*(m.CUnit*l/2+downstream)
-		if bt.At[v] {
-			// the signal re-launches here
-			d[v] += bt.Buf.Delay + bt.Buf.RDrive*caps[v]
-		}
-	}
+	t := bt.Tree
+	d, _ := new(rooted).hang(t.N, t.Edges, graph.Source).fold(rc{m: bt.Model, buf: bt.Buf, at: bt.At}, true)
 	return d
 }
 
 // WorstDelay returns the maximum source-sink delay.
 func (bt *BufferedTree) WorstDelay() float64 {
-	var r float64
-	for v, dv := range bt.Delays() {
-		if v != graph.Source && dv > r {
-			r = dv
-		}
-	}
-	return r
+	return worst(bt.Delays())
 }
 
 // NumBuffers returns how many buffers are placed.
@@ -155,57 +80,4 @@ func (bt *BufferedTree) NumBuffers() int {
 		}
 	}
 	return n
-}
-
-// InsertBuffers greedily places up to maxBuffers repeaters on the tree
-// to minimize the worst source-sink Elmore delay: at each step it tries
-// every unbuffered non-source node and keeps the placement with the
-// largest improvement, stopping when no placement helps. Greedy
-// placement is not optimal (van Ginneken's dynamic program is), but it
-// demonstrates the §8 buffering effect and is a sound upper bound.
-func InsertBuffers(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedTree, error) {
-	at := make([]bool, t.N)
-	bt, err := NewBufferedTree(t, m, buf, at)
-	if err != nil {
-		return nil, err
-	}
-	best := bt.WorstDelay()
-	for placed := 0; placed < maxBuffers; placed++ {
-		bestNode := -1
-		// deterministic candidate order
-		candidates := make([]int, 0, t.N-1)
-		for v := 1; v < t.N; v++ {
-			if !bt.At[v] {
-				candidates = append(candidates, v)
-			}
-		}
-		sort.Ints(candidates)
-		for _, v := range candidates {
-			bt.At[v] = true
-			if w := bt.WorstDelay(); w < best-1e-12 {
-				best = w
-				bestNode = v
-			}
-			bt.At[v] = false
-		}
-		if bestNode == -1 {
-			break
-		}
-		bt.At[bestNode] = true
-	}
-	return bt, nil
-}
-
-// BufferImprovement returns the relative worst-delay reduction of a
-// buffered tree over the unbuffered one (0 = no gain).
-func BufferImprovement(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (float64, error) {
-	unbuffered := SourceRadius(t, m)
-	bt, err := InsertBuffers(t, m, buf, maxBuffers)
-	if err != nil {
-		return 0, err
-	}
-	if unbuffered == 0 {
-		return 0, nil
-	}
-	return math.Max(0, 1-bt.WorstDelay()/unbuffered), nil
 }

@@ -61,7 +61,7 @@ func TestUnbufferedMatchesSourceDelays(t *testing.T) {
 	want := SourceDelays(tr, m)
 	got := bt.Delays()
 	for v := range want {
-		if math.Abs(got[v]-want[v]) > 1e-9 {
+		if got[v] != want[v] {
 			t.Errorf("node %d: buffered(none) %v vs plain %v", v, got[v], want[v])
 		}
 	}
@@ -89,58 +89,5 @@ func TestBufferedDelayHandComputed(t *testing.T) {
 	}
 	if bt.NumBuffers() != 1 {
 		t.Errorf("NumBuffers = %d", bt.NumBuffers())
-	}
-}
-
-// A weak driver on a long heavily loaded chain: buffering must help.
-func TestInsertBuffersImprovesLongChain(t *testing.T) {
-	n := 12
-	tr := chainTree(n, 10)
-	loads := make([]float64, n)
-	for i := 1; i < n; i++ {
-		loads[i] = 2
-	}
-	m := Model{RUnit: 0.5, CUnit: 0.5, RDriver: 10, CDriver: 1, Load: loads}
-	buf := Buffer{RDrive: 0.5, CIn: 0.2, Delay: 3}
-	improvement, err := BufferImprovement(tr, m, buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if improvement < 0.3 {
-		t.Errorf("buffering improved worst delay only %.1f%%, expected > 30%%", improvement*100)
-	}
-}
-
-func TestInsertBuffersNeverHurts(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		pts := make([]geom.Point, 8)
-		for i := range pts {
-			pts[i] = geom.Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
-		}
-		in := inst.MustNew(geom.Point{}, pts, geom.Manhattan)
-		tr := mst.Kruskal(in.DistMatrix())
-		m := Model{RUnit: 0.2, CUnit: 0.3, RDriver: 3, CDriver: 1}
-		buf := Buffer{RDrive: 1, CIn: 0.3, Delay: 2}
-		bt, err := InsertBuffers(tr, m, buf, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bt.WorstDelay() > SourceRadius(tr, m)+1e-9 {
-			t.Errorf("trial %d: buffering made the worst delay worse", trial)
-		}
-	}
-}
-
-func TestInsertBuffersRespectsLimit(t *testing.T) {
-	tr := chainTree(10, 10)
-	m := Model{RUnit: 0.5, CUnit: 0.5, RDriver: 10, CDriver: 1}
-	buf := Buffer{RDrive: 0.2, CIn: 0.1, Delay: 0.5}
-	bt, err := InsertBuffers(tr, m, buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bt.NumBuffers() > 2 {
-		t.Errorf("placed %d buffers, limit 2", bt.NumBuffers())
 	}
 }

@@ -62,104 +62,162 @@ func (m Model) LoadAt(i int) float64 {
 	return 0
 }
 
-// componentDelays computes Elmore delays from root across the connected
-// component of root in the given edge set. It returns the delay of every
-// reached node (delays[x] = NaN for unreached nodes), and the total
-// capacitance of the component (wire + loads), which is what the driver
-// sees when root is the source. The driver term is NOT included.
-func componentDelays(n int, edges []graph.Edge, root int, m Model) (delays []float64, totalCap float64) {
-	adj := make([][]graph.Adj, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], graph.Adj{To: e.V, W: e.W})
-		adj[e.V] = append(adj[e.V], graph.Adj{To: e.U, W: e.W})
+// rooted is a tree hung from one root: the pre-order of the nodes the
+// root reaches and, per node, its parent (-1 at the root, -2 when
+// unreached), the length of the edge to the parent and that edge's index
+// in the edge list. It is the one rooting pass behind every Elmore
+// evaluation in this package; hang reuses its slices.
+type rooted struct {
+	order  []int
+	parent []int
+	length []float64
+	edge   []int
+	adj    [][]half // scratch: per-node half-edges in edge order
+	stack  []int    // scratch: DFS stack
+}
+
+// half is one direction of an edge: the far endpoint and the edge index.
+type half struct{ to, edge int }
+
+// hang roots the n-node edge set at root by a stack DFS over adjacency
+// built in edge order, so every capacitance sum over the result keeps
+// one summation order. It returns rt for chaining.
+func (rt *rooted) hang(n int, edges []graph.Edge, root int) *rooted {
+	if cap(rt.parent) < n {
+		rt.parent, rt.length, rt.edge = make([]int, n), make([]float64, n), make([]int, n)
+		rt.adj = make([][]half, n)
 	}
-	delays = make([]float64, n)
-	for i := range delays {
-		delays[i] = math.NaN()
+	rt.parent, rt.length, rt.edge, rt.adj = rt.parent[:n], rt.length[:n], rt.edge[:n], rt.adj[:n]
+	for u := range rt.adj {
+		rt.adj[u] = rt.adj[u][:0]
+		rt.parent[u] = -2
 	}
-	// Post-order: downstream capacitance below each node (rooted at root).
-	caps := make([]float64, n)
-	parent := make([]int, n)
-	parentLen := make([]float64, n)
-	order := make([]int, 0, n)
-	for i := range parent {
-		parent[i] = -2 // unvisited
+	for i, e := range edges {
+		rt.adj[e.U] = append(rt.adj[e.U], half{to: e.V, edge: i})
+		rt.adj[e.V] = append(rt.adj[e.V], half{to: e.U, edge: i})
 	}
-	parent[root] = -1
-	stack := []int{root}
+	rt.parent[root] = -1
+	rt.order = rt.order[:0]
+	stack := append(rt.stack[:0], root)
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		order = append(order, u)
-		for _, a := range adj[u] {
-			if parent[a.To] == -2 {
-				parent[a.To] = u
-				parentLen[a.To] = a.W
-				stack = append(stack, a.To)
+		rt.order = append(rt.order, u)
+		for _, h := range rt.adj[u] {
+			if rt.parent[h.to] == -2 {
+				rt.parent[h.to] = u
+				rt.length[h.to] = edges[h.edge].W
+				rt.edge[h.to] = h.edge
+				stack = append(stack, h.to)
 			}
 		}
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		k := order[i]
-		caps[k] += m.LoadAt(k)
-		if p := parent[k]; p >= 0 {
-			caps[p] += caps[k] + m.CUnit*parentLen[k]
+	rt.stack = stack
+	return rt
+}
+
+// rc is what the fold reads besides the rooted tree: the RC model, the
+// optional per-edge wire widths (nil means width 1) and the optional
+// per-node buffers (nil at means none).
+type rc struct {
+	m      Model
+	widths []float64
+	buf    Buffer
+	at     []bool
+}
+
+// fold evaluates the rooted tree under c. Post-order, it sums every
+// node's downstream capacitance: its load, its children's, and their
+// wires'. A wire of width w has resistance r_s·l/w and capacitance
+// c_s·l·w; a buffered child presents only its input capacitance.
+// Pre-order, it accumulates delays from the root's start value: the
+// driver term r_d·(c_d + C_root) when driver is set, else 0. A buffer
+// adds its intrinsic delay and drive into its own subtree. Unreached
+// nodes get NaN. total is the root's downstream capacitance.
+func (rt *rooted) fold(c rc, driver bool) (d []float64, total float64) {
+	m := c.m
+	n := len(rt.parent)
+	width := func(v int) float64 {
+		if c.widths == nil {
+			return 1
+		}
+		return c.widths[rt.edge[v]]
+	}
+	buffered := func(v int) bool { return c.at != nil && c.at[v] }
+	caps := make([]float64, n)
+	for i := len(rt.order) - 1; i >= 0; i-- {
+		v := rt.order[i]
+		caps[v] += m.LoadAt(v)
+		if p := rt.parent[v]; p >= 0 {
+			up := caps[v]
+			if buffered(v) {
+				up = c.buf.CIn
+			}
+			caps[p] += up + m.CUnit*rt.length[v]*width(v)
 		}
 	}
-	totalCap = caps[root]
-	// Pre-order: accumulate delays down the tree.
-	delays[root] = 0
-	for _, k := range order[1:] {
-		l := parentLen[k]
-		delays[k] = delays[parent[k]] + m.RUnit*l*(m.CUnit*l/2+caps[k])
+	d = make([]float64, n)
+	for i := range d {
+		d[i] = math.NaN()
 	}
-	return delays, totalCap
+	root := rt.order[0]
+	total = caps[root]
+	d[root] = 0
+	if driver {
+		d[root] = m.RDriver * (m.CDriver + total)
+	}
+	for _, v := range rt.order[1:] {
+		l, w := rt.length[v], width(v)
+		down := caps[v]
+		if buffered(v) {
+			down = c.buf.CIn
+		}
+		d[v] = d[rt.parent[v]] + m.RUnit*l/w*(m.CUnit*l*w/2+down)
+		if buffered(v) {
+			d[v] += c.buf.Delay + c.buf.RDrive*caps[v]
+		}
+	}
+	return d, total
+}
+
+// worst returns the largest delay at any node but the source; NaN
+// (unreached) never wins.
+func worst(d []float64) float64 {
+	var r float64
+	for v, dv := range d {
+		if v != graph.Source && dv > r {
+			r = dv
+		}
+	}
+	return r
 }
 
 // SourceDelays returns the Elmore delay from the source (node 0) to every
-// node of tree t, including the driver term r_d·(c_d + C_total).
+// node of tree t, starting from the driver term r_d·(c_d + C_total).
 // Unreachable nodes get NaN.
 func SourceDelays(t *graph.Tree, m Model) []float64 {
-	delays, total := componentDelays(t.N, t.Edges, graph.Source, m)
-	driver := m.RDriver * (m.CDriver + total)
-	for i := range delays {
-		if !math.IsNaN(delays[i]) {
-			delays[i] += driver
-		}
-	}
-	return delays
+	d, _ := new(rooted).hang(t.N, t.Edges, graph.Source).fold(rc{m: m}, true)
+	return d
 }
 
 // DelaysFromNode returns Elmore delays from an arbitrary node (tree
 // re-rooted there, no driver term), the paper's delay(u,v).
 func DelaysFromNode(t *graph.Tree, root int, m Model) []float64 {
-	delays, _ := componentDelays(t.N, t.Edges, root, m)
-	return delays
+	d, _ := new(rooted).hang(t.N, t.Edges, root).fold(rc{m: m}, false)
+	return d
 }
 
 // SourceRadius returns the maximum source-sink Elmore delay of the tree,
 // the paper's r[source].
 func SourceRadius(t *graph.Tree, m Model) float64 {
-	var r float64
-	for v, d := range SourceDelays(t, m) {
-		if v != graph.Source && d > r {
-			r = d
-		}
-	}
-	return r
+	return worst(SourceDelays(t, m))
 }
 
 // StarR returns the paper's R under the Elmore model: the worst
 // source-sink delay of the shortest path tree, which on a metric plane is
 // the star of direct source-sink wires.
 func StarR(in *inst.Instance, m Model) float64 {
-	dm := in.DistMatrix()
-	n := in.N()
-	star := graph.NewTree(n)
-	for v := 1; v < n; v++ {
-		star.AddEdge(graph.Source, v, dm.At(graph.Source, v))
-	}
-	return SourceRadius(star, m)
+	return SourceRadius(starTree(in), m)
 }
 
 // withinBound reports v <= bound within the same relative tolerance the
@@ -264,6 +322,7 @@ func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m 
 		totalLoad += m.LoadAt(i)
 	}
 	t := graph.NewTree(n)
+	var rt rooted // rooting scratch shared by every feasibility test
 
 	chk := cancel.New(ctx, 16)
 	for len(t.Edges) < n-1 {
@@ -292,7 +351,7 @@ func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m 
 		srcIn := ds.Same(graph.Source, ed.U) || ds.Same(graph.Source, ed.V)
 		var ok bool
 		if srcIn {
-			delays, total := componentDelays(n, merged, graph.Source, m)
+			delays, total := rt.hang(n, merged, graph.Source).fold(rc{m: m}, false)
 			driver := m.RDriver * (m.CDriver + total + pendingLoad)
 			ok = true
 			for v := range delays {
@@ -302,7 +361,7 @@ func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m 
 				}
 			}
 		} else {
-			ok = elmoreWitnessExists(n, merged, ds, ed, dm, m, bound, pendingLoad)
+			ok = elmoreWitnessExists(&rt, n, merged, ds, ed, dm, m, bound, pendingLoad)
 		}
 		if !ok {
 			continue
@@ -324,9 +383,10 @@ func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m 
 // elmoreWitnessExists applies test (3-b'): some node x of the tentative
 // merged component could carry a direct source wire serving every node
 // within the bound.
-func elmoreWitnessExists(n int, merged []graph.Edge, ds *graph.DisjointSet, ed graph.Edge, dm graph.Weights, m Model, bound, pendingLoad float64) bool {
-	// Total capacitance of the merged component is root-independent.
-	_, compCap := componentDelays(n, merged, ed.U, m)
+func elmoreWitnessExists(rt *rooted, n int, merged []graph.Edge, ds *graph.DisjointSet, ed graph.Edge, dm graph.Weights, m Model, bound, pendingLoad float64) bool {
+	// Total capacitance of the merged component is root-independent up
+	// to summation order, which rooting at ed.U fixes.
+	_, compCap := rt.hang(n, merged, ed.U).fold(rc{m: m}, false)
 	candidates := make([]int, 0, ds.Size(ed.U)+ds.Size(ed.V))
 	candidates = append(candidates, ds.Members(ed.U)...)
 	candidates = append(candidates, ds.Members(ed.V)...)
@@ -337,14 +397,9 @@ func elmoreWitnessExists(n int, merged []graph.Edge, ds *graph.DisjointSet, ed g
 		if !withinBound(driver+wire, bound) {
 			continue
 		}
-		delays, _ := componentDelays(n, merged, x, m)
-		var radius float64
-		for v := range delays {
-			if !math.IsNaN(delays[v]) && delays[v] > radius {
-				radius = delays[v]
-			}
-		}
-		if withinBound(driver+wire+radius, bound) {
+		// The component is source-free, so worst skips nothing reached.
+		delays, _ := rt.hang(n, merged, x).fold(rc{m: m}, false)
+		if withinBound(driver+wire+worst(delays), bound) {
 			return true
 		}
 	}

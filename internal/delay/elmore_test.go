@@ -1,6 +1,8 @@
 package delay
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -269,6 +271,50 @@ func TestBKRUSElmoreSingleSink(t *testing.T) {
 	}
 	if len(tr.Edges) != 1 {
 		t.Errorf("edges = %v", tr.Edges)
+	}
+}
+
+// TestBKRUSElmoreGolden pins the trees BKRUSElmore builds, error results
+// included, over 5–50 sinks × three driver strengths × four bounds (half
+// the nets carry per-sink loads). Float-grouping changes in the Elmore
+// evaluator must leave every edge list as recorded; a deliberate change
+// of the construction re-records the digest.
+func TestBKRUSElmoreGolden(t *testing.T) {
+	const want = "b0922a14d60ea515d9fb188fb2f6425dbbb6d8091d5af5d80872931e00b04464"
+	models := []Model{
+		DefaultModel(),
+		{RUnit: 0.1, CUnit: 0.2, RDriver: 0.01, CDriver: 0.1},
+		{RUnit: 0.1, CUnit: 0.2, RDriver: 3, CDriver: 1},
+	}
+	h := sha256.New()
+	for sinks := 5; sinks <= 50; sinks += 5 {
+		rng := rand.New(rand.NewSource(int64(sinks)))
+		in := randomInstance(rng, sinks, 100)
+		var loads []float64
+		if sinks%10 == 5 {
+			loads = make([]float64, in.N())
+			for i := 1; i < in.N(); i++ {
+				loads[i] = 0.2 + rng.Float64()
+			}
+		}
+		for mi, m := range models {
+			m.Load = loads
+			for _, eps := range []float64{0, 0.05, 0.2, 1} {
+				fmt.Fprintf(h, "n=%d m=%d eps=%g:", sinks, mi, eps)
+				tr, err := BKRUSElmore(in, eps, m)
+				if err != nil {
+					fmt.Fprintf(h, "err %v\n", err)
+					continue
+				}
+				for _, e := range tr.Edges {
+					fmt.Fprintf(h, "%d-%d:%x;", e.U, e.V, math.Float64bits(e.W))
+				}
+				fmt.Fprintln(h)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("BKRUSElmore trees digest %s, want %s", got, want)
 	}
 }
 

@@ -37,70 +37,13 @@ func NewSizedTree(t *graph.Tree, m Model) (*SizedTree, error) {
 // assignment (driver term included).
 func (st *SizedTree) Delays() []float64 {
 	t := st.Tree
-	m := st.Model
-	// adjacency carrying the edge index for width lookup
-	type adj struct {
-		to, edge int
-		l        float64
-	}
-	neighbors := make([][]adj, t.N)
-	for i, e := range t.Edges {
-		neighbors[e.U] = append(neighbors[e.U], adj{to: e.V, edge: i, l: e.W})
-		neighbors[e.V] = append(neighbors[e.V], adj{to: e.U, edge: i, l: e.W})
-	}
-	fa := make([]int, t.N)
-	faEdge := make([]int, t.N)
-	faLen := make([]float64, t.N)
-	order := make([]int, 0, t.N)
-	seen := make([]bool, t.N)
-	seen[graph.Source] = true
-	fa[graph.Source] = -1
-	stack := []int{graph.Source}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, u)
-		for _, a := range neighbors[u] {
-			if !seen[a.to] {
-				seen[a.to] = true
-				fa[a.to] = u
-				faEdge[a.to] = a.edge
-				faLen[a.to] = a.l
-				stack = append(stack, a.to)
-			}
-		}
-	}
-	// post-order: downstream capacitance with width-scaled wire caps
-	caps := make([]float64, t.N)
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		caps[v] += m.LoadAt(v)
-		if p := fa[v]; p >= 0 {
-			caps[p] += caps[v] + m.CUnit*faLen[v]*st.Widths[faEdge[v]]
-		}
-	}
-	// pre-order: delays with width-scaled wire resistance
-	d := make([]float64, t.N)
-	d[graph.Source] = m.RDriver * (m.CDriver + caps[graph.Source])
-	for _, v := range order[1:] {
-		l := faLen[v]
-		w := st.Widths[faEdge[v]]
-		r := m.RUnit * l / w
-		c := m.CUnit * l * w
-		d[v] = d[fa[v]] + r*(c/2+caps[v])
-	}
+	d, _ := new(rooted).hang(t.N, t.Edges, graph.Source).fold(rc{m: st.Model, widths: st.Widths}, true)
 	return d
 }
 
 // WorstDelay returns the maximum source-sink delay under the sizing.
 func (st *SizedTree) WorstDelay() float64 {
-	var r float64
-	for v, dv := range st.Delays() {
-		if v != graph.Source && dv > r {
-			r = dv
-		}
-	}
-	return r
+	return worst(st.Delays())
 }
 
 // WireArea returns the total metal area (Σ length·width), the cost a

@@ -1,7 +1,6 @@
 package delay
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +37,7 @@ func TestUniformWidthMatchesPlainElmore(t *testing.T) {
 	want := SourceDelays(tr, m)
 	got := st.Delays()
 	for v := range want {
-		if math.Abs(got[v]-want[v]) > 1e-9 {
+		if got[v] != want[v] {
 			t.Errorf("node %d: sized(1.0) %v vs plain %v", v, got[v], want[v])
 		}
 	}

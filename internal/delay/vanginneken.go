@@ -18,8 +18,8 @@ import (
 // by summing capacitance and keeping the worse RAT, and dominated
 // options (both more capacitive and tighter) are pruned. The root
 // option with the best RAT after the driver delay yields the minimum
-// achievable worst delay; the chosen placement is reconstructed from
-// back-pointers.
+// achievable worst delay; the chosen placement is reconstructed by one
+// walk over its back-pointers.
 //
 // maxBuffers caps the number of buffers (< 0 = unlimited). Placements
 // are restricted to tree nodes (terminals), matching BufferedTree.
@@ -38,31 +38,10 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 		limit = t.N - 1
 	}
 
-	// Root the tree at the source.
-	adj := t.Adjacency()
-	fa := make([]int, t.N)
-	faLen := make([]float64, t.N)
-	order := make([]int, 0, t.N)
-	seen := make([]bool, t.N)
-	seen[graph.Source] = true
-	fa[graph.Source] = -1
-	stack := []int{graph.Source}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		order = append(order, u)
-		for _, a := range adj[u] {
-			if !seen[a.To] {
-				seen[a.To] = true
-				fa[a.To] = u
-				faLen[a.To] = a.W
-				stack = append(stack, a.To)
-			}
-		}
-	}
+	rt := new(rooted).hang(t.N, t.Edges, graph.Source)
 	children := make([][]int, t.N)
-	for _, v := range order[1:] {
-		children[fa[v]] = append(children[fa[v]], v)
+	for _, v := range rt.order[1:] {
+		children[rt.parent[v]] = append(children[rt.parent[v]], v)
 	}
 	for _, c := range children {
 		sort.Ints(c) // deterministic merge order
@@ -74,7 +53,7 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 		cap     float64
 		rat     float64
 		buffers int
-		placed  map[int]bool // buffer placement within the subtree
+		placed  *placement // buffer placement within the subtree
 	}
 	prune := func(opts []option) []option {
 		// sort by cap ascending, rat descending; keep the RAT frontier
@@ -104,13 +83,13 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 
 	opts := make([][]option, t.N)
 	// bottom-up over the reverse pre-order
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
+	for i := len(rt.order) - 1; i >= 0; i-- {
+		v := rt.order[i]
 		// start from the node's own load
-		cur := []option{{cap: m.LoadAt(v), rat: 0, placed: map[int]bool{}}}
+		cur := []option{{cap: m.LoadAt(v), rat: 0}}
 		// fold in children: wire from v to child c
 		for _, c := range children[v] {
-			l := faLen[c]
+			l := rt.length[c]
 			wireCap := m.CUnit * l
 			wireR := m.RUnit * l
 			var merged []option
@@ -122,13 +101,6 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 					if ov.buffers+oc.buffers > limit {
 						continue
 					}
-					placed := make(map[int]bool, len(ov.placed)+len(oc.placed))
-					for k := range ov.placed {
-						placed[k] = true
-					}
-					for k := range oc.placed {
-						placed[k] = true
-					}
 					rat := ov.rat
 					if childRAT < rat {
 						rat = childRAT
@@ -137,7 +109,7 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 						cap:     ov.cap + childCap,
 						rat:     rat,
 						buffers: ov.buffers + oc.buffers,
-						placed:  placed,
+						placed:  join(ov.placed, oc.placed),
 					})
 				}
 			}
@@ -150,16 +122,11 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 				if o.buffers+1 > limit {
 					continue
 				}
-				placed := make(map[int]bool, len(o.placed)+1)
-				for k := range o.placed {
-					placed[k] = true
-				}
-				placed[v] = true
 				withBuf = append(withBuf, option{
 					cap:     buf.CIn,
 					rat:     o.rat - buf.Delay - buf.RDrive*o.cap,
 					buffers: o.buffers + 1,
-					placed:  placed,
+					placed:  &placement{buf: v, rest: o.placed},
 				})
 			}
 			cur = prune(append(cur, withBuf...))
@@ -181,8 +148,36 @@ func VanGinneken(t *graph.Tree, m Model, buf Buffer, maxBuffers int) (*BufferedT
 		return nil, fmt.Errorf("delay: van Ginneken produced no options")
 	}
 	at := make([]bool, t.N)
-	for v := range opts[graph.Source][best].placed {
-		at[v] = true
-	}
+	opts[graph.Source][best].placed.mark(at)
 	return NewBufferedTree(t, m, buf, at)
+}
+
+// placement is a back-pointer of the DP: an immutable node naming one
+// buffered node (buf, or -1 for a pure merge) and the placements it
+// extends. Options share these nodes, so merging two options or adding
+// a buffer costs one allocation instead of a copy of the whole set.
+type placement struct {
+	buf         int
+	rest, other *placement
+}
+
+// join returns the union of two disjoint placements.
+func join(a, b *placement) *placement {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return &placement{buf: -1, rest: a, other: b}
+}
+
+// mark sets at[v] for every buffered node v reachable from p.
+func (p *placement) mark(at []bool) {
+	for ; p != nil; p = p.rest {
+		if p.buf >= 0 {
+			at[p.buf] = true
+		}
+		p.other.mark(at)
+	}
 }

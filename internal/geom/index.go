@@ -95,22 +95,33 @@ func NewIndex(pts []Point, m Metric) *Index {
 		return ix
 	}
 	ix.bb = Bounds(pts)
-	g := int(math.Ceil(math.Sqrt(float64(n))))
-	if g < 1 {
-		g = 1
+	// About n cells shaped like the box, so cells stay square on a
+	// skewed box: nx:ny follows W:H, each side clamped to [1, n]. A
+	// square box keeps the g×g grid.
+	g := math.Ceil(math.Sqrt(float64(n)))
+	side := func(ratio float64) int {
+		c := math.Round(g * math.Sqrt(ratio))
+		if !(c >= 1) { // NaN too
+			return 1
+		}
+		return int(math.Min(c, float64(n)))
 	}
-	ix.nx, ix.ny = g, g
-	if ix.bb.Width() <= 0 {
+	w, h := ix.bb.Width(), ix.bb.Height()
+	ix.nx, ix.ny = int(g), int(g)
+	if w > 0 && h > 0 {
+		ix.nx, ix.ny = side(w/h), side(h/w)
+	}
+	if w <= 0 {
 		ix.nx = 1
 	}
-	if ix.bb.Height() <= 0 {
+	if h <= 0 {
 		ix.ny = 1
 	}
-	ix.cellW = ix.bb.Width() / float64(ix.nx)
+	ix.cellW = w / float64(ix.nx)
 	if ix.cellW <= 0 {
 		ix.cellW = 1
 	}
-	ix.cellH = ix.bb.Height() / float64(ix.ny)
+	ix.cellH = h / float64(ix.ny)
 	if ix.cellH <= 0 {
 		ix.cellH = 1
 	}
@@ -204,7 +215,10 @@ func (ix *Index) searchOctants(i int) {
 	// cutoff[o] bounds the distance of every point that can fall in
 	// octant o: the sector's dominant axis displacement is at most the
 	// bounding-box extent that way, and both metrics satisfy
-	// dist ≤ 2·|dominant displacement|.
+	// dist ≤ 2·|dominant displacement|. An octant whose points need a
+	// strictly positive displacement along the other axis too (1, 3, 5,
+	// 7; see octant) is empty when the box has no extent that way, as
+	// on its edge rows and columns.
 	var cutoff [Octants]float64
 	xPos := 2 * (ix.bb.MaxX - u.X)
 	xNeg := 2 * (u.X - ix.bb.MinX)
@@ -214,6 +228,14 @@ func (ix *Index) searchOctants(i int) {
 	cutoff[1], cutoff[2] = yPos, yPos
 	cutoff[3], cutoff[4] = xNeg, xNeg
 	cutoff[5], cutoff[6] = yNeg, yNeg
+	for _, c := range [4]struct {
+		o     int
+		other float64
+	}{{1, xPos}, {3, yPos}, {5, xNeg}, {7, yNeg}} {
+		if c.other == 0 {
+			cutoff[c.o] = 0
+		}
+	}
 
 	ucx := ix.clampX(int((u.X - ix.bb.MinX) / ix.cellW))
 	ucy := ix.clampY(int((u.Y - ix.bb.MinY) / ix.cellH))

@@ -66,8 +66,8 @@ func randBox(rng *rand.Rand, n int, w, h float64) []Point {
 
 // TestIndexOctantNearestMatchesBruteForce checks the ring search,
 // including its side pruning, against a brute-force scan on layouts
-// that shape the grid differently: uniform squares, strips and a 1:50
-// box (cells far from square, so the row and column bounds differ),
+// that shape the grid differently: uniform squares, strips, a 1:50 box
+// and an integer lattice strip (whole rows on the box edges),
 // clusters (most cells empty), and points exactly on cell boundaries
 // (the bounding box is [0,100]², the grid 10×10, every coordinate a
 // multiple of 10).
@@ -82,6 +82,13 @@ func TestIndexOctantNearestMatchesBruteForce(t *testing.T) {
 		checkIndexMatchesBrute(t, "strip10x1000", randBox(rng, 600, 10, 1000), m)
 		checkIndexMatchesBrute(t, "box1:50", randBox(rng, 1000, 20, 1000), m)
 		checkIndexMatchesBrute(t, "box50:1", randBox(rng, 1000, 1000, 20), m)
+		var lattice []Point // whole rows on the box edges
+		for y := 0; y < 6; y++ {
+			for x := 0; x < 100; x++ {
+				lattice = append(lattice, Point{X: float64(x), Y: float64(y)})
+			}
+		}
+		checkIndexMatchesBrute(t, "lattice100x6", lattice, m)
 
 		var clusters []Point
 		for c := 0; c < 4; c++ {
@@ -174,6 +181,29 @@ func TestIndexCountersAndMemBytes(t *testing.T) {
 		ix := NewIndex(uniform, c.m)
 		if per := float64(ix.Probes()) / n; per > c.maxProbe {
 			t.Errorf("%v: %.1f probes per point on a uniform n = %d set, want at most %g", c.m, per, n, c.maxProbe)
+		}
+	}
+
+	// 1000×10 strips, random and an integer lattice. Cells shaped like
+	// the box stay square where a √n×√n grid makes them 100 times wider
+	// than tall, and an edge row proves its outward octants empty at
+	// once instead of scanning the strip's length for them.
+	lattice := make([]Point, 0, n)
+	for y := 0; y < 10; y++ {
+		for x := 0; x < 1000; x++ {
+			lattice = append(lattice, Point{X: float64(x), Y: float64(y)})
+		}
+	}
+	strips := map[string][]Point{"random": randBox(rand.New(rand.NewSource(2)), n, 1000, 10), "lattice": lattice}
+	for _, name := range []string{"random", "lattice"} {
+		for _, c := range []struct {
+			m        Metric
+			maxProbe float64
+		}{{Manhattan, 70}, {Euclidean, 60}} {
+			ix := NewIndex(strips[name], c.m)
+			if per := float64(ix.Probes()) / n; per > c.maxProbe {
+				t.Errorf("%v: %.1f probes per point on a %s 1000×10 strip, want at most %g", c.m, per, name, c.maxProbe)
+			}
 		}
 	}
 }
