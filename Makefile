@@ -114,8 +114,9 @@ bench-gate:
 	    BENCH_PR9.json /tmp/bench_head_pr9.json
 
 # one-iteration smoke over the same benchmarks, cheap enough for CI,
-# plus the sparse pipeline's per-layer rows at n = 10⁴ (index, edges,
-# build; BenchmarkSparseLayers)
+# plus the per-layer rows of the sparse pipeline at n = 10⁴ (index,
+# edges, build; BenchmarkSparseLayers) and of the dense one at n = 10³
+# (matrix, edges, build at ε = 0.1, 0.5, 2; BenchmarkDenseLayers)
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
@@ -123,6 +124,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseLayers' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkDenseLayers' -benchtime 1x -benchmem ./internal/core/
 
 # CPU profile of the sparse BKRUS hot path (n = 10⁴, ε = 0.2): runs
 # BenchmarkBKRUSRefreshSparse under -cpuprofile and prints the 15
@@ -134,13 +136,15 @@ profile-sparse:
 	    -cpuprofile $(PROFILE_OUT).prof -o $(PROFILE_OUT).test ./internal/core/
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_OUT).test $(PROFILE_OUT).prof
 
-# the dense twin of profile-sparse: BenchmarkBKRUSStream at n = 1000
-# (a fresh complete-graph stream per op, both ε rows) under -cpuprofile,
-# so the stream's bucket passes and sorts show next to the scan and the
-# forest bookkeeping. Writes $(PROFILE_DENSE_OUT).prof and .test.
+# the dense twin of profile-sparse: the ε = 0.1 build row of
+# BenchmarkDenseLayers (n = 1000, a fresh complete-graph stream per op,
+# the deepest-draining bound) under -cpuprofile, so the bucket sorts the
+# scan reaches show next to the scan and the forest bookkeeping. The
+# stream's construction passes run with the timer stopped but still
+# land in the profile. Writes $(PROFILE_DENSE_OUT).prof and .test.
 PROFILE_DENSE_OUT ?= /tmp/bkrus_dense
 profile-dense:
-	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream/n=1000/' -benchtime 10x \
+	$(GO) test -run '^$$' -bench 'BenchmarkDenseLayers/layer=build/eps=0.1$$' -benchtime 10x \
 	    -cpuprofile $(PROFILE_DENSE_OUT).prof -o $(PROFILE_DENSE_OUT).test ./internal/core/
 	$(GO) tool pprof -top -nodecount=15 $(PROFILE_DENSE_OUT).test $(PROFILE_DENSE_OUT).prof
 

@@ -14,8 +14,9 @@ import "context"
 // non-positive stride: one ctx.Done() select per 1024 loop iterations.
 const DefaultStride = 1024
 
-// Checker is a periodic cancellation probe. The zero value never
-// cancels (equivalent to New(context.Background(), ...)); construct
+// Checker is a periodic cancellation probe. The zero value and a nil
+// *Checker never cancel (equivalent to New(context.Background(), ...)),
+// so a callee that polls on its caller's behalf accepts nil; construct
 // with New to bind a context. Checkers are values and must not be
 // copied while in use (Tick mutates the iteration counter).
 type Checker struct {
@@ -41,9 +42,9 @@ func New(ctx context.Context, stride int) Checker {
 // Tick counts one loop iteration and, every stride calls, polls the
 // bound context, returning ctx.Err() once it is cancelled and nil
 // otherwise. On an uncancellable context Tick never returns non-nil and
-// costs only the nil test.
+// costs only the nil tests.
 func (c *Checker) Tick() error {
-	if c.done == nil {
+	if c == nil || c.done == nil {
 		return nil
 	}
 	c.n++
@@ -62,7 +63,7 @@ func (c *Checker) Tick() error {
 // useful at natural phase boundaries (per heap pop, per improvement
 // round) where one select per iteration is already cheap.
 func (c *Checker) Err() error {
-	if c.done == nil {
+	if c == nil || c.done == nil {
 		return nil
 	}
 	select {

@@ -18,6 +18,18 @@ func TestZeroCheckerNeverCancels(t *testing.T) {
 	}
 }
 
+func TestNilCheckerNeverCancels(t *testing.T) {
+	var c *Checker
+	for i := 0; i < 3*DefaultStride; i++ {
+		if err := c.Tick(); err != nil {
+			t.Fatalf("nil Checker ticked non-nil: %v", err)
+		}
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("nil Checker Err non-nil: %v", err)
+	}
+}
+
 func TestNilAndBackgroundContexts(t *testing.T) {
 	for name, c := range map[string]Checker{
 		"nil":        New(nil, 4),

@@ -162,7 +162,7 @@ func BKRUSBuild(ctx context.Context, in *inst.Instance, b Bounds, cfg Config) (*
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	//lint:ignore ctxflow the lazy stream's bucket passes (range, count, scatter over the n(n-1)/2 edges) are run-to-completion by design, amortized across the sweep; run(ctx) polls every cancelStride edges after them
+	//lint:ignore ctxflow the lazy stream's bucket passes (range, count, scatter over the n(n-1)/2 edges) are run-to-completion by design, amortized across the sweep; run(ctx) polls every cancelStride stream entries after them
 	e := newEngine(in, b, cfg)
 	return e.run(ctx)
 }
@@ -277,7 +277,7 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 	return e
 }
 
-// cancelStride is how many candidate edges the scan examines between
+// cancelStride is how many stream entries the scan passes between
 // context polls; small enough that cancellation lands promptly even on
 // instances where each examination triggers a long witness scan.
 const cancelStride = 64
@@ -285,29 +285,26 @@ const cancelStride = 64
 func (e *engine) run(ctx context.Context) (*graph.Tree, error) {
 	chk := cancel.New(ctx, cancelStride)
 	t := graph.NewTree(e.n)
-	batches0 := e.stream.Batches()
+	batches0, skipped0 := e.stream.Batches(), e.stream.Skipped()
 	defer func() {
 		if e.c != nil {
 			e.c.StreamBatches.Add(int64(e.stream.Batches() - batches0))
+			e.c.CycleRejections.Add(int64(e.stream.Skipped() - skipped0))
 			e.c.WitnessScans.Add(e.f.scans)
 		}
 	}()
 	for len(t.Edges) < e.n-1 {
-		ed, ok := e.stream.Next()
+		// Condition (2): the stream skips cycle edges, filtering on
+		// the forest's disjoint set.
+		ed, ok, err := e.stream.Next(e.f.ds, &chk)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			break
 		}
-		if err := chk.Tick(); err != nil {
-			return nil, err
-		}
 		if e.c != nil {
 			e.c.EdgesExamined.Inc()
-		}
-		if e.f.Same(ed.U, ed.V) {
-			if e.c != nil {
-				e.c.CycleRejections.Inc()
-			}
-			continue // condition (2): cycle edge
 		}
 		if (ed.U == graph.Source || ed.V == graph.Source) && !e.b.WithinLower(ed.W) {
 			if e.c != nil {

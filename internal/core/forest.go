@@ -17,7 +17,9 @@ import (
 //   - half/head/tail: the partial forest's adjacency (tree edges
 //     accepted so far) as one arena of half-edges, two per accepted
 //     edge, each node's half-edges chained in acceptance order from
-//     head[x] to tail[x], O(n) total and allocated once per Reset;
+//     head[x] to tail[x], O(n) total; the arena grows by append and
+//     keeps its capacity across Resets, since a BKST forest over the
+//     Hanan grid links far fewer than its 2(n−1) half-edges;
 //   - distS[x]: the in-tree path length from the source to x, defined
 //     only once x joins the source tree — tree paths never change after
 //     a merge, so one assignment per node suffices;
@@ -70,7 +72,7 @@ type Forest struct {
 	pair  Pairs
 	b     Bounds
 	ds    *graph.DisjointSet
-	half  []halfEdge // the adjacency arena, 2(n−1) entries at most
+	half  []halfEdge // the adjacency arena, two entries per linked edge
 	head  []int32    // head[x] = x's first half-edge, -1 while x has none
 	tail  []int32    // tail[x] = x's last half-edge, valid once head[x] >= 0
 	distS []float64
@@ -103,11 +105,7 @@ const halfEdgeBytes = 16
 func (f *Forest) Reset(n, src int, dS func(x int) float64, pair Pairs, b Bounds) {
 	guardVertexIDSpace(n)
 	f.src, f.pair, f.b, f.scans = src, pair, b, 0
-	if m := 2 * max(n-1, 0); cap(f.half) < m {
-		f.half = make([]halfEdge, 0, m)
-	} else {
-		f.half = f.half[:0]
-	}
+	f.half = f.half[:0]
 	if cap(f.distS) < n {
 		f.dS = make([]float64, n)
 		f.distS = make([]float64, n)

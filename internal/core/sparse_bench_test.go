@@ -51,6 +51,7 @@ func BenchmarkBKRUSDense(b *testing.B) {
 // Sinks for the layer rows' results, so the compiler keeps the calls.
 var (
 	layerIndex  *geom.Index
+	layerMatrix *geom.DistMatrix
 	layerStream *graph.EdgeStream
 )
 
@@ -93,4 +94,46 @@ func BenchmarkSparseLayers(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDenseLayers is BenchmarkSparseLayers' dense twin at n = 1000
+// (the instance of BenchmarkBKRUSDense/n=1000): layer=matrix is the
+// distance matrix (geom.NewDistMatrix), layer=edges the complete-graph
+// stream's range, count and scatter passes (graph.NewEdgeStream over a
+// built matrix), and layer=build the scan, the bucket sorts it reaches
+// and the forest bookkeeping (BKRUSBuild over a fresh stream) at a
+// tight, a middle and a loose bound.
+func BenchmarkDenseLayers(b *testing.B) {
+	const nodes = 1000
+	in := randomInstance(rand.New(rand.NewSource(29)), nodes-1, 1000)
+	pts := in.Points()
+	b.Run("layer=matrix", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			layerMatrix = geom.NewDistMatrix(pts, in.Metric())
+		}
+	})
+	dm := in.DistMatrix()
+	b.Run("layer=edges", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			layerStream = graph.NewEdgeStream(dm)
+		}
+	})
+	for _, eps := range []float64{0.1, 0.5, 2} {
+		b.Run(fmt.Sprintf("layer=build/eps=%g", eps), func(b *testing.B) {
+			bounds := UpperOnly(in, eps)
+			var s Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.Release()
+				s.EdgeStream(in, GeomDense) // a fresh stream, cached for the build
+				b.StartTimer()
+				if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Scratch: &s, Geometry: GeomDense}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -9,8 +9,9 @@ import (
 
 // BenchmarkBKRUSStream measures dense BKRUS over the lazy edge stream,
 // which orders only the prefix of the complete-graph edges the scan
-// actually consumes. edges/op reports that consumed prefix (the
-// candidate edges examined per construction) next to the ~n²/2 total.
+// actually consumes. edges/op reports the candidate edges examined per
+// construction — the edges of that prefix the stream yields, cycle
+// edges skipped — next to the ~n²/2 total.
 func benchmarkBKRUSBuild(b *testing.B, nodes int, eps float64) {
 	in := randomInstance(rand.New(rand.NewSource(13)), nodes-1, 1000)
 	in.DistMatrix() // prebuild: measure construction, not geometry setup

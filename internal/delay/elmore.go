@@ -310,7 +310,7 @@ func starTree(in *inst.Instance) *graph.Tree {
 
 // buildElmore runs one greedy bounded-Kruskal pass over edges with the
 // given acceptance bound, reporting whether it spanned the net.
-func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m Model, bound float64) (*graph.Tree, bool, error) {
+func buildElmore(ctx context.Context, in *inst.Instance, edges *graph.EdgeStream, m Model, bound float64) (*graph.Tree, bool, error) {
 	dm := in.DistMatrix()
 	n := in.N()
 	ds := graph.NewDisjointSet(n)
@@ -326,17 +326,15 @@ func buildElmore(ctx context.Context, in *inst.Instance, edges graph.EdgeSeq, m 
 
 	chk := cancel.New(ctx, 16)
 	for len(t.Edges) < n-1 {
-		ed, more := edges.Next()
+		// The stream skips the edges whose ends ds already joins.
+		ed, more, err := edges.Next(ds, &chk)
+		if err != nil {
+			return nil, false, err
+		}
 		if !more {
 			break
 		}
-		if err := chk.Tick(); err != nil {
-			return nil, false, err
-		}
 		ru, rv := ds.Find(ed.U), ds.Find(ed.V)
-		if ru == rv {
-			continue
-		}
 		merged := make([]graph.Edge, 0, len(compEdges[ru])+len(compEdges[rv])+1)
 		merged = append(merged, compEdges[ru]...)
 		merged = append(merged, compEdges[rv]...)

@@ -10,25 +10,14 @@ package graph
 // preserves the strict compareEdges total order, so a consumer sees the
 // unique sorted sequence of the sparse set — byte-identical to sorting
 // it eagerly, and identical to the dense scan wherever the two edge
-// sets coincide.
+// sets coincide. Every Kruskal-style scan that stops after n−1 merges
+// reads an EdgeStream — mst.KruskalFrom (behind mst.Kruskal,
+// mst.Maximal, the engine's mst constructor and BRBC), the Elmore
+// ladder and the BKRUS engine — so dense and sparse supplies are
+// interchangeable and no such scan sorts the whole complete graph up
+// front.
 
 import "repro/internal/geom"
-
-// EdgeSeq is the consumer-side view of an ordered edge source: Next
-// yields edges in nondecreasing weight order (compareEdges order) until
-// exhaustion. EdgeStream is the canonical implementation. Every
-// Kruskal-style scan that stops after n−1 merges reads one —
-// mst.KruskalFrom (behind mst.Kruskal, mst.Maximal, the engine's mst
-// constructor and BRBC), the Elmore ladder and the BKRUS engine — so
-// dense and sparse supplies are interchangeable and no such scan sorts
-// the whole complete graph up front.
-type EdgeSeq interface {
-	// Next yields the next edge in nondecreasing weight order,
-	// reporting false when the sequence is exhausted.
-	Next() (Edge, bool)
-}
-
-var _ EdgeSeq = (*EdgeStream)(nil)
 
 // NeighborEdges generates the sparse candidate edge set of an indexed
 // point set: the octant nearest-neighbor graph (which contains the MST
@@ -90,9 +79,9 @@ func NewSparseEdgeStream(ix *geom.Index, root int) *EdgeStream {
 }
 
 // MemBytes estimates the heap bytes retained by the stream's packed
-// edge array, re-split buffer and pending bucket ends.
+// edge array, re-split buffer and bucket ends.
 func (s *EdgeStream) MemBytes() int64 {
-	return int64(cap(s.edges)+cap(s.tmp))*packedEdgeBytes + int64(cap(s.ends))*8
+	return int64(cap(s.edges)+cap(s.tmp))*packedEdgeBytes + int64(cap(s.ends)+cap(s.filtered))*8
 }
 
 // MemBytes estimates the heap bytes retained by the disjoint set's

@@ -148,7 +148,7 @@ func TestSparseStreamMatchesSortEdges(t *testing.T) {
 		t.Fatalf("stream length %d, want %d", s.Len(), len(want))
 	}
 	for k := 0; ; k++ {
-		e, ok := s.Next()
+		e, ok, _ := s.Next(nil, nil)
 		if !ok {
 			if k != len(want) {
 				t.Fatalf("stream ended at %d of %d edges", k, len(want))

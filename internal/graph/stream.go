@@ -30,6 +30,20 @@ package graph
 // the stream emits bit-identical order to SortEdges by construction;
 // TestEdgeStreamMatchesSortEdges pins it.
 //
+// Filtering (Filter-Kruskal, Osipov, Sanders & Singler 2009): Next takes
+// the consumer's disjoint set and never yields an edge whose endpoints
+// it has already joined. When a pass reaches a leaf bucket (after any
+// re-split, so bucket boundaries do not depend on the consumer), fill
+// first moves the bucket's joined entries to its tail, sorts only the
+// live front and skips the tail; an entry of the live front that a
+// union joins while the bucket is served is skipped at its turn. Unions
+// only grow, so an edge joined when its bucket is reached is still
+// joined at its turn: every consumer decides exactly as it would over
+// the unfiltered order. A filtered bucket is a permuted set of its
+// entries, still a valid bucket, so Reset puts it (and every bucket
+// the pass reached after it) back on the unsorted stack, and the next
+// pass filters it again with its own forest.
+//
 // Representation: the stream holds packedEdge entries, 16 bytes each
 // (the weight and both endpoints in one key), instead of 24-byte Edges,
 // and orders them with typed comparators — a scatter or sort move copies
@@ -39,6 +53,8 @@ package graph
 import (
 	"math"
 	"slices"
+
+	"repro/internal/cancel"
 )
 
 const (
@@ -58,21 +74,30 @@ const (
 )
 
 // EdgeStream yields the edges of a complete graph in nondecreasing
-// weight order (the exact SortEdges order, including tie-breaks),
-// sorting lazily so consumers that stop after a prefix never pay for
-// ordering the tail. The zero value is not usable; construct with
-// NewEdgeStream or NewEdgeStreamFrom. A stream is not safe for
-// concurrent use.
+// weight order (the exact SortEdges order, including tie-breaks, less
+// the edges the consumer's disjoint set has joined), sorting lazily so
+// consumers that stop after a prefix never pay for ordering the tail.
+// The zero value is not usable; construct with NewEdgeStream or
+// NewEdgeStreamFrom. A stream is not safe for concurrent use.
 type EdgeStream struct {
 	edges []packedEdge
-	pos   int // next index to emit; edges[:pos] already emitted this pass
-	ready int // high-water mark: edges[:ready] are in final sorted order
-	// ends holds the end offsets of the unsorted buckets above ready,
-	// the nearest on top. Every edge of a bucket precedes
-	// (comparePacked) every edge of the buckets below it on the stack.
-	ends    []int
-	tmp     []packedEdge // the copy a re-split scatters from
-	batches int          // buckets sorted
+	pos   int // next index to pass; edges[:pos] already passed this pass
+	// edges[pos:live] are due in sorted order, and edges[live:end] are
+	// the joined tail of the bucket being served.
+	live, end int
+	ready     int // high-water mark: edges[:ready] are in final sorted order
+	// ends holds the end offsets of the unsorted buckets above the
+	// ones this pass reached, the nearest on top. Every edge of a
+	// bucket precedes (comparePacked) every edge of the buckets below
+	// it on the stack.
+	ends []int
+	// filtered holds, ascending, the end offsets of the buckets this
+	// pass reached from its first filtered one on: Reset returns them
+	// to ends.
+	filtered []int
+	tmp      []packedEdge // the copy a re-split scatters from
+	batches  int          // buckets sorted
+	skipped  int          // joined entries passed over
 }
 
 // packedEdge is the stream's entry: the weight and the key
@@ -189,10 +214,11 @@ func NewEdgeStreamFrom(edges []Edge) *EdgeStream {
 	return s
 }
 
-// Len returns the total number of edges the stream will yield.
+// Len returns the total number of entries in the stream.
 func (s *EdgeStream) Len() int { return len(s.edges) }
 
-// Drained returns how many edges the current pass has emitted.
+// Drained returns how many entries the current pass has passed over,
+// yielded or skipped: one poll tick each.
 func (s *EdgeStream) Drained() int { return s.pos }
 
 // SortedPrefix returns the high-water mark of edges already in final
@@ -203,35 +229,72 @@ func (s *EdgeStream) SortedPrefix() int { return s.ready }
 // (monotone across Resets).
 func (s *EdgeStream) Batches() int { return s.batches }
 
-// Next yields the next edge in nondecreasing weight order, reporting
-// false when the stream is exhausted.
-func (s *EdgeStream) Next() (Edge, bool) {
-	if s.pos == len(s.edges) {
-		return Edge{}, false
+// Skipped returns how many joined entries the stream has passed over
+// without yielding them (monotone across Resets): every entry of a
+// filtered bucket's tail, counted when the bucket is reached, and every
+// live entry joined by the time of its turn.
+func (s *EdgeStream) Skipped() int { return s.skipped }
+
+// Next yields the next edge in nondecreasing weight order whose
+// endpoints ds has not joined, reporting false when the stream is
+// exhausted. Unions the consumer makes between calls only remove
+// edges, so ds must only ever grow within a pass; a nil ds filters
+// nothing. Each entry passed over, yielded or skipped, ticks chk once
+// (a nil chk never polls), and the first poll that sees the context
+// done returns its error; the stream stays consistent for Reset.
+func (s *EdgeStream) Next(ds *DisjointSet, chk *cancel.Checker) (Edge, bool, error) {
+	for {
+		if s.pos == s.live {
+			for s.pos < s.end {
+				s.pos++
+				if err := chk.Tick(); err != nil {
+					return Edge{}, false, err
+				}
+			}
+			if s.pos == len(s.edges) {
+				return Edge{}, false, nil
+			}
+			s.fill(ds)
+			continue
+		}
+		p := s.edges[s.pos]
+		s.pos++
+		if err := chk.Tick(); err != nil {
+			return Edge{}, false, err
+		}
+		e := p.edge()
+		if ds != nil && ds.Same(e.U, e.V) {
+			s.skipped++
+			continue
+		}
+		return e, true, nil
 	}
-	if s.pos == s.ready {
-		s.fill()
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e.edge(), true
 }
 
 // Reset restarts emission from the smallest edge without discarding
-// sorting work: the already-sorted prefix is re-served as-is and the
-// lazy refinement resumes where the deepest previous pass stopped.
-// This is what lets one stream serve a whole ε-sweep over an
-// immutable instance.
-func (s *EdgeStream) Reset() { s.pos = 0 }
+// sorting work: the sorted prefix is re-served as-is, the buckets the
+// previous pass filtered go back on the unsorted stack, and the lazy
+// refinement resumes where the deepest previous pass stopped. This is
+// what lets one stream serve a whole ε-sweep over an immutable
+// instance.
+func (s *EdgeStream) Reset() {
+	for i := len(s.filtered) - 1; i >= 0; i-- {
+		s.ends = append(s.ends, s.filtered[i])
+	}
+	s.filtered = s.filtered[:0]
+	s.pos, s.live, s.end = 0, s.ready, s.ready
+}
 
-// fill sorts the next bucket, bucketing it again first while it is
-// larger than bucketCap and its weights still spread. Called only with
-// pos == ready < len(edges).
-func (s *EdgeStream) fill() {
+// fill serves the next bucket, bucketing it again first while it is
+// larger than bucketCap and its weights still spread, then moving the
+// entries ds has joined to its tail and sorting the rest. Called only
+// with pos == live == end < len(edges).
+func (s *EdgeStream) fill(ds *DisjointSet) {
+	lo := s.pos
 	for {
 		hi := s.ends[len(s.ends)-1]
 		s.ends = s.ends[:len(s.ends)-1]
-		e := s.edges[s.ready:hi]
+		e := s.edges[lo:hi]
 		if len(e) > bucketCap {
 			r := weightRange{math.Inf(1), math.Inf(-1)}
 			for _, p := range e {
@@ -250,20 +313,44 @@ func (s *EdgeStream) fill() {
 				for _, p := range src {
 					off[b.index(p.w)+1]++
 				}
-				next := s.pushBuckets(s.ready, off)
+				next := s.pushBuckets(lo, off)
 				for _, p := range src {
 					k := b.index(p.w)
-					e[next[k]-s.ready] = p
+					e[next[k]-lo] = p
 					next[k]++
 				}
 				continue
 			}
 		}
-		slices.SortFunc(e, comparePacked)
-		s.ready = hi
+		live := len(e)
+		if ds != nil {
+			live = moveJoined(e, ds)
+		}
+		slices.SortFunc(e[:live], comparePacked)
 		s.batches++
+		s.skipped += len(e) - live
+		s.live, s.end = lo+live, hi
+		if live == len(e) && len(s.filtered) == 0 {
+			s.ready = hi
+		} else {
+			s.filtered = append(s.filtered, hi)
+		}
 		return
 	}
+}
+
+// moveJoined permutes e so the entries whose endpoints ds has not
+// joined come first, and returns how many there are.
+func moveJoined(e []packedEdge, ds *DisjointSet) int {
+	rep := ds.rep
+	k := 0
+	for i, p := range e {
+		if rep[p.uv>>32] != rep[p.uv&math.MaxUint32] {
+			e[k], e[i] = e[i], e[k]
+			k++
+		}
+	}
+	return k
 }
 
 // pushBuckets turns off, the per-bucket counts of a range starting at

@@ -19,7 +19,7 @@ func BenchmarkEdgeStreamPrefix(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := NewEdgeStreamFrom(edges)
 				for k := 0; k < n-1; k++ {
-					if _, ok := s.Next(); !ok {
+					if _, ok, _ := s.Next(nil, nil); !ok {
 						b.Fatal("stream ended early")
 					}
 				}

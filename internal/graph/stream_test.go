@@ -112,7 +112,7 @@ func TestEdgeStreamMatchesSortEdges(t *testing.T) {
 			t.Fatalf("input %d: Len = %d, want %d", k, s.Len(), len(want))
 		}
 		for i, w := range want {
-			got, ok := s.Next()
+			got, ok, _ := s.Next(nil, nil)
 			if !ok {
 				t.Fatalf("input %d: stream ended at %d/%d", k, i, len(want))
 			}
@@ -123,7 +123,7 @@ func TestEdgeStreamMatchesSortEdges(t *testing.T) {
 				t.Fatalf("input %d: SortEdges left %v before %v", k, want[i-1], w)
 			}
 		}
-		if _, ok := s.Next(); ok {
+		if _, ok, _ := s.Next(nil, nil); ok {
 			t.Fatalf("input %d: stream yielded past the end", k)
 		}
 	}
@@ -199,12 +199,12 @@ func TestEdgeStreamFromWeights(t *testing.T) {
 		SortEdges(want)
 		s := NewEdgeStream(w)
 		for i, e := range want {
-			got, ok := s.Next()
+			got, ok, _ := s.Next(nil, nil)
 			if !ok || !sameEdge(got, e) {
 				t.Fatalf("%s: edge %d = %v ok=%v, want %v", name, i, got, ok, e)
 			}
 		}
-		if _, ok := s.Next(); ok {
+		if _, ok, _ := s.Next(nil, nil); ok {
 			t.Fatalf("%s: stream yielded past the end", name)
 		}
 	}
@@ -224,7 +224,7 @@ func TestEdgeStreamLazyWithOutlier(t *testing.T) {
 	pts = append(pts, geom.Point{X: 1e6, Y: 1e6})
 	s := NewEdgeStream(geom.NewDistMatrix(pts, geom.Euclidean))
 	for i := 0; i < len(pts)-1; i++ {
-		if _, ok := s.Next(); !ok {
+		if _, ok, _ := s.Next(nil, nil); !ok {
 			t.Fatal("stream ended early")
 		}
 	}
@@ -242,7 +242,7 @@ func TestEdgeStreamPartialDrainAndReset(t *testing.T) {
 	s := NewEdgeStreamFrom(edges)
 	k := len(want) / 4
 	for i := 0; i < k; i++ {
-		got, ok := s.Next()
+		got, ok, _ := s.Next(nil, nil)
 		if !ok || got != want[i] {
 			t.Fatalf("first pass edge %d = %v ok=%v, want %v", i, got, ok, want[i])
 		}
@@ -262,7 +262,7 @@ func TestEdgeStreamPartialDrainAndReset(t *testing.T) {
 		t.Fatalf("Drained after Reset = %d", s.Drained())
 	}
 	for i := 0; i < s.SortedPrefix(); i++ {
-		got, ok := s.Next()
+		got, ok, _ := s.Next(nil, nil)
 		if !ok || got != want[i] {
 			t.Fatalf("reset pass edge %d = %v ok=%v, want %v", i, got, ok, want[i])
 		}
@@ -271,7 +271,7 @@ func TestEdgeStreamPartialDrainAndReset(t *testing.T) {
 		t.Fatalf("re-serving the sorted prefix sorted new batches: %d -> %d", batchesAfterFirst, s.Batches())
 	}
 	for i := s.Drained(); i < len(want); i++ {
-		got, ok := s.Next()
+		got, ok, _ := s.Next(nil, nil)
 		if !ok || got != want[i] {
 			t.Fatalf("deep pass edge %d = %v ok=%v, want %v", i, got, ok, want[i])
 		}
@@ -291,7 +291,7 @@ func TestEdgeStreamFullDrain(t *testing.T) {
 	batches := 0
 	for pass := 0; pass < 2; pass++ {
 		for i := range want {
-			got, ok := s.Next()
+			got, ok, _ := s.Next(nil, nil)
 			if !ok || got != want[i] {
 				t.Fatalf("pass %d: edge %d = %v ok=%v, want %v", pass, i, got, ok, want[i])
 			}

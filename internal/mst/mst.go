@@ -20,8 +20,8 @@ import (
 // ErrDisconnected is wrapped by KruskalFrom's error for a short sequence.
 var ErrDisconnected = errors.New("mst: edge sequence does not span the nodes")
 
-// cancelStride is how many edges KruskalFrom examines between context
-// polls; each examination is one union-find step.
+// cancelStride is how many stream entries KruskalFrom passes between
+// context polls; each is at most one union-find step.
 const cancelStride = 256
 
 // Kruskal returns a minimal spanning tree of the complete graph over w.
@@ -31,15 +31,17 @@ func Kruskal(w graph.Weights) *graph.Tree {
 	return t
 }
 
-// KruskalFrom runs Kruskal over an ordered edge sequence (graph.EdgeSeq
-// yields nondecreasing weight order) and stops after n−1 merges, so a
-// lazy stream sorts only the prefix the scan reads. It returns ctx.Err()
-// from a poll every cancelStride edges, and wraps ErrDisconnected when
-// the sequence runs out first. Fed the sparse octant neighbor stream
-// (graph.NewSparseEdgeStream) it reproduces Kruskal(w) exactly — the
-// neighbor graph contains every dense-selected MST edge, and a greedy
-// scan over a superset of its own selection makes identical decisions.
-func KruskalFrom(ctx context.Context, n int, seq graph.EdgeSeq) (*graph.Tree, error) {
+// KruskalFrom runs Kruskal over a lazy edge stream and stops after n−1
+// merges, so the stream sorts only the prefix the scan reads. The
+// stream filters on the scan's disjoint set: it never yields an edge
+// whose endpoints are already joined, so every edge it yields merges.
+// It returns ctx.Err() from a poll every cancelStride stream entries,
+// and wraps ErrDisconnected when the stream runs out first. Fed the
+// sparse octant neighbor stream (graph.NewSparseEdgeStream) it
+// reproduces Kruskal(w) exactly — the neighbor graph contains every
+// dense-selected MST edge, and a greedy scan over a superset of its own
+// selection makes identical decisions.
+func KruskalFrom(ctx context.Context, n int, s *graph.EdgeStream) (*graph.Tree, error) {
 	t := graph.NewTree(n)
 	if n <= 1 {
 		return t, nil
@@ -47,16 +49,15 @@ func KruskalFrom(ctx context.Context, n int, seq graph.EdgeSeq) (*graph.Tree, er
 	chk := cancel.New(ctx, cancelStride)
 	ds := graph.NewDisjointSet(n)
 	for len(t.Edges) < n-1 {
-		e, ok := seq.Next()
+		e, ok, err := s.Next(ds, &chk)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			return nil, fmt.Errorf("%w: %d of %d tree edges", ErrDisconnected, len(t.Edges), n-1)
 		}
-		if err := chk.Tick(); err != nil {
-			return nil, err
-		}
-		if ds.Union(e.U, e.V) {
-			t.Edges = append(t.Edges, e)
-		}
+		ds.Union(e.U, e.V)
+		t.Edges = append(t.Edges, e)
 	}
 	return t, nil
 }

@@ -142,29 +142,19 @@ func TestKruskalFromDisconnected(t *testing.T) {
 	}
 }
 
-// countingSeq counts the edges a scan draws from the wrapped sequence.
-type countingSeq struct {
-	seq   graph.EdgeSeq
-	drawn int
-}
-
-func (c *countingSeq) Next() (graph.Edge, bool) {
-	c.drawn++
-	return c.seq.Next()
-}
-
 // A cancelled context stops the scan at its first poll, one stride into
-// the sequence, long before the tree spans the nodes.
+// the stream: the poll ticks once per stream entry the scan passes,
+// yielded or skipped as joined.
 func TestKruskalFromCancelledMidScan(t *testing.T) {
 	dm := matrixFor(randomPoints(rand.New(rand.NewSource(5)), 300, 1000))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	seq := &countingSeq{seq: graph.NewEdgeStream(dm)}
-	if _, err := KruskalFrom(ctx, dm.Len(), seq); !errors.Is(err, context.Canceled) {
+	s := graph.NewEdgeStream(dm)
+	if _, err := KruskalFrom(ctx, dm.Len(), s); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
 	}
-	if seq.drawn != cancelStride {
-		t.Errorf("cancelled scan drew %d edges, want one stride (%d)", seq.drawn, cancelStride)
+	if s.Drained() != cancelStride {
+		t.Errorf("cancelled scan passed %d stream entries, want one stride (%d)", s.Drained(), cancelStride)
 	}
 	if _, err := Maximal(ctx, dm); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Maximal returned %v, want context.Canceled", err)

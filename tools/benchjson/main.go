@@ -9,6 +9,7 @@
 //
 //	{
 //	  "goos": "linux", "goarch": "amd64", "cpu": "...",
+//	  "nproc": 2, "gomaxprocs": 2,
 //	  "benchmarks": [
 //	    {"name": "...", "package": "repro/internal/core",
 //	     "iterations": 33, "ns_per_op": 35096999,
@@ -16,6 +17,12 @@
 //	     "extra": {"edges/op": 61385}}
 //	  ]
 //	}
+//
+// nproc is the core count of the host benchjson runs on (the host that
+// ran the benchmarks it is piped from), and gomaxprocs the GOMAXPROCS
+// the benchmark names carry as their "-N" suffix (1 when they carry
+// none, as go test writes them at GOMAXPROCS=1; omitted when the rows
+// disagree, as under -cpu 1,2,4).
 //
 // Non-benchmark lines (PASS, ok, test logs) are ignored, so the whole
 // `go test -bench` transcript of several packages can be piped through
@@ -28,7 +35,8 @@
 //
 // The -diff mode compares two committed reports benchmark by benchmark
 // (keyed by package + name, the "-N" GOMAXPROCS suffix ignored) and
-// prints per-benchmark ns/op deltas,
+// prints a host line with both sides' nproc and gomaxprocs ("?" where a
+// report did not record one), then per-benchmark ns/op deltas,
 // plus bytes/op deltas where both reports recorded allocations. With
 // -fail-over PCT it exits 1 when any benchmark's time or bytes
 // regressed by more than PCT percent; without it the diff is
@@ -50,6 +58,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -70,6 +79,8 @@ type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -99,6 +110,7 @@ func main() {
 			fatal(err)
 		}
 		lines, regressed := diffReports(old, new_, *failOver)
+		fmt.Println(hostLine(old, new_))
 		for _, l := range lines {
 			fmt.Println(l)
 		}
@@ -140,6 +152,7 @@ func main() {
 	if len(report.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark result lines found in input"))
 	}
+	stampHost(report, runtime.NumCPU())
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -196,14 +209,51 @@ func splitRequire(s string) []string {
 // benchmark names, so requirements written without it match reports
 // recorded on any machine.
 func stripProcs(name string) string {
+	base, _ := splitProcs(name)
+	return base
+}
+
+// splitProcs splits a benchmark name into its base and the GOMAXPROCS
+// of its "-N" suffix, 1 when it has none.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
+}
+
+// stampHost records the report's host header: nproc, the host's core
+// count, and GOMAXPROCS, the -N suffix every benchmark row carries (0
+// when the rows disagree).
+func stampHost(rep *Report, nproc int) {
+	rep.NProc = nproc
+	rep.GOMAXPROCS = 0
+	for i, b := range rep.Benchmarks {
+		_, procs := splitProcs(b.Name)
+		if i > 0 && procs != rep.GOMAXPROCS {
+			rep.GOMAXPROCS = 0
+			return
+		}
+		rep.GOMAXPROCS = procs
+	}
+}
+
+// hostLine renders both reports' host headers for -diff, "?" standing
+// for a value a report did not record.
+func hostLine(old, new_ *Report) string {
+	v := func(n int) string {
+		if n <= 0 {
+			return "?"
+		}
+		return strconv.Itoa(n)
+	}
+	return fmt.Sprintf("host: nproc %s -> %s, GOMAXPROCS %s -> %s",
+		v(old.NProc), v(new_.NProc), v(old.GOMAXPROCS), v(new_.GOMAXPROCS))
 }
 
 // missingRequired returns the required names, in input order, that no

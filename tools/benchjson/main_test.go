@@ -219,3 +219,48 @@ func TestDiffPairsAcrossProcsSuffix(t *testing.T) {
 		t.Errorf("regressed = %d, line %q; want the +300%% row gated", regressed, lines[0])
 	}
 }
+
+// TestStampHost pins the report's host header: nproc is the count it
+// is given (main passes the host's), GOMAXPROCS the rows' common -N
+// suffix, 1 for unsuffixed rows and 0 when the rows disagree.
+func TestStampHost(t *testing.T) {
+	rep, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampHost(rep, 2)
+	if rep.NProc != 2 || rep.GOMAXPROCS != 4 {
+		t.Errorf("-4 rows on a 2-core host: nproc %d, GOMAXPROCS %d; want 2, 4", rep.NProc, rep.GOMAXPROCS)
+	}
+	for _, tc := range []struct {
+		names []string
+		want  int
+	}{
+		{[]string{"BenchmarkA", "BenchmarkB/n=10"}, 1},
+		{[]string{"BenchmarkA-8", "BenchmarkB/n=10-8"}, 8},
+		{[]string{"BenchmarkA-2", "BenchmarkA-4"}, 0},
+		{[]string{"BenchmarkA-2", "BenchmarkB"}, 0},
+	} {
+		rep := &Report{}
+		for _, n := range tc.names {
+			rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: n})
+		}
+		stampHost(rep, 1)
+		if rep.GOMAXPROCS != tc.want {
+			t.Errorf("rows %v: GOMAXPROCS %d, want %d", tc.names, rep.GOMAXPROCS, tc.want)
+		}
+	}
+}
+
+// TestHostLine pins the -diff host line: both sides' nproc and
+// GOMAXPROCS, "?" for a report recorded before the header existed.
+func TestHostLine(t *testing.T) {
+	old := &Report{}
+	cur := &Report{NProc: 2, GOMAXPROCS: 2}
+	if got, want := hostLine(old, cur), "host: nproc ? -> 2, GOMAXPROCS ? -> 2"; got != want {
+		t.Errorf("hostLine = %q, want %q", got, want)
+	}
+	if got, want := hostLine(&Report{NProc: 4, GOMAXPROCS: 1}, cur), "host: nproc 4 -> 2, GOMAXPROCS 1 -> 2"; got != want {
+		t.Errorf("hostLine = %q, want %q", got, want)
+	}
+}
