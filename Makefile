@@ -116,11 +116,16 @@ bench-gate:
 # one-iteration smoke over the same benchmarks, cheap enough for CI,
 # plus the per-layer rows of the sparse pipeline at n = 10⁴ (index,
 # edges, build; BenchmarkSparseLayers) and of the dense one at n = 10³
-# (matrix, edges, build at ε = 0.1, 0.5, 2; BenchmarkDenseLayers)
+# (matrix, edges, build at ε = 0.1, 0.5, 2; BenchmarkDenseLayers).
+# The matrix-fill rows carry -benchmem, so B/op shows the packed
+# triangle's 8·n(n+1)/2 bytes, and the row-scan constructors (spt,
+# bprim, ahhk at n = 10³ on a fresh instance) show a matrix build if
+# one of them goes back to reading the matrix.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
-	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x ./internal/geom/
+	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/
+	$(GO) test -run '^$$' -bench 'BenchmarkRowScanFresh/n=1000/' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x ./internal/graph/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseLayers' -benchtime 1x -benchmem ./internal/core/

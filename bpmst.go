@@ -184,7 +184,7 @@ func (n *Net) MST() *Tree { return n.wrap(mst.Kruskal(n.in.DistMatrix())) }
 
 // SPT returns the shortest path tree (Dijkstra) — minimal paths, maximal
 // practical wirelength.
-func (n *Net) SPT() *Tree { return n.wrap(mst.SPT(n.in.DistMatrix(), graph.Source)) }
+func (n *Net) SPT() *Tree { return n.wrap(mst.SPT(n.in.Oracle(), graph.Source)) }
 
 // MaxST returns the maximal spanning tree, the expensive end of the
 // paper's Figure 11 cost chart.

@@ -32,7 +32,7 @@ func AHHKBuild(ctx context.Context, in *inst.Instance, c float64) (*graph.Tree, 
 	if c < 0 || c > 1 || math.IsNaN(c) {
 		return nil, fmt.Errorf("baseline: AHHK parameter c = %g outside [0,1]", c)
 	}
-	dm := in.DistMatrix()
+	dm := in.Oracle()
 	n := in.N()
 	t := graph.NewTree(n)
 	if n <= 1 {

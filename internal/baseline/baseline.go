@@ -55,7 +55,7 @@ func BPRIMBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters
 	if eps < 0 {
 		return nil, fmt.Errorf("baseline: negative eps %g", eps)
 	}
-	dm := in.DistMatrix()
+	dm := in.Oracle()
 	n := in.N()
 	bound := in.Bound(eps)
 	t := graph.NewTree(n)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -44,6 +45,30 @@ func BenchmarkBKRUSSweepFresh(b *testing.B) {
 			if _, err := core.BKRUS(in, e); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkRowScanFresh measures the constructors that scan every
+// distance from one node — spt, bprim, ahhk — through engine.Build on
+// an instance that holds no geometry cache, so any distance matrix a
+// constructor builds is billed to its row. They read the instance's
+// oracle and build none; a row that jumps by the O(n²) fill means one
+// went back to the matrix.
+func BenchmarkRowScanFresh(b *testing.B) {
+	for _, n := range []int{200, 1000, 2047} {
+		in := bench.Random(11, n-1, 1000)
+		for _, algo := range []string{"spt", "bprim", "ahhk"} {
+			b.Run(fmt.Sprintf("n=%d/algo=%s", n, algo), func(b *testing.B) {
+				p := Params{Eps: 0.2, AHHKC: 0.5}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					in.Release()
+					if _, err := Build(context.Background(), algo, in, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -79,7 +79,7 @@ func init() {
 		Name: "spt", Kind: Spanning,
 		Doc: "shortest path tree (source star under a complete metric); minimal radius, maximal cost",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		return spanning(mst.SPT(in.DistMatrix(), graph.Source), nil)
+		return spanning(mst.SPT(in.Oracle(), graph.Source), nil)
 	})
 	Register(Info{
 		Name: "maxst", Kind: Spanning,

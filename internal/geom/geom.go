@@ -79,55 +79,96 @@ func (m Metric) Valid() bool { return m == Manhattan || m == Euclidean }
 
 // Dist returns the distance between a and b under metric m.
 func (m Metric) Dist(a, b Point) float64 {
-	dx := a.X - b.X
-	dy := a.Y - b.Y
 	switch m {
 	case Manhattan:
-		return math.Abs(dx) + math.Abs(dy)
+		return l1(a, b)
 	case Euclidean:
-		return math.Hypot(dx, dy)
+		return math.Hypot(a.X-b.X, a.Y-b.Y)
 	default:
 		panic("geom: invalid metric")
 	}
 }
 
-// DistMatrix holds pairwise distances between n points in a flat backing
-// slice. The zero value is unusable; build one with NewDistMatrix.
+// l1 is Manhattan's Dist, split out so the matrix fill's inner loop
+// inlines it.
+func l1(a, b Point) float64 { return math.Abs(a.X-b.X) + math.Abs(a.Y-b.Y) }
+
+// DistMatrix holds the pairwise distances between n points, one cell
+// per unordered pair: the upper triangle plus the diagonal, row-major,
+// n(n+1)/2 float64s in one backing slice. Row i stores w(i, j) for
+// j = i..n-1, starting at offset base(i)+i, so the cell of (i, j) with
+// i ≤ j sits at base(i)+j. The zero value is unusable; build one with
+// NewDistMatrix.
 type DistMatrix struct {
 	n int
 	d []float64
 }
 
-// NewDistMatrix computes the full pairwise distance matrix of pts under
-// m. Large matrices are filled row-parallel when GOMAXPROCS allows more
-// than one worker; the result is byte-identical to the serial fill
-// either way.
+// NewDistMatrix computes the pairwise distances of pts under m, each
+// unordered pair {i, j} once as m.Dist(pts[i], pts[j]) with i < j.
+// Large matrices are filled in parallel when GOMAXPROCS allows more
+// than one worker; every cell is the same call either way, so the
+// result is byte-identical to the serial fill.
 func NewDistMatrix(pts []Point, m Metric) *DistMatrix {
 	n := len(pts)
-	dm := &DistMatrix{n: n, d: make([]float64, n*n)}
+	dm := &DistMatrix{n: n, d: make([]float64, n*(n+1)/2)}
 	if w := runtime.GOMAXPROCS(0); w > 1 && n >= parallelMatrixMin {
 		fillParallel(dm, pts, m, w)
 		return dm
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			w := m.Dist(pts[i], pts[j])
-			dm.d[i*n+j] = w
-			dm.d[j*n+i] = w
-		}
-	}
+	dm.fillRows(pts, m, 0, n)
 	return dm
 }
+
+// fillRows computes rows [lo, hi) of the triangle: w(i, j) for i < j.
+// row and rest share the length k, so the inner loops index both
+// without bounds checks.
+func (dm *DistMatrix) fillRows(pts []Point, m Metric, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		pi, rest := pts[i], pts[i+1:]
+		k := len(rest)
+		row := dm.Row(i)[i+1:][:k]
+		if m == Manhattan {
+			for j := 0; j < k; j++ {
+				row[j] = l1(pi, rest[j])
+			}
+			continue
+		}
+		for j := 0; j < k; j++ {
+			row[j] = m.Dist(pi, rest[j])
+		}
+	}
+}
+
+// base returns the offset of Row(i) in the backing slice: row i's
+// cells start at base(i)+i. i(2n-1-i) is always even, since one factor
+// is.
+func (dm *DistMatrix) base(i int) int { return (i * (2*dm.n - 1 - i)) >> 1 }
 
 // Len returns the number of points the matrix was built over.
 func (dm *DistMatrix) Len() int { return dm.n }
 
-// At returns the distance between points i and j.
-func (dm *DistMatrix) At(i, j int) float64 { return dm.d[i*dm.n+j] }
+// At returns the distance between points i and j, read from the one
+// cell of the pair: s = min(i-j, 0) by a sign mask, so j+s = min(i, j)
+// and i-s = max(i, j) without a branch (the builtin min and max compile
+// to jumps), and reads from either half of the matrix cost the same.
+func (dm *DistMatrix) At(i, j int) float64 {
+	d := i - j
+	s := d & (d >> 63)
+	return dm.d[dm.base(j+s)+i-s]
+}
 
-// Row returns the distances from point i to every point, indexed by
-// point, as a view of the matrix's storage that must not be modified.
-func (dm *DistMatrix) Row(i int) []float64 { return dm.d[i*dm.n : (i+1)*dm.n] }
+// Row returns a view of the matrix's storage whose entries j ≥ i are
+// the distances w(i, j); it must not be modified. Its entries j < i
+// are other pairs' cells, so a row scan that needs the lower half
+// reads At instead.
+func (dm *DistMatrix) Row(i int) []float64 {
+	b := dm.base(i)
+	return dm.d[b : b+dm.n : b+dm.n]
+}
+
+// MemBytes estimates the heap bytes retained by the matrix.
+func (dm *DistMatrix) MemBytes() int64 { return int64(cap(dm.d)) * 8 }
 
 // BBox is an axis-aligned bounding box.
 type BBox struct {

@@ -414,6 +414,3 @@ func (ix *Index) MemBytes() int64 {
 	return int64(cap(ix.start))*4 + int64(cap(ix.ids))*4 +
 		int64(cap(ix.nbr))*4 + int64(cap(ix.nbrD))*8
 }
-
-// MemBytes estimates the heap bytes retained by the matrix.
-func (dm *DistMatrix) MemBytes() int64 { return int64(cap(dm.d)) * 8 }

@@ -221,6 +221,53 @@ func TestTreeFatherArray(t *testing.T) {
 	}
 }
 
+// TestTreeAdjacencyOrder pins Adjacency's contract on random trees and
+// forests: each node's list is its incident edges in edge order, the
+// order per-node appends produce, and each list's capacity ends at its
+// length, so appending to one list leaves its neighbour intact.
+func TestTreeAdjacencyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(40)
+		tr := NewTree(n)
+		for v := 1; v < n; v++ {
+			if rng.Intn(8) > 0 { // skip some edges: a forest
+				tr.AddEdge(rng.Intn(v), v, float64(rng.Intn(9)))
+			}
+		}
+		want := make([][]Adj, n)
+		for _, e := range tr.Edges {
+			want[e.U] = append(want[e.U], Adj{To: e.V, W: e.W})
+			want[e.V] = append(want[e.V], Adj{To: e.U, W: e.W})
+		}
+		adj := tr.Adjacency()
+		if len(adj) != n {
+			t.Fatalf("trial %d: %d lists, want %d", trial, len(adj), n)
+		}
+		for x := range adj {
+			if len(adj[x]) != len(want[x]) || cap(adj[x]) != len(adj[x]) {
+				t.Fatalf("trial %d node %d: len/cap %d/%d, want %d/%d",
+					trial, x, len(adj[x]), cap(adj[x]), len(want[x]), len(want[x]))
+			}
+			for k := range want[x] {
+				if adj[x][k] != want[x][k] {
+					t.Fatalf("trial %d node %d: adj = %v, want %v", trial, x, adj[x], want[x])
+				}
+			}
+		}
+		for x := range adj {
+			adj[x] = append(adj[x], Adj{To: -1})
+		}
+		for x := range adj {
+			for k, a := range want[x] {
+				if adj[x][k] != a {
+					t.Fatalf("trial %d node %d: append spilled: %v", trial, x, adj[x])
+				}
+			}
+		}
+	}
+}
+
 func TestTreeValidate(t *testing.T) {
 	tr := mkPathTree()
 	if err := tr.Validate(); err != nil {

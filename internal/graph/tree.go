@@ -68,9 +68,24 @@ type Adj struct {
 	W  float64
 }
 
-// Adjacency builds the adjacency lists of the tree.
+// Adjacency builds the adjacency lists of the tree, each node's
+// neighbours in edge order. All lists share one backing array, sized by
+// a degree count; each list's capacity ends at its own length, so an
+// append to one reallocates instead of overwriting its neighbour's.
 func (t *Tree) Adjacency() [][]Adj {
+	off := make([]int, t.N+1)
+	for _, e := range t.Edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for x := 0; x < t.N; x++ {
+		off[x+1] += off[x]
+	}
+	all := make([]Adj, off[t.N])
 	adj := make([][]Adj, t.N)
+	for x := range adj {
+		adj[x] = all[off[x]:off[x]:off[x+1]]
+	}
 	for _, e := range t.Edges {
 		adj[e.U] = append(adj[e.U], Adj{To: e.V, W: e.W})
 		adj[e.V] = append(adj[e.V], Adj{To: e.U, W: e.W})

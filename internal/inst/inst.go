@@ -114,7 +114,7 @@ func (in *Instance) Dist(i, j int) float64 {
 // Oracle is a zero-materialization distance oracle over an instance's
 // terminals. It satisfies graph.Weights structurally, so every consumer
 // of a DistMatrix can run off an Oracle instead: At is an O(1) metric
-// evaluation, bit-identical to the matrix entry, with no n×n backing
+// evaluation, bit-identical to the matrix entry, with no O(n²) backing
 // store. The zero value is unusable; obtain one from Instance.Oracle.
 type Oracle struct {
 	pts []geom.Point

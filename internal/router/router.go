@@ -99,7 +99,7 @@ func SPTPolicy() Policy {
 	return Policy{
 		Name: "spt",
 		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return mst.SPT(in.DistMatrix(), graph.Source), nil
+			return mst.SPT(in.Oracle(), graph.Source), nil
 		},
 	}
 }
