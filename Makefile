@@ -44,11 +44,11 @@ conformance:
 race:
 	$(GO) test -race ./...
 
-# the parallel kernel under a fixed worker budget: GOMAXPROCS=4 makes
+# the parallel kernels under a fixed worker budget: GOMAXPROCS=4 makes
 # the gate/serial split deterministic so the race detector exercises
-# the same schedule shape on every machine. geom carries the kernel
-# (matrix fill); graph (the edge stream) and engine/core/exact/steiner
-# are serial and run here as its consumers.
+# the same schedule shape on every machine. geom carries both kernels
+# (matrix fill, octant index search); graph (the edge stream) and
+# engine/core/exact/steiner are serial and run here as their consumers.
 race-parallel:
 	GOMAXPROCS=4 $(GO) test -race ./internal/geom ./internal/graph ./internal/engine ./internal/core ./internal/exact ./internal/steiner
 
@@ -114,8 +114,9 @@ bench-gate:
 	    BENCH_PR9.json /tmp/bench_head_pr9.json
 
 # one-iteration smoke over the same benchmarks, cheap enough for CI,
-# plus the per-layer rows of the sparse pipeline at n = 10⁴ (index,
-# edges, build; BenchmarkSparseLayers) and of the dense one at n = 10³
+# plus the per-layer rows of the sparse pipeline at n = 10⁴ (index at
+# workers=1|2 on uniform and pin-column layouts, edges, build;
+# BenchmarkSparseLayers) and of the dense one at n = 10³
 # (matrix, edges, build at ε = 0.1, 0.5, 2; BenchmarkDenseLayers).
 # The matrix-fill rows carry -benchmem, so B/op shows the packed
 # triangle's 8·n(n+1)/2 bytes, and the row-scan constructors (spt,
@@ -191,6 +192,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadInstance -fuzztime 30s ./internal/bench/
 	$(GO) test -fuzz FuzzReadNetlist -fuzztime 30s ./internal/router/
 	$(GO) test -fuzz FuzzBuildHandler -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzIndex -fuzztime 30s ./internal/geom/
 
 # end-to-end check of the -metrics pipeline: run one construction with
 # a metrics snapshot and verify the output is valid JSON with scopes

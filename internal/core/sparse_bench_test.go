@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -62,17 +63,33 @@ var (
 // over a built index), layer=build the scan and the forest bookkeeping
 // (BKRUSBuild over a fresh stream, so the bucket sorts the scan reaches
 // count here). The rows sum to that benchmark's op less the instance's
-// own construction.
+// own construction. The index rows pin GOMAXPROCS to their worker count
+// (1 is the serial search), and layout=columns indexes 10⁴ points on 7
+// vertical pin columns (x ∈ {0…6}, y ∈ [0, 3)), whose cells hold ~20
+// points each in 7 of ~141 grid columns, against the instance's uniform
+// points.
 func BenchmarkSparseLayers(b *testing.B) {
 	const nodes = 10000
 	in := randomInstance(rand.New(rand.NewSource(29)), nodes-1, 1000)
-	pts := in.Points()
-	b.Run("layer=index", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			layerIndex = geom.NewIndex(pts, in.Metric())
+	rng := rand.New(rand.NewSource(31))
+	columns := make([]geom.Point, nodes)
+	for i := range columns {
+		columns[i] = geom.Point{X: float64(rng.Intn(7)), Y: rng.Float64() * 3}
+	}
+	for _, layout := range []struct {
+		name string
+		pts  []geom.Point
+	}{{"uniform", in.Points()}, {"columns", columns}} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("layer=index/layout=%s/workers=%d", layout.name, w), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					layerIndex = geom.NewIndex(layout.pts, in.Metric())
+				}
+			})
 		}
-	})
+	}
 	ix := in.Index()
 	b.Run("layer=edges", func(b *testing.B) {
 		b.ReportAllocs()

@@ -11,7 +11,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 )
 
@@ -112,11 +111,7 @@ type DistMatrix struct {
 func NewDistMatrix(pts []Point, m Metric) *DistMatrix {
 	n := len(pts)
 	dm := &DistMatrix{n: n, d: make([]float64, n*(n+1)/2)}
-	if w := runtime.GOMAXPROCS(0); w > 1 && n >= parallelMatrixMin {
-		fillParallel(dm, pts, m, w)
-		return dm
-	}
-	dm.fillRows(pts, m, 0, n)
+	dm.fill(pts, m, workersFor(n, parallelMatrixMin))
 	return dm
 }
 

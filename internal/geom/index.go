@@ -81,14 +81,27 @@ type Index struct {
 // NewIndex builds the grid index and precomputes every point's octant
 // nearest neighbors under m. Construction is O(n) expected for
 // uniformly distributed points. The pts slice is referenced, not
-// copied.
+// copied. The per-point searches are independent, so sets of at least
+// parallelIndexMin points split them over runtime.GOMAXPROCS(0)
+// workers; the tables and counters are the same for any worker count.
 func NewIndex(pts []Point, m Metric) *Index {
+	return newIndex(pts, m, workersFor(len(pts), parallelIndexMin))
+}
+
+// newIndex is NewIndex with the search split over the given number of
+// workers (1 is the serial search).
+func newIndex(pts []Point, m Metric, workers int) *Index {
 	n := len(pts)
 	if n > math.MaxInt32 {
 		// Point ids are stored as int32 throughout the index (ids, nbr,
 		// the CSR buckets); check the assumption once at the boundary so
 		// every conversion below it is provably in range.
 		panic("geom: point count exceeds the int32 id space")
+	}
+	if n > 1 && !m.Valid() {
+		// The search computes distances inline; fail as m.Dist would
+		// on the first candidate.
+		panic("geom: invalid metric")
 	}
 	ix := &Index{pts: pts, m: m}
 	if n == 0 {
@@ -148,9 +161,7 @@ func NewIndex(pts []Point, m Metric) *Index {
 
 	ix.nbr = make([]int32, Octants*n)
 	ix.nbrD = make([]float64, Octants*n)
-	for i := 0; i < n; i++ {
-		ix.searchOctants(i)
-	}
+	ix.search(workers)
 
 	// Opportunistic instrumentation, mirroring the core scope: flush the
 	// construction's search effort into the process default registry when
@@ -164,19 +175,67 @@ func NewIndex(pts []Point, m Metric) *Index {
 
 // cellOf maps a point to its grid cell, clamped to the grid.
 func (ix *Index) cellOf(p Point) int {
-	cx := int((p.X - ix.bb.MinX) / ix.cellW)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= ix.nx {
-		cx = ix.nx - 1
+	return ix.clampY(int((p.Y-ix.bb.MinY)/ix.cellH))*ix.nx + ix.clampX(int((p.X-ix.bb.MinX)/ix.cellW))
+}
+
+// search fills every point's octant table with w workers, each over a
+// contiguous range of CSR positions. A worker writes only its own
+// points' slots and counts its effort privately; the counts are summed
+// once all workers are done. The build-time copy of the coordinates
+// in CSR order lets a search read a run of cells as one sequential
+// span instead of through ids.
+func (ix *Index) search(w int) {
+	n := len(ix.ids)
+	xy := make([]Point, n)
+	for k, id := range ix.ids {
+		xy[k] = ix.pts[id]
 	}
-	cy := int((p.Y - ix.bb.MinY) / ix.cellH)
-	if cy < 0 {
-		cy = 0
-	} else if cy >= ix.ny {
-		cy = ix.ny - 1
+	if w > n {
+		w = n
 	}
-	return cy*ix.nx + cx
+	if w > 1 {
+		probes := make([]int64, w)
+		candidates := make([]int64, w)
+		cut := make([]int, w+1)
+		for g := range cut {
+			cut[g] = n * g / w
+		}
+		fanOut(cut, func(g, lo, hi int) {
+			probes[g], candidates[g] = ix.searchRange(xy, lo, hi)
+		})
+		for g := range probes {
+			ix.probes += probes[g]
+			ix.candidates += candidates[g]
+		}
+		return
+	}
+	ix.probes, ix.candidates = ix.searchRange(xy, 0, n)
+}
+
+// searchRange fills the octant tables of the points at CSR positions
+// [lo, hi) and returns the cells and candidates it visited.
+func (ix *Index) searchRange(xy []Point, lo, hi int) (probes, candidates int64) {
+	s := octantSearch{ix: ix, xy: xy, l1: ix.m == Manhattan}
+	for k := lo; k < hi; k++ {
+		s.point(k)
+	}
+	return s.probes, s.candidates
+}
+
+// octantSearch is one worker's search: the point being searched, its
+// octant bests and cutoffs, and the worker's effort counters.
+type octantSearch struct {
+	ix *Index
+	xy []Point // xy[k] = pts[ids[k]], the coordinates in CSR order
+	l1 bool    // Manhattan, else Euclidean
+
+	u      Point
+	cutoff [Octants]float64
+	bestD  [Octants]float64
+	bestID [Octants]int32
+
+	probes     int64 // grid cells visited
+	candidates int64 // candidate points tested
 }
 
 // octant classifies direction (dx,dy) into one of eight half-open 45°
@@ -186,31 +245,49 @@ func (ix *Index) cellOf(p Point) int {
 // wherever they are filed. Exact float comparison is deliberate: the
 // sectors must partition the plane, and geom is the one package where
 // exact comparison is the contract.
+//
+// The classifier is branch-free: every test below compiles to a
+// conditional move, so a scan over points in random directions pays
+// no mispredictions. The lower half-plane (dy < 0, or dy = 0 and
+// dx < 0) starts at 4 and is mirrored through the origin (multiplying by
+// −1 is exact). In the upper half, the origin included, the sector then
+// counts the boundaries the direction has passed: 45° (y ≥ x), 90°
+// (x ≤ 0) and 135° (y ≤ −x); the origin passes all three. The function
+// stays within the inlining budget, so the scan loop inlines it.
 func octant(dx, dy float64) int {
-	if dy < 0 || (dy == 0 && dx < 0) {
-		return 4 + octant(-dx, -dy)
+	o := 0
+	if dx < 0 {
+		o = 4
 	}
-	switch {
-	case dx > 0 && dy < dx: // [0°, 45°)
-		return 0
-	case dx > 0: // [45°, 90°)
-		return 1
-	case dy > -dx: // [90°, 135°)
-		return 2
-	default: // [135°, 180°)
-		return 3
+	if dy != 0 {
+		o = 0
 	}
+	if dy < 0 {
+		o = 4
+	}
+	s := float64(1 - o>>1) // -1 on the lower half
+	x, y := dx*s, dy*s
+	if y >= x {
+		o++
+	}
+	if x <= 0 {
+		o++
+	}
+	if y <= -x {
+		o++
+	}
+	return o
 }
 
-// searchOctants fills the eight octant-nearest slots of point i via a
-// clamped ring expansion over the grid.
-func (ix *Index) searchOctants(i int) {
-	u := ix.pts[i]
-	var bestD [Octants]float64
-	var bestID [Octants]int32
+// point fills the eight octant-nearest slots of the point at CSR
+// position k via a clamped ring expansion over the grid.
+func (s *octantSearch) point(k int) {
+	ix := s.ix
+	u := s.xy[k]
+	s.u = u
 	for o := 0; o < Octants; o++ {
-		bestD[o] = math.Inf(1)
-		bestID[o] = -1
+		s.bestD[o] = math.Inf(1)
+		s.bestID[o] = -1
 	}
 	// cutoff[o] bounds the distance of every point that can fall in
 	// octant o: the sector's dominant axis displacement is at most the
@@ -219,32 +296,36 @@ func (ix *Index) searchOctants(i int) {
 	// strictly positive displacement along the other axis too (1, 3, 5,
 	// 7; see octant) is empty when the box has no extent that way, as
 	// on its edge rows and columns.
-	var cutoff [Octants]float64
 	xPos := 2 * (ix.bb.MaxX - u.X)
 	xNeg := 2 * (u.X - ix.bb.MinX)
 	yPos := 2 * (ix.bb.MaxY - u.Y)
 	yNeg := 2 * (u.Y - ix.bb.MinY)
-	cutoff[0], cutoff[7] = xPos, xPos
-	cutoff[1], cutoff[2] = yPos, yPos
-	cutoff[3], cutoff[4] = xNeg, xNeg
-	cutoff[5], cutoff[6] = yNeg, yNeg
+	s.cutoff[0], s.cutoff[7] = xPos, xPos
+	s.cutoff[1], s.cutoff[2] = yPos, yPos
+	s.cutoff[3], s.cutoff[4] = xNeg, xNeg
+	s.cutoff[5], s.cutoff[6] = yNeg, yNeg
 	for _, c := range [4]struct {
 		o     int
 		other float64
 	}{{1, xPos}, {3, yPos}, {5, xNeg}, {7, yNeg}} {
 		if c.other == 0 {
-			cutoff[c.o] = 0
+			s.cutoff[c.o] = 0
 		}
 	}
 
 	ucx := ix.clampX(int((u.X - ix.bb.MinX) / ix.cellW))
 	ucy := ix.clampY(int((u.Y - ix.bb.MinY) / ix.cellH))
-	for r := 0; ix.scanRing(i, u, ucx, ucy, r, &cutoff, &bestD, &bestID); r++ {
+	// Ring 0 is u's own cell, which holds u at position k: scan the
+	// spans on either side of it.
+	c := ucy*ix.nx + ucx
+	s.probes++
+	s.scan(int(ix.start[c]), k)
+	s.scan(k+1, int(ix.start[c+1]))
+	for r := 1; s.ring(ucx, ucy, r); r++ {
 	}
-	for o := 0; o < Octants; o++ {
-		ix.nbr[Octants*i+o] = bestID[o]
-		ix.nbrD[Octants*i+o] = bestD[o]
-	}
+	i := int(ix.ids[k])
+	copy(ix.nbr[Octants*i:Octants*i+Octants], s.bestID[:])
+	copy(ix.nbrD[Octants*i:Octants*i+Octants], s.bestD[:])
 }
 
 func (ix *Index) clampX(cx int) int {
@@ -278,7 +359,7 @@ const (
 	octLeft  uint8 = 0x3C
 )
 
-// scanRing visits the in-grid cells at Chebyshev distance exactly r
+// ring visits the in-grid cells at Chebyshev distance exactly r ≥ 1
 // from cell (ucx,ucy) and folds their points into the octant bests. It
 // skips a side of the ring when every octant the side can hold is
 // settled: the side's points lie at least r−1 whole cells from u along
@@ -287,42 +368,45 @@ const (
 // each of its octants. The comparison is strict because a point at
 // exactly bestD[o] may still win the tie on id. A skipped or
 // out-of-grid side stays so on every later ring (the bound grows,
-// bestD only shrinks), so scanRing reports whether it scanned any side:
+// bestD only shrinks), so ring reports whether it scanned any side:
 // once it scans none, no later ring can change a best.
-func (ix *Index) scanRing(i int, u Point, ucx, ucy, r int, cutoff, bestD *[Octants]float64, bestID *[Octants]int32) bool {
-	if r == 0 {
-		ix.scanCell(i, u, ucx, ucy, bestD, bestID)
-		return true
-	}
+func (s *octantSearch) ring(ucx, ucy, r int) bool {
+	ix := s.ix
 	lowY := float64(r-1) * ix.cellH
 	lowX := float64(r-1) * ix.cellW
 	x0, x1 := ucx-r, ucx+r
 	y0, y1 := ucy-r, ucy+r
 	scanned := false
-	// Bottom and top rows of the ring (full width, clamped).
+	// Bottom and top rows of the ring (full width, clamped). A row's
+	// cells are adjacent in the CSR layout, so the row is one span;
+	// probes still counts its cells.
+	xa, xb := max(x0, 0), min(x1, ix.nx-1)
 	for _, row := range [2]struct {
 		cy  int
 		oct uint8
 	}{{y0, octBelow}, {y1, octAbove}} {
-		if row.cy < 0 || row.cy >= ix.ny || settled(lowY, row.oct, cutoff, bestD) {
+		if row.cy < 0 || row.cy >= ix.ny || settled(lowY, row.oct, &s.cutoff, &s.bestD) {
 			continue
 		}
 		scanned = true
-		for cx := maxIntGeom(x0, 0); cx <= minIntGeom(x1, ix.nx-1); cx++ {
-			ix.scanCell(i, u, cx, row.cy, bestD, bestID)
-		}
+		c := row.cy * ix.nx
+		s.probes += int64(xb - xa + 1)
+		s.scan(int(ix.start[c+xa]), int(ix.start[c+xb+1]))
 	}
 	// Left and right columns, excluding the corners (the rows own them).
+	ya, yb := max(y0+1, 0), min(y1-1, ix.ny-1)
 	for _, col := range [2]struct {
 		cx  int
 		oct uint8
 	}{{x0, octLeft}, {x1, octRight}} {
-		if col.cx < 0 || col.cx >= ix.nx || settled(lowX, col.oct, cutoff, bestD) {
+		if col.cx < 0 || col.cx >= ix.nx || settled(lowX, col.oct, &s.cutoff, &s.bestD) {
 			continue
 		}
 		scanned = true
-		for cy := maxIntGeom(y0+1, 0); cy <= minIntGeom(y1-1, ix.ny-1); cy++ {
-			ix.scanCell(i, u, col.cx, cy, bestD, bestID)
+		s.probes += int64(yb - ya + 1)
+		for cy := ya; cy <= yb; cy++ {
+			c := cy*ix.nx + col.cx
+			s.scan(int(ix.start[c]), int(ix.start[c+1]))
 		}
 	}
 	return scanned
@@ -340,40 +424,31 @@ func settled(low float64, oct uint8, cutoff, bestD *[Octants]float64) bool {
 	return true
 }
 
-// scanCell tests every point of cell (cx,cy) against point i's octant
-// bests. Ties on distance break toward the smaller id, so the result is
-// independent of the order cells happen to be scanned in.
-func (ix *Index) scanCell(i int, u Point, cx, cy int, bestD *[Octants]float64, bestID *[Octants]int32) {
-	ix.probes++
-	c := cy*ix.nx + cx
-	for k := ix.start[c]; k < ix.start[c+1]; k++ {
-		j := ix.ids[k]
-		if int(j) == i {
-			continue
+// scan tests the points at CSR positions [lo, hi) against u's octant
+// bests. The displacement is taken once; |dx|+|dy| and
+// math.Hypot(dx, dy) are bit-equal to m.Dist(u, q), since
+// u.X−q.X = −dx exactly. Ties on distance break toward the smaller id,
+// so the result is independent of the order cells are scanned in.
+func (s *octantSearch) scan(lo, hi int) {
+	xy := s.xy[lo:hi]
+	ids := s.ix.ids[lo:hi]
+	ids = ids[:len(xy)]
+	s.candidates += int64(len(xy))
+	u, l1 := s.u, s.l1
+	for t, q := range xy {
+		dx, dy := q.X-u.X, q.Y-u.Y
+		var d float64
+		if l1 {
+			d = math.Abs(dx) + math.Abs(dy)
+		} else {
+			d = math.Hypot(dx, dy)
 		}
-		ix.candidates++
-		q := ix.pts[j]
-		o := octant(q.X-u.X, q.Y-u.Y)
-		d := ix.m.Dist(u, q)
-		if d < bestD[o] || (d == bestD[o] && j < bestID[o]) {
-			bestD[o] = d
-			bestID[o] = j
+		o := octant(dx, dy) & (Octants - 1) // always 0..7; the mask drops the bounds checks
+		if j := ids[t]; d < s.bestD[o] || (d == s.bestD[o] && j < s.bestID[o]) {
+			s.bestD[o] = d
+			s.bestID[o] = j
 		}
 	}
-}
-
-func maxIntGeom(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minIntGeom(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Len returns the number of indexed points.

@@ -14,6 +14,25 @@ func randIndexPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
+// octantRef is the branching octant classifier the index used before
+// the branch-free one, kept as the reference both the classifier and
+// the brute-force scan are checked against.
+func octantRef(dx, dy float64) int {
+	if dy < 0 || (dy == 0 && dx < 0) {
+		return 4 + octantRef(-dx, -dy)
+	}
+	switch {
+	case dx > 0 && dy < dx: // [0°, 45°)
+		return 0
+	case dx > 0: // [45°, 90°)
+		return 1
+	case dy > -dx: // [90°, 135°)
+		return 2
+	default: // [135°, 180°)
+		return 3
+	}
+}
+
 // bruteOctantNearest recomputes point i's octant-nearest table by
 // scanning every other point, with the same (distance, id) tie-break
 // the index promises.
@@ -28,7 +47,7 @@ func bruteOctantNearest(pts []Point, m Metric, i int) ([Octants]int32, [Octants]
 		if j == i {
 			continue
 		}
-		o := octant(pts[j].X-pts[i].X, pts[j].Y-pts[i].Y)
+		o := octantRef(pts[j].X-pts[i].X, pts[j].Y-pts[i].Y)
 		d := m.Dist(pts[i], pts[j])
 		if d < bestD[o] || (d == bestD[o] && int32(j) < bestID[o]) {
 			bestD[o] = d
@@ -64,13 +83,24 @@ func randBox(rng *rand.Rand, n int, w, h float64) []Point {
 	return pts
 }
 
+// pinColumns draws n points on 7 vertical pin columns: x ∈ {0…6},
+// y uniform in [0, 3). The box's cells are far narrower than the column
+// spacing, so 7 of about 1.4·√n grid columns hold every point.
+func pinColumns(rng *rand.Rand, n int) []Point {
+	pts := make([]Point, n)
+	for i := range pts {
+		pts[i] = Point{X: float64(rng.Intn(7)), Y: rng.Float64() * 3}
+	}
+	return pts
+}
+
 // TestIndexOctantNearestMatchesBruteForce checks the ring search,
 // including its side pruning, against a brute-force scan on layouts
 // that shape the grid differently: uniform squares, strips, a 1:50 box
 // and an integer lattice strip (whole rows on the box edges),
-// clusters (most cells empty), and points exactly on cell boundaries
+// clusters (most cells empty), points exactly on cell boundaries
 // (the bounding box is [0,100]², the grid 10×10, every coordinate a
-// multiple of 10).
+// multiple of 10), and pin columns (many points per occupied cell).
 func TestIndexOctantNearestMatchesBruteForce(t *testing.T) {
 	for _, m := range []Metric{Manhattan, Euclidean} {
 		for _, n := range []int{1, 2, 3, 10, 57, 200} {
@@ -104,6 +134,8 @@ func TestIndexOctantNearestMatchesBruteForce(t *testing.T) {
 			onEdges = append(onEdges, Point{X: float64(10 * rng.Intn(11)), Y: float64(10 * rng.Intn(11))})
 		}
 		checkIndexMatchesBrute(t, "cell-boundaries", onEdges, m)
+
+		checkIndexMatchesBrute(t, "pin-columns", pinColumns(rng, 700), m)
 	}
 }
 
@@ -148,6 +180,39 @@ func TestOctantPartition(t *testing.T) {
 		if anti := octant(-d.dx, -d.dy); anti != (o+4)%Octants {
 			t.Fatalf("octant antipode of (%g,%g): got %d want %d", d.dx, d.dy, anti, (o+4)%Octants)
 		}
+	}
+}
+
+// TestOctantMatchesReference requires the branch-free classifier to
+// agree with the branching reference everywhere it is defined: signed
+// zeros, infinities, both diagonals, both axes, and 10⁶ random and
+// small-integer displacements (integers put many directions exactly on
+// a sector boundary).
+func TestOctantMatchesReference(t *testing.T) {
+	check := func(dx, dy float64) {
+		t.Helper()
+		if got, want := octant(dx, dy), octantRef(dx, dy); got != want {
+			t.Fatalf("octant(%g, %g) = %d, reference %d", dx, dy, got, want)
+		}
+	}
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, 1, -1, 0.5, -0.5, 3, -3, inf, -inf,
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for _, dx := range special {
+		for _, dy := range special {
+			check(dx, dy)
+		}
+		check(dx, dx)  // the 45° and 225° diagonal
+		check(dx, -dx) // the 135° and 315° diagonal
+	}
+	if octant(0, 0) != 3 || octant(negZero, negZero) != 3 {
+		t.Fatalf("coincident points classify as %d and %d, want 3", octant(0, 0), octant(negZero, negZero))
+	}
+	rng := rand.New(rand.NewSource(17))
+	for k := 0; k < 1000000; k++ {
+		check(rng.NormFloat64(), rng.NormFloat64())
+		check(float64(rng.Intn(9)-4), float64(rng.Intn(9)-4))
 	}
 }
 
@@ -206,4 +271,17 @@ func TestIndexCountersAndMemBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewIndexInvalidMetricPanics pins that the inline distance of the
+// search fails on an invalid metric as Metric.Dist does, as soon as
+// there is a pair to measure.
+func TestNewIndexInvalidMetricPanics(t *testing.T) {
+	NewIndex([]Point{{X: 1, Y: 2}}, Metric(7)) // no pair: builds
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewIndex with an invalid metric did not panic")
+		}
+	}()
+	NewIndex([]Point{{X: 0, Y: 0}, {X: 1, Y: 1}}, Metric(7))
 }

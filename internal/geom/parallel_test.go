@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -33,7 +34,7 @@ func TestNewDistMatrixParallelMatchesSerial(t *testing.T) {
 			}
 			for _, workers := range []int{2, 3, 4, 8} {
 				par := &DistMatrix{n: n, d: make([]float64, n*(n+1)/2)}
-				fillParallel(par, pts, m, workers)
+				par.fill(pts, m, workers)
 				for i := range serial.d {
 					if math.Float64bits(par.d[i]) != math.Float64bits(serial.d[i]) {
 						t.Fatalf("n=%d %v workers=%d: cell %d differs: %v vs %v",
@@ -120,5 +121,72 @@ func TestUniqueCoordsNoAlias(t *testing.T) {
 	xs[0] = 42
 	if out[1] != 2 || out[2] != 3 {
 		t.Fatalf("input aliases result: %v", out)
+	}
+}
+
+// indexLayouts returns the point sets the parallel-search tests build
+// over: uniform, a shuffled integer lattice, a 1000×10 strip, and
+// coincident points (n draws from about n/4 distinct positions).
+func indexLayouts(rng *rand.Rand, n int) map[string][]Point {
+	side := int(math.Ceil(math.Sqrt(float64(n))))
+	lattice := make([]Point, n)
+	for i := range lattice {
+		lattice[i] = Point{X: float64(i % side), Y: float64(i / side)}
+	}
+	rng.Shuffle(n, func(a, b int) { lattice[a], lattice[b] = lattice[b], lattice[a] })
+	sites := randIndexPoints(rng, (n+3)/4)
+	coincident := make([]Point, n)
+	for i := range coincident {
+		coincident[i] = sites[rng.Intn(len(sites))]
+	}
+	return map[string][]Point{
+		"uniform":    randIndexPoints(rng, n),
+		"lattice":    lattice,
+		"strip":      randBox(rng, n, 1000, 10),
+		"coincident": coincident,
+	}
+}
+
+// sameIndex reports how two indexes over the same points differ in
+// their neighbour tables (bit for bit) or effort counters, or "" when
+// they do not.
+func sameIndex(a, b *Index) string {
+	if a.Probes() != b.Probes() || a.Candidates() != b.Candidates() {
+		return fmt.Sprintf("counters (%d, %d) vs (%d, %d)", a.Probes(), a.Candidates(), b.Probes(), b.Candidates())
+	}
+	if len(a.nbr) != len(b.nbr) || len(a.nbrD) != len(b.nbrD) {
+		return fmt.Sprintf("table lengths %d/%d vs %d/%d", len(a.nbr), len(a.nbrD), len(b.nbr), len(b.nbrD))
+	}
+	for k := range a.nbr {
+		if a.nbr[k] != b.nbr[k] || math.Float64bits(a.nbrD[k]) != math.Float64bits(b.nbrD[k]) {
+			return fmt.Sprintf("slot %d: (%d, %v) vs (%d, %v)", k, a.nbr[k], a.nbrD[k], b.nbr[k], b.nbrD[k])
+		}
+	}
+	return ""
+}
+
+// TestNewIndexParallelMatchesSerial pins the determinism contract of
+// the parallel octant search: at every worker count, including ones
+// that exceed the point count or do not divide it, the neighbour
+// tables are bit-identical to the serial search's and the probe and
+// candidate counts are equal. It covers the empty, single and pair
+// edges, both sides of the parallel gate and n = 10⁴, under both
+// metrics, and NewIndex itself at the process's GOMAXPROCS.
+func TestNewIndexParallelMatchesSerial(t *testing.T) {
+	for _, n := range []int{0, 1, 2, parallelIndexMin - 1, parallelIndexMin, parallelIndexMin + 1, 10000} {
+		rng := rand.New(rand.NewSource(int64(n) + 41))
+		for name, pts := range indexLayouts(rng, n) {
+			for _, m := range []Metric{Manhattan, Euclidean} {
+				serial := newIndex(pts, m, 1)
+				for _, w := range []int{2, 3, 4, 8} {
+					if diff := sameIndex(serial, newIndex(pts, m, w)); diff != "" {
+						t.Fatalf("%s n=%d %v workers=%d: %s", name, n, m, w, diff)
+					}
+				}
+				if diff := sameIndex(serial, NewIndex(pts, m)); diff != "" {
+					t.Fatalf("%s n=%d %v NewIndex at GOMAXPROCS %d: %s", name, n, m, runtime.GOMAXPROCS(0), diff)
+				}
+			}
+		}
 	}
 }
