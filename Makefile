@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint conformance race race-parallel bench bench-json bench-json-pr8 bench-json-pr9 bench-smoke bench-diff bench-gate profile-sparse profile-dense profile-bkst perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
+.PHONY: all build test vet lint mutants conformance race race-parallel bench bench-json-pr9 bench-smoke bench-gate profile-sparse profile-dense profile-bkst perfbench-check quick experiments examples cover fuzz metrics-smoke serve-smoke clean
 
 all: build vet lint test conformance
 
@@ -12,10 +12,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# the fifteen domain-invariant analyzers (floatcmp, wallclock, obsgate,
+# the thirteen domain-invariant analyzers (floatcmp, wallclock, obsgate,
 # parallelgate, waitpair, sharedwrite, errdrop, detflow, ctxflow,
-# allocloop, lockorder, indexbound, nilflow, intwidth, chanleak); see
-# internal/analysis and the "Code invariants" section of README.md.
+# allocloop, lockorder, intwidth, chanleak); see internal/analysis and
+# the "Code invariants" section of README.md.
 # The interprocedural analyzers load the whole module at once, so the
 # run carries a wall-clock budget (seconds) to catch fixed-point
 # blowups before they rot CI; override with LINT_BUDGET=0 to disable.
@@ -32,6 +32,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# the test column of the lint suite's mutation table
+# (internal/analysis/mutation_test.go): each seeded bug is applied to a
+# temporary copy of the module and its row's go test run must fail in
+# the named test. The lint column is checked by the plain test run.
+mutants:
+	$(GO) test -tags mutants -run '^TestMutationKills$$' -count=1 -timeout 60m -v ./internal/analysis
 
 # cross-algorithm conformance: every constructor in the internal/engine
 # registry builds valid, bound-feasible, byte-deterministic trees on the
@@ -56,23 +63,6 @@ race-parallel:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# machine-readable record of the lazy-stream / parallel-kernel
-# benchmarks (tools/benchjson parses the go test output into JSON)
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchmem ./internal/engine/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchmem ./internal/geom/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchmem ./internal/graph/ ; } \
-	| $(GO) run ./tools/benchjson -o BENCH_PR4.json
-
-# machine-readable record of the sub-quadratic geometry benchmarks:
-# sparse vs dense BKRUS over the whole pipeline (instance + geometry
-# cache + build + release), so B/op is the footprint headline the
-# bytes/op diff gate protects (DESIGN.md §13)
-bench-json-pr8:
-	$(GO) test -run '^$$' -bench 'BenchmarkBKRUS(Sparse|Dense)' -benchmem -timeout 30m ./internal/core/ \
-	| $(GO) run ./tools/benchjson -o BENCH_PR8.json
-
 # machine-readable record of the BKRUS refresh benchmarks (dense n=1000
 # and sparse n=10000; the rows keep their workers=1 names from when the
 # refresh had a worker knob), the hot-path rows the bench-gate target
@@ -80,21 +70,6 @@ bench-json-pr8:
 bench-json-pr9:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSRefresh' -benchmem -timeout 20m ./internal/core/ \
 	| $(GO) run ./tools/benchjson -o BENCH_PR9.json
-
-# one-iteration rerun of the committed benchmark set diffed against
-# the BENCH_PR4.json baseline; informational (no -fail-over) because a
-# 1x run is too noisy to gate on. The PR8 diff skips the n=10⁵ row
-# (bench-smoke runs it) but still compares ns/op and B/op on the rest.
-bench-diff:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x -benchmem ./internal/graph/ ; } \
-	| $(GO) run ./tools/benchjson -o /tmp/bench_head.json
-	$(GO) run ./tools/benchjson -diff BENCH_PR4.json /tmp/bench_head.json
-	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=(1000|10000)$$|BenchmarkBKRUSDense' -benchtime 1x -benchmem ./internal/core/ \
-	| $(GO) run ./tools/benchjson -o /tmp/bench_head_pr8.json
-	$(GO) run ./tools/benchjson -diff BENCH_PR8.json /tmp/bench_head_pr8.json
 
 # blocking gate over the BKRUS hot-path rows: rerun the refresh
 # benchmarks at full benchtime (a 1x run would bill one-time setup —

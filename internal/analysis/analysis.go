@@ -1,5 +1,5 @@
 // Package analysis is a small stdlib-only static-analysis framework
-// plus the fifteen domain analyzers that machine-check this
+// plus the thirteen domain analyzers that machine-check this
 // repository's code invariants. Analyzers that ask about calls share
 // one module-wide call graph (summary.go). The function-local
 // analyzers:
@@ -39,31 +39,25 @@
 //   - lockorder: the module-wide lock-acquisition-order graph over
 //     named mutex classes must be acyclic.
 //
-// The value-flow analyzers (built on the SSA-lite interval engine of
-// interval.go — an interval abstract domain with len-relative bounds,
-// branch-condition refinement, and loop widening — with argument and
-// return abstractions exchanged through the module fixed point of
-// intervalmod.go):
+// The last two:
 //
-//   - indexbound: subscripts and slice expressions in the hot kernel
-//     packages must carry no positive evidence of being out of
-//     bounds; the fallback edge sort's run boundaries are the
-//     headline client.
-//   - nilflow: pointer derefs, field accesses through pointers, and
-//     map writes must be dominated by a nil check whenever the value
-//     is nil on some path; the obs layer's nil-gated instruments are
-//     the proved-clean idiom.
-//   - intwidth: n*n-scale size computations must be provably 64-bit —
-//     width pins per hot package, and every narrowing conversion must
-//     be clamp-proved or boundary-guarded.
+//   - intwidth: n*n-scale size computations must be 64-bit — a width
+//     pin per hot package, no non-constant arithmetic in a sub-64-bit
+//     type, and a narrowing conversion only as the return of a checked
+//     helper shaped like core.id32. All three rules are syntactic.
 //   - chanleak: spawned goroutines whose only exits are channel ops
 //     must have a pairing close/receive/send reachable on every
 //     spawner path, directly or through callee channel-op summaries.
 //
-// The framework loads packages with `go list` (syntax via go/parser,
-// types via go/types and the toolchain's export data), runs each
-// analyzer over the packages it applies to, and reports diagnostics
-// with file:line:col positions. Findings are suppressed per line with
+// mutation_test.go is the suite's evidence: a table of seeded bugs in
+// real files, each naming the analyzers and the tests that kill it.
+//
+// The framework loads the whole module with one `go list` pass
+// (syntax via go/parser, types via go/types and the toolchain's export
+// data) whatever packages are asked for, so every package is judged
+// against the same module-wide summaries; it runs each analyzer over
+// the requested packages it applies to, and reports diagnostics with
+// file:line:col positions. Findings are suppressed per line with
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -310,7 +304,7 @@ func All() []*Analyzer {
 		FloatCmp, WallClock, ObsGate,
 		ParallelGate, WaitPair, SharedWrite, ErrDrop,
 		DetFlow, CtxFlow, AllocLoop, LockOrder,
-		IndexBound, NilFlow, IntWidth, ChanLeak,
+		IntWidth, ChanLeak,
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -21,7 +23,7 @@ import (
 // covers.
 func loadFixture(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
-	lookup, err := exportLookup("", []string{
+	deps, err := listDeps("", []string{
 		"fmt", "sort", "time", "math", "math/rand", "context", "sync", "runtime",
 		"strings", "repro/internal/obs", "repro/internal/cancel",
 	})
@@ -45,7 +47,7 @@ func loadFixture(t *testing.T, dir, importPath string) *Package {
 		}
 		files = append(files, f)
 	}
-	pkg, info, err := typeCheck(fset, importPath, files, importer.ForCompiler(fset, "gc", lookup))
+	pkg, info, err := typeCheck(fset, importPath, files, importer.ForCompiler(fset, "gc", exportLookup(deps)))
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", dir, err)
 	}
@@ -195,18 +197,23 @@ func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, LockOrder, filepath.Join("testdata", "lockorder"), "repro/internal/serve")
 }
 
-func TestIndexBoundFixture(t *testing.T) {
-	// The fake import path makes the fixture count as a hot package
-	// whose subscripts carry proof obligations.
-	checkFixture(t, IndexBound, filepath.Join("testdata", "indexbound"), "repro/internal/core")
-}
-
-func TestNilFlowFixture(t *testing.T) {
-	checkFixture(t, NilFlow, filepath.Join("testdata", "nilflow"), "repro/internal/core")
-}
-
 func TestIntWidthFixture(t *testing.T) {
 	checkFixture(t, IntWidth, filepath.Join("testdata", "intwidth"), "repro/internal/core")
+}
+
+func TestNarrowRange(t *testing.T) {
+	if lo, hi, ok := narrowRange(types.Typ[types.Int32]); !ok || lo != math.MinInt32 || hi != math.MaxInt32 {
+		t.Errorf("narrowRange(int32) = %d, %d, %v", lo, hi, ok)
+	}
+	if lo, hi, ok := narrowRange(types.Typ[types.Uint16]); !ok || lo != 0 || hi != math.MaxUint16 {
+		t.Errorf("narrowRange(uint16) = %d, %d, %v", lo, hi, ok)
+	}
+	if _, _, ok := narrowRange(types.Typ[types.Int64]); ok {
+		t.Error("narrowRange(int64) claimed a narrow range")
+	}
+	if _, _, ok := narrowRange(types.Typ[types.Float64]); ok {
+		t.Error("narrowRange(float64) claimed a narrow range")
+	}
 }
 
 func TestChanLeakFixture(t *testing.T) {
@@ -259,13 +266,6 @@ func TestAppliesTo(t *testing.T) {
 		{CtxFlow, "repro/internal/engine", true},
 		{CtxFlow, "repro/internal/serve", true},
 		{CtxFlow, "repro/internal/geom", false}, // matrix fill takes no ctx by design
-		// Value-flow analyzers. The kernel provers cover the six hot
-		// construction packages; nilflow adds the gated-observation and
-		// serving layers (nil receivers are their core idiom).
-		{IndexBound, "repro/internal/core", true},
-		{IndexBound, "repro/internal/serve", false}, // no kernel index math
-		{NilFlow, "repro/internal/obs", true},
-		{NilFlow, "repro/cmd/bmstree", false}, // binaries fail loudly anyway
 		{IntWidth, "repro/internal/graph", true},
 		{IntWidth, "repro/internal/obs", false}, // counters are int64 end to end
 		{AllocLoop, "repro/internal/core", true},
@@ -394,16 +394,26 @@ func inlinePackage(t *testing.T, importPath, src string) *Package {
 }
 
 // TestLoadRepo smoke-tests the go list + export data loader on this
-// very package.
+// very package: the pattern names one target, but the whole module is
+// loaded and summarised.
 func TestLoadRepo(t *testing.T) {
-	pkgs, err := Load("", ".")
+	mod, err := LoadModule("", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 || pkgs[0].ImportPath != "repro/internal/analysis" {
-		t.Fatalf("Load(.) = %v, want the analysis package itself", pkgs)
+	if len(mod.Targets) != 1 || mod.Targets[0].ImportPath != "repro/internal/analysis" {
+		t.Fatalf("LoadModule(.) targets = %v, want the analysis package itself", mod.Targets)
 	}
-	if len(pkgs[0].Files) == 0 || pkgs[0].Types == nil {
+	if len(mod.Targets[0].Files) == 0 || mod.Targets[0].Types == nil {
 		t.Fatal("loaded package has no syntax or types")
+	}
+	paths := map[string]bool{}
+	for _, p := range mod.Pkgs {
+		paths[p.ImportPath] = true
+	}
+	for _, want := range []string{"repro", "repro/internal/core", "repro/tools/lint"} {
+		if !paths[want] {
+			t.Errorf("LoadModule(.) did not load %s; the module load must cover the whole module", want)
+		}
 	}
 }

@@ -309,8 +309,8 @@ func TestRegistryREADMESync(t *testing.T) {
 		}
 		want[a.Name] = true
 	}
-	if len(want) != 15 {
-		t.Errorf("registry has %d analyzers, want 15", len(want))
+	if len(want) != 13 {
+		t.Errorf("registry has %d analyzers, want 13", len(want))
 	}
 	// Every fixture directory belongs to a registered analyzer, so a
 	// retired analyzer's fixture cannot linger unrun.

@@ -444,7 +444,7 @@ func (m *Module) chanOpSummaries() map[*modFunc]*chanOpSummary {
 				}
 				csum := m.chanops[callee]
 				for ai, arg := range call.Args {
-					pi, ok := idx[identObjOf(p, arg)]
+					pi, ok := idx[identObj(p, arg)]
 					if !ok || ai >= len(csum.sends) {
 						continue
 					}
@@ -464,4 +464,30 @@ func (m *Module) chanOpSummaries() map[*modFunc]*chanOpSummary {
 	return m.chanops
 }
 
-func identObjOf(p *Pass, e ast.Expr) types.Object { return identObj(p, e) }
+// identObj returns the object a (parenthesized) identifier denotes, or
+// nil for any other expression.
+func identObj(p *Pass, e ast.Expr) types.Object {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	return p.Info.ObjectOf(id)
+}
+
+// declParams returns the declared parameters of fn in position order.
+// An unnamed parameter gets a throwaway object of its own, so a
+// position still indexes the right slot of a per-parameter summary.
+func declParams(fn *modFunc) []types.Object {
+	p := fn.pass()
+	var out []types.Object
+	for _, field := range fn.decl.Type.Params.List {
+		if len(field.Names) == 0 {
+			out = append(out, types.NewVar(fn.decl.Pos(), nil, "_", types.Typ[types.Int]))
+			continue
+		}
+		for _, name := range field.Names {
+			out = append(out, p.Info.Defs[name])
+		}
+	}
+	return out
+}

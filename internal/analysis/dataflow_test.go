@@ -26,11 +26,11 @@ func parseTestPkg(t *testing.T, importPath string, deps []string, srcs ...string
 	}
 	var imp types.Importer
 	if len(deps) > 0 {
-		lookup, err := exportLookup("", deps)
+		entries, err := listDeps("", deps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp = importer.ForCompiler(fset, "gc", lookup)
+		imp = importer.ForCompiler(fset, "gc", exportLookup(entries))
 	}
 	pkg, info, err := typeCheck(fset, importPath, files, imp)
 	if err != nil {

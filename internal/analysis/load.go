@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,7 +27,8 @@ type Package struct {
 	Types      *types.Package
 	Info       *types.Info
 
-	mod *Module // module this package was loaded into, when LoadModule was used
+	mod   *Module  // module this package was loaded into, when LoadModule was used
+	match []string // the load patterns that named this package
 }
 
 // listEntry is the subset of `go list -json` output the loader needs.
@@ -35,6 +37,8 @@ type listEntry struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
+	Match      []string // the command-line patterns naming the package
+	DepOnly    bool     // listed only as a dependency of a named package
 	Error      *struct{ Err string }
 }
 
@@ -77,27 +81,32 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 	return entries, nil
 }
 
-// exportLookup builds an export-data lookup covering the patterns and
-// all of their dependencies, for use with the gc importer. A dependency
-// that fails to build or comes back without export data is a hard,
-// typed error naming the package: silently dropping it would shrink the
-// interprocedural call graph — calls into the missing package would
-// stop resolving and the module-wide analyzers (ctxflow, allocloop,
-// lockorder, detflow summaries) would go quietly blind there.
-func exportLookup(dir string, patterns []string) (func(path string) (io.ReadCloser, error), error) {
-	args := append([]string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Export,Error"}, patterns...)
-	entries, err := goList(dir, args...)
+// listDeps lists the patterns and all of their dependencies with
+// export data. A package that fails to build or comes back without
+// export data is a hard, typed error naming the package: silently
+// dropping it would shrink the interprocedural call graph — calls into
+// the missing package would stop resolving and the module-wide
+// analyzers (ctxflow, allocloop, lockorder, detflow summaries) would go
+// quietly blind there.
+func listDeps(dir string, patterns []string) ([]listEntry, error) {
+	// -e keeps go list from dying with an unstructured message on a
+	// broken package: the entry comes back with Error set instead, so
+	// the failure can be attributed to its import path.
+	entries, err := goList(dir, append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,Match,DepOnly,Error"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
 	for _, e := range entries {
 		if e.ImportPath == "unsafe" {
 			continue // compiler intrinsic: never has export data
 		}
 		if e.Error != nil {
-			return nil, &LoadError{ImportPath: e.ImportPath, Err: fmt.Errorf("%s", e.Error.Err)}
+			name := e.ImportPath
+			if name == "" {
+				name = e.Dir
+			}
+			return nil, &LoadError{ImportPath: name, Err: fmt.Errorf("%s", e.Error.Err)}
 		}
 		if e.Export == "" {
 			return nil, &LoadError{
@@ -105,6 +114,14 @@ func exportLookup(dir string, patterns []string) (func(path string) (io.ReadClos
 				Err:        fmt.Errorf("missing export data (partial module load would silently shrink the interprocedural call graph)"),
 			}
 		}
+	}
+	return entries, nil
+}
+
+// exportLookup is the gc importer's view of the listed export data.
+func exportLookup(entries []listEntry) func(path string) (io.ReadCloser, error) {
+	exports := map[string]string{}
+	for _, e := range entries {
 		exports[e.ImportPath] = e.Export
 	}
 	return func(path string) (io.ReadCloser, error) {
@@ -113,43 +130,50 @@ func exportLookup(dir string, patterns []string) (func(path string) (io.ReadClos
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(f)
-	}, nil
+	}
 }
 
-// Load lists the packages matching the patterns (relative to dir; an
-// empty dir means the current directory), parses their non-test Go
-// files and type-checks them against the toolchain's export data.
-// Test files are deliberately excluded: determinism tests compare
-// exact floats and time test execution on purpose.
-func Load(dir string, patterns ...string) ([]*Package, error) {
+// LoadModule loads the whole module that contains dir (an empty dir
+// means the current directory) and marks the packages matching the
+// patterns (./... when none are given) as its Targets. Every package is
+// parsed from its non-test Go files and type-checked against the
+// toolchain's export data; test files are deliberately excluded, as
+// determinism tests compare exact floats and time test execution on
+// purpose. The packages share a file set and are indexed into one
+// module-wide call graph, so the interprocedural analyzers resolve
+// calls across package boundaries to source-checked declarations, and
+// a package gets the same summaries — and so the same findings —
+// whichever patterns named it. Partial loads are refused with a typed
+// *LoadError naming the broken package.
+func LoadModule(dir string, patterns ...string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// -e keeps go list from dying with an unstructured message on a
-	// broken package: the entry comes back with Error set instead, so
-	// the failure can be attributed to its import path.
-	targets, err := goList(dir, append([]string{"list", "-e",
-		"-json=ImportPath,Dir,GoFiles,Error"}, patterns...)...)
+	list := patterns
+	if root, ok := moduleRoot(dir); ok {
+		list = append(list[:len(list):len(list)], filepath.Join(root, "..."))
+	}
+	entries, err := listDeps(dir, list)
 	if err != nil {
 		return nil, err
 	}
-	lookup, err := exportLookup(dir, patterns)
+	pkgs, err := checkPackages(entries)
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
+	mod := newModule(pkgs)
+	mod.Targets = named(pkgs, patterns)
+	return mod, nil
+}
 
+// checkPackages parses and type-checks the listed packages that are not
+// mere dependencies, in import-path order.
+func checkPackages(entries []listEntry) ([]*Package, error) {
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", exportLookup(entries))
 	var pkgs []*Package
-	for _, t := range targets {
-		if t.Error != nil {
-			name := t.ImportPath
-			if name == "" {
-				name = t.Dir
-			}
-			return nil, &LoadError{ImportPath: name, Err: fmt.Errorf("%s", t.Error.Err)}
-		}
-		if len(t.GoFiles) == 0 {
+	for _, t := range entries {
+		if t.DepOnly || len(t.GoFiles) == 0 {
 			continue
 		}
 		files := make([]*ast.File, 0, len(t.GoFiles))
@@ -174,23 +198,40 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Files:      files,
 			Types:      pkg,
 			Info:       info,
+			match:      t.Match,
 		})
 	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
 }
 
-// LoadModule loads the packages matching the patterns as one module:
-// the packages share a file set and are indexed into a module-wide call
-// graph, so the interprocedural analyzers resolve calls across package
-// boundaries to source-checked declarations instead of stopping at
-// export data. Partial loads are refused with a typed *LoadError naming
-// the broken package.
-func LoadModule(dir string, patterns ...string) (*Module, error) {
-	pkgs, err := Load(dir, patterns...)
-	if err != nil {
-		return nil, err
+// named returns the packages one of the patterns matched, in order.
+func named(pkgs []*Package, patterns []string) []*Package {
+	var out []*Package
+	for _, p := range pkgs {
+		if slices.ContainsFunc(p.match, func(m string) bool { return slices.Contains(patterns, m) }) {
+			out = append(out, p)
+		}
 	}
-	return newModule(pkgs), nil
+	return out
+}
+
+// moduleRoot returns the directory of the go.mod governing dir.
+func moduleRoot(dir string) (string, bool) {
+	d, err := filepath.Abs(dir)
+	if err != nil {
+		return "", false
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, true
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", false
+		}
+		d = parent
+	}
 }
 
 // typeCheck runs go/types over one package's parsed files.

@@ -29,19 +29,20 @@ import (
 // Module is a set of packages loaded together, with the interprocedural
 // caches the module-wide analyzers share.
 type Module struct {
+	// Pkgs is every loaded package, by import path: the summaries and
+	// the call graph cover all of them.
 	Pkgs []*Package
+	// Targets is the subset of Pkgs the load patterns named, by import
+	// path: the packages tools/lint reports findings for.
+	Targets []*Package
 
-	funcs  map[string]*modFunc // by funcID
-	byObj  map[types.Object]*modFunc
-	order  []*modFunc // deterministic iteration order (package, file, position)
-	taint  map[*modFunc]*taintSummary
-	hungry map[*modFunc]*hungrySummary
-	alloc  map[*modFunc]*allocSummary
-	locks  *lockGraph
-
-	// Value-flow layer caches (interval.go / intervalmod.go).
-	ivals   map[*modFunc]*ivalSummary
-	ivalAbs map[*modFunc]*funcAbs
+	funcs   map[string]*modFunc // by funcID
+	byObj   map[types.Object]*modFunc
+	order   []*modFunc // deterministic iteration order (package, file, position)
+	taint   map[*modFunc]*taintSummary
+	hungry  map[*modFunc]*hungrySummary
+	alloc   map[*modFunc]*allocSummary
+	locks   *lockGraph
 	chanops map[*modFunc]*chanOpSummary
 }
 

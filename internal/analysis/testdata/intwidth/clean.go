@@ -15,30 +15,45 @@ func WideClean(n int) int {
 	return n * n
 }
 
-// ClampedConvClean clamps before narrowing, so the operand interval
-// provably fits int32.
-func ClampedConvClean(n int) int32 {
-	if n < 0 {
-		n = 0
+// id32 is the checked helper: it panics outside int32's range, so its
+// return is the one place a narrowing may stand.
+func id32(x int) int32 {
+	if x < 0 || x > math.MaxInt32 {
+		panic("fixture: id outside the int32 id space")
 	}
-	if n > math.MaxInt32 {
-		n = math.MaxInt32
-	}
-	return int32(n)
+	return int32(x)
 }
 
-// KnobClean narrows a value a helper in another file has already
-// clamped: the proof crosses the call through the result summary.
-func KnobClean(n int) int32 {
-	return int32(clampWorkers(n))
+// byteID checks a tighter range than uint8's, with the constants on
+// the left and a non-strict comparison.
+func byteID(x int) uint8 {
+	if 0 > x || x >= 200 {
+		panic("fixture: id outside the byte id space")
+	}
+	return uint8(x)
 }
 
-// StaleSuppression narrows after a clamp the analyzer already proves;
-// the suppression is therefore unused and must be reported.
-func StaleSuppression(n int) int32 {
-	if n < 0 || n > 100 {
-		n = 0
+// halfID narrows an unsigned value: its lower bound needs no check.
+func halfID(x uint) uint16 {
+	if x > math.MaxUint16 {
+		panic("fixture: id outside the uint16 id space")
 	}
-	//lint:ignore intwidth suppressing a conversion the clamp already proves // want:lint
-	return int32(n)
+	return uint16(x)
+}
+
+// UseClean goes through the helpers, converts constants (checked by
+// the compiler), widens, and folds constant 32-bit arithmetic.
+func UseClean(n int, k int32) (int32, uint8, uint16, int64, int32) {
+	const cells int32 = 1 << 20
+	return id32(n), byteID(n), halfID(uint(n)), int64(k), int32(7) * cells
+}
+
+// StaleSuppression suppresses a narrowing the helper shape already
+// accepts; the suppression is therefore unused and must be reported.
+func StaleSuppression(x int) int32 {
+	if x < 0 || x > math.MaxInt32 {
+		panic("fixture: id outside the int32 id space")
+	}
+	//lint:ignore intwidth suppressing a conversion the helper shape already accepts // want:lint
+	return int32(x)
 }

@@ -18,8 +18,9 @@ import (
 // releases the caches — so B/op is the whole pipeline's footprint. The
 // dense path allocates the O(n²) matrix and edge list; the sparse path
 // stays O(n) per node and is the only one that can run n = 10⁵ at all.
-// BENCH_PR8.json commits the recorded rows; tools/benchjson -diff gates
-// bytes/op next to time so a quadratic allocation cannot sneak back in.
+// make bench-smoke runs the n = 10⁵ sparse row with -benchmem, and
+// tools/benchjson -diff compares bytes/op next to time, so a quadratic
+// allocation shows up even below the wall-time noise floor.
 func benchmarkBKRUSGeometry(b *testing.B, nodes int, geo Geometry) {
 	rng := rand.New(rand.NewSource(29))
 	base := randomInstance(rng, nodes-1, 1000)

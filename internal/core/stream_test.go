@@ -319,6 +319,26 @@ func TestReleasedScratchHoldsNoQuadraticState(t *testing.T) {
 	}
 }
 
+// TestFreshScratchMemBytes: a scratch no build has used holds nothing,
+// its forest not even a disjoint set, and MemBytes must bill zero
+// rather than reach through the nil set.
+func TestFreshScratchMemBytes(t *testing.T) {
+	if got := new(Scratch).MemBytes(); got != 0 {
+		t.Fatalf("fresh scratch MemBytes = %d, want 0", got)
+	}
+}
+
+// TestNilScratchEdgeStream: a nil scratch serves a fresh stream over
+// the whole complete graph, cached nowhere, as its doc promises.
+func TestNilScratchEdgeStream(t *testing.T) {
+	in := randomInstance(rand.New(rand.NewSource(5)), 39, 100)
+	var s *Scratch
+	n := in.N()
+	if got, want := s.EdgeStream(in, GeomDense).Len(), n*(n-1)/2; got != want {
+		t.Fatalf("nil scratch stream holds %d edges, want %d", got, want)
+	}
+}
+
 // TestForestArenaAfterShrink pins the half-edge arena's sizing and the
 // forest's byte accounting across a Reset to a smaller instance, as a
 // pooled scratch sees: the arena grows by append to the 2(n−1)

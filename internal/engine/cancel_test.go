@@ -95,6 +95,7 @@ func TestCancelStopsKruskalScans(t *testing.T) {
 		{"maxst", "repro/internal/mst.KruskalFrom"},
 		{"brbc", "repro/internal/mst.KruskalFrom"},
 		{"elmore", "repro/internal/delay.buildElmore"},
+		{"bkrus", "repro/internal/core.(*engine).run"},
 	} {
 		ctx := newCancelAfterFirstPoll()
 		if _, err := Build(ctx, tc.name, in, conformanceParams[tc.name]); !errors.Is(err, context.Canceled) {

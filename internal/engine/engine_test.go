@@ -163,6 +163,26 @@ func TestResultCost(t *testing.T) {
 // A sweep must reuse one scratch and still produce the same trees and
 // the same construction counters as independent builds, and count one
 // sweep_runs per cell. An empty sweep is a no-op; an unknown name is an
+// TestSweepSharesOneScratch: every cell of a sweep that pins no scratch
+// of its own builds on the one scratch the sweep owns, so the edge list
+// is sorted once per sweep, not once per cell; a pinned scratch is left
+// alone.
+func TestSweepSharesOneScratch(t *testing.T) {
+	r := NewRegistry()
+	var got []*core.Scratch
+	r.Register(Info{Name: "spy", Kind: Spanning}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
+		got = append(got, p.Scratch)
+		return Result{Tree: mst.Kruskal(in.DistMatrix())}, nil
+	})
+	pinned := new(core.Scratch)
+	if _, err := r.Sweep(context.Background(), "spy", bench.P1(), []Params{{}, {}, {Scratch: pinned}}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] == nil || got[1] != got[0] || got[2] != pinned {
+		t.Fatalf("sweep cells built on scratches %p, want one shared non-nil scratch then the pinned %p", got, pinned)
+	}
+}
+
 // error.
 func TestSweepMatchesIndependentBuilds(t *testing.T) {
 	in := bench.P4()

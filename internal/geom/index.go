@@ -68,9 +68,6 @@ type Index struct {
 	nx, ny       int
 	cellW, cellH float64
 
-	start []int32 // CSR cell offsets, len nx*ny+1
-	ids   []int32 // point ids, bucket-major, ascending within a cell
-
 	nbr  []int32   // nbr[Octants*i+o] = nearest point in octant o of i, -1 if empty
 	nbrD []float64 // nbrD[Octants*i+o] = its distance
 
@@ -93,9 +90,9 @@ func NewIndex(pts []Point, m Metric) *Index {
 func newIndex(pts []Point, m Metric, workers int) *Index {
 	n := len(pts)
 	if n > math.MaxInt32 {
-		// Point ids are stored as int32 throughout the index (ids, nbr,
-		// the CSR buckets); check the assumption once at the boundary so
-		// every conversion below it is provably in range.
+		// Point ids are stored as int32 throughout the index (nbr and
+		// the build's CSR buckets); check the assumption once at the
+		// boundary so id32 below fails only on a bug.
 		panic("geom: point count exceeds the int32 id space")
 	}
 	if n > 1 && !m.Valid() {
@@ -141,27 +138,29 @@ func newIndex(pts []Point, m Metric, workers int) *Index {
 
 	// CSR bucket fill: count, prefix-sum, place. Iterating ids in
 	// ascending order keeps each bucket sorted by id, so the scan order
-	// (and with it every tie-break) is a pure function of the data.
+	// (and with it every tie-break) is a pure function of the data. The
+	// buckets live only for the search: the octant tables are all a
+	// built index reads.
 	cells := ix.nx * ix.ny
-	ix.start = make([]int32, cells+1)
+	start := make([]int32, cells+1)
 	for i := 0; i < n; i++ {
-		ix.start[ix.cellOf(pts[i])+1]++
+		start[ix.cellOf(pts[i])+1]++
 	}
 	for c := 0; c < cells; c++ {
-		ix.start[c+1] += ix.start[c]
+		start[c+1] += start[c]
 	}
-	ix.ids = make([]int32, n)
+	ids := make([]int32, n)
 	next := make([]int32, cells)
-	copy(next, ix.start[:cells])
+	copy(next, start[:cells])
 	for i := 0; i < n; i++ {
 		c := ix.cellOf(pts[i])
-		ix.ids[next[c]] = int32(i)
+		ids[next[c]] = id32(i)
 		next[c]++
 	}
 
 	ix.nbr = make([]int32, Octants*n)
 	ix.nbrD = make([]float64, Octants*n)
-	ix.search(workers)
+	ix.search(start, ids, workers)
 
 	// Opportunistic instrumentation, mirroring the core scope: flush the
 	// construction's search effort into the process default registry when
@@ -173,21 +172,32 @@ func newIndex(pts []Point, m Metric, workers int) *Index {
 	return ix
 }
 
+// id32 narrows a point id to the int32 the index stores it in.
+// newIndex rejects point counts past the int32 id space, so the check
+// fails only on a bug.
+func id32(i int) int32 {
+	if i < 0 || i > math.MaxInt32 {
+		panic("geom: point id outside the int32 id space")
+	}
+	return int32(i)
+}
+
 // cellOf maps a point to its grid cell, clamped to the grid.
 func (ix *Index) cellOf(p Point) int {
 	return ix.clampY(int((p.Y-ix.bb.MinY)/ix.cellH))*ix.nx + ix.clampX(int((p.X-ix.bb.MinX)/ix.cellW))
 }
 
-// search fills every point's octant table with w workers, each over a
-// contiguous range of CSR positions. A worker writes only its own
+// search fills every point's octant table from the CSR buckets (cell
+// offsets start, point ids in bucket order) with w workers, each over
+// a contiguous range of CSR positions. A worker writes only its own
 // points' slots and counts its effort privately; the counts are summed
 // once all workers are done. The build-time copy of the coordinates
 // in CSR order lets a search read a run of cells as one sequential
 // span instead of through ids.
-func (ix *Index) search(w int) {
-	n := len(ix.ids)
+func (ix *Index) search(start, ids []int32, w int) {
+	n := len(ids)
 	xy := make([]Point, n)
-	for k, id := range ix.ids {
+	for k, id := range ids {
 		xy[k] = ix.pts[id]
 	}
 	if w > n {
@@ -201,7 +211,7 @@ func (ix *Index) search(w int) {
 			cut[g] = n * g / w
 		}
 		fanOut(cut, func(g, lo, hi int) {
-			probes[g], candidates[g] = ix.searchRange(xy, lo, hi)
+			probes[g], candidates[g] = ix.searchRange(start, ids, xy, lo, hi)
 		})
 		for g := range probes {
 			ix.probes += probes[g]
@@ -209,13 +219,13 @@ func (ix *Index) search(w int) {
 		}
 		return
 	}
-	ix.probes, ix.candidates = ix.searchRange(xy, 0, n)
+	ix.probes, ix.candidates = ix.searchRange(start, ids, xy, 0, n)
 }
 
 // searchRange fills the octant tables of the points at CSR positions
 // [lo, hi) and returns the cells and candidates it visited.
-func (ix *Index) searchRange(xy []Point, lo, hi int) (probes, candidates int64) {
-	s := octantSearch{ix: ix, xy: xy, l1: ix.m == Manhattan}
+func (ix *Index) searchRange(start, ids []int32, xy []Point, lo, hi int) (probes, candidates int64) {
+	s := octantSearch{ix: ix, start: start, ids: ids, xy: xy, l1: ix.m == Manhattan}
 	for k := lo; k < hi; k++ {
 		s.point(k)
 	}
@@ -225,9 +235,11 @@ func (ix *Index) searchRange(xy []Point, lo, hi int) (probes, candidates int64) 
 // octantSearch is one worker's search: the point being searched, its
 // octant bests and cutoffs, and the worker's effort counters.
 type octantSearch struct {
-	ix *Index
-	xy []Point // xy[k] = pts[ids[k]], the coordinates in CSR order
-	l1 bool    // Manhattan, else Euclidean
+	ix    *Index
+	start []int32 // CSR cell offsets, len nx*ny+1
+	ids   []int32 // point ids, bucket-major, ascending within a cell
+	xy    []Point // xy[k] = pts[ids[k]], the coordinates in CSR order
+	l1    bool    // Manhattan, else Euclidean
 
 	u      Point
 	cutoff [Octants]float64
@@ -319,11 +331,11 @@ func (s *octantSearch) point(k int) {
 	// spans on either side of it.
 	c := ucy*ix.nx + ucx
 	s.probes++
-	s.scan(int(ix.start[c]), k)
-	s.scan(k+1, int(ix.start[c+1]))
+	s.scan(int(s.start[c]), k)
+	s.scan(k+1, int(s.start[c+1]))
 	for r := 1; s.ring(ucx, ucy, r); r++ {
 	}
-	i := int(ix.ids[k])
+	i := int(s.ids[k])
 	copy(ix.nbr[Octants*i:Octants*i+Octants], s.bestID[:])
 	copy(ix.nbrD[Octants*i:Octants*i+Octants], s.bestD[:])
 }
@@ -391,7 +403,7 @@ func (s *octantSearch) ring(ucx, ucy, r int) bool {
 		scanned = true
 		c := row.cy * ix.nx
 		s.probes += int64(xb - xa + 1)
-		s.scan(int(ix.start[c+xa]), int(ix.start[c+xb+1]))
+		s.scan(int(s.start[c+xa]), int(s.start[c+xb+1]))
 	}
 	// Left and right columns, excluding the corners (the rows own them).
 	ya, yb := max(y0+1, 0), min(y1-1, ix.ny-1)
@@ -406,7 +418,7 @@ func (s *octantSearch) ring(ucx, ucy, r int) bool {
 		s.probes += int64(yb - ya + 1)
 		for cy := ya; cy <= yb; cy++ {
 			c := cy*ix.nx + col.cx
-			s.scan(int(ix.start[c]), int(ix.start[c+1]))
+			s.scan(int(s.start[c]), int(s.start[c+1]))
 		}
 	}
 	return scanned
@@ -431,7 +443,7 @@ func settled(low float64, oct uint8, cutoff, bestD *[Octants]float64) bool {
 // so the result is independent of the order cells are scanned in.
 func (s *octantSearch) scan(lo, hi int) {
 	xy := s.xy[lo:hi]
-	ids := s.ix.ids[lo:hi]
+	ids := s.ids[lo:hi]
 	ids = ids[:len(xy)]
 	s.candidates += int64(len(xy))
 	u, l1 := s.u, s.l1
@@ -482,10 +494,9 @@ func (ix *Index) Probes() int64 { return ix.probes }
 // building the octant neighbor lists.
 func (ix *Index) Candidates() int64 { return ix.candidates }
 
-// MemBytes estimates the heap bytes retained by the index, excluding
-// the point slice it references (the owning instance accounts for
-// that).
+// MemBytes estimates the heap bytes retained by the index — its octant
+// tables, 96 bytes per point — excluding the point slice it references
+// (the owning instance accounts for that).
 func (ix *Index) MemBytes() int64 {
-	return int64(cap(ix.start))*4 + int64(cap(ix.ids))*4 +
-		int64(cap(ix.nbr))*4 + int64(cap(ix.nbrD))*8
+	return int64(cap(ix.nbr))*4 + int64(cap(ix.nbrD))*8
 }

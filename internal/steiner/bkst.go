@@ -418,7 +418,6 @@ func (b *builder) tryEmbed(a, c int) {
 				b.h.Push(pairItem{d: b.g.Dist(a, z), a: a, b: z})
 			}
 			j := b.lastCollisionIdx(path)
-			//lint:ignore indexbound firstCollisionIdx != -1 implies lastCollisionIdx != -1 (both scan the same interior; pinned by TestCollisionIdxPaired)
 			if z := path[j]; !b.f.Same(c, z) {
 				b.h.Push(pairItem{d: b.g.Dist(z, c), a: z, b: c})
 			}

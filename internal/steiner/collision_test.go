@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestCollisionIdxPaired pins the invariant behind the indexbound
-// suppression in tryEmbed: firstCollisionIdx and lastCollisionIdx scan
-// the same interior range of a path, so one returns -1 exactly when
-// the other does — path[lastCollisionIdx(path)] inside a
-// firstCollisionIdx(path) != -1 branch cannot index with -1.
+// TestCollisionIdxPaired pins the invariant tryEmbed relies on:
+// firstCollisionIdx and lastCollisionIdx scan the same interior range
+// of a path, so one returns -1 exactly when the other does —
+// path[lastCollisionIdx(path)] inside a firstCollisionIdx(path) != -1
+// branch cannot index with -1.
 func TestCollisionIdxPaired(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a
 // machine-readable JSON record, so benchmark results can be committed
-// (BENCH_PR4.json) and diffed across PRs instead of living in commit
-// messages.
+// (BENCH_PR9.json, the baseline of make bench-gate) and diffed across
+// changes instead of living in commit messages.
 //
 // It reads benchmark output from stdin (or a file argument), parses
 // every "BenchmarkX  N  val unit  val unit ..." result line plus the

@@ -1,26 +1,28 @@
-// Command lint runs the repository's fifteen domain-invariant analyzers
-// (see internal/analysis: floatcmp, wallclock, obsgate, parallelgate,
-// waitpair, sharedwrite, errdrop, detflow, ctxflow, allocloop,
-// lockorder, indexbound, nilflow, intwidth, chanleak) over the packages
-// matching the given patterns
-// and prints one file:line:col diagnostic per finding. It exits 0 on a
-// clean tree, 1 when there are findings, and 2 on usage or load errors
-// — a package that fails to list, parse or type-check is reported by
-// import path on stderr. Partial loads are refused the same way: a
-// broken or export-less dependency anywhere in the pattern's closure
-// names the failing package and exits 2, because silently analyzing
-// the remainder would shrink the interprocedural call graph the
-// module-wide analyzers depend on.
+// Command lint runs the repository's thirteen domain-invariant
+// analyzers (see internal/analysis: floatcmp, wallclock, obsgate,
+// parallelgate, waitpair, sharedwrite, errdrop, detflow, ctxflow,
+// allocloop, lockorder, intwidth, chanleak) over the packages matching
+// the given patterns and prints one file:line:col diagnostic per
+// finding. It exits 0 on a clean tree, 1 when there are findings, and 2
+// on usage or load errors — a package that fails to list, parse or
+// type-check is reported by import path on stderr. Partial loads are
+// refused the same way: a broken or export-less package anywhere in
+// the module names the failing package and exits 2, because silently
+// analyzing the remainder would shrink the interprocedural call graph
+// the module-wide analyzers depend on.
 //
 // Usage:
 //
 //	lint [-list] [-dir dir] [-analyzer names] [-format text|json] [packages]
 //
-// With no patterns it lints ./... . The packages are loaded together
-// as one module so the interprocedural analyzers see cross-package
-// call chains. -analyzer restricts the run to a comma-separated subset
-// (e.g. -analyzer detflow,lockorder). Findings are suppressed per line
-// with `//lint:ignore <analyzer> <reason>`; see the "Code invariants"
+// With no patterns it lints ./... . Whatever the patterns, the whole
+// module is loaded and summarised, so the interprocedural analyzers see
+// every cross-package call chain and a package gets the same verdict
+// alone as under ./...; findings and unused suppressions are reported
+// only for the packages the patterns name. -analyzer restricts the run
+// to a comma-separated subset (e.g. -analyzer detflow,lockorder).
+// Findings are suppressed per line with
+// `//lint:ignore <analyzer> <reason>`; see the "Code invariants"
 // section of the README for what each analyzer enforces and when a
 // suppression is legitimate.
 //
@@ -98,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runJSON(mod, analyzers, stdout, stderr)
 	}
 	findings := 0
-	for _, pkg := range mod.Pkgs {
+	for _, pkg := range mod.Targets {
 		for _, d := range analysis.Run(pkg, analyzers) {
 			fmt.Fprintln(stdout, d)
 			findings++
@@ -128,7 +130,7 @@ type jsonFinding struct {
 func runJSON(mod *analysis.Module, analyzers []*analysis.Analyzer, stdout, stderr io.Writer) int {
 	out := []jsonFinding{} // encode [] on a clean tree, not null
 	active := 0
-	for _, pkg := range mod.Pkgs {
+	for _, pkg := range mod.Targets {
 		for _, d := range analysis.RunAll(pkg, analyzers) {
 			out = append(out, jsonFinding{
 				File:       d.Pos.Filename,
