@@ -88,9 +88,10 @@ bench-gate:
 	    -require 'BenchmarkBKRUSRefresh/n=1000/workers=1,BenchmarkBKRUSRefreshSparse/n=10000/workers=1' \
 	    BENCH_PR9.json /tmp/bench_head_pr9.json
 
-# one-iteration smoke over the same benchmarks, cheap enough for CI,
-# plus the per-layer rows of the sparse pipeline at n = 10⁴ (index at
-# workers=1|2 on uniform and pin-column layouts, edges, build;
+# one-iteration smoke over the same benchmarks, cheap enough for CI
+# (the sparse n = 10⁵ build, ~1 s, runs 3 times), plus the per-layer
+# rows of the sparse pipeline at n = 10⁴ (index at workers=1|2 on
+# uniform and pin-column layouts, edges, build at ε = 0.1, 0.5, 2;
 # BenchmarkSparseLayers) and of the dense one at n = 10³
 # (matrix, edges, build at ε = 0.1, 0.5, 2; BenchmarkDenseLayers).
 # The matrix-fill rows carry -benchmem, so B/op shows the packed
@@ -103,7 +104,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistMatrix' -benchtime 1x -benchmem ./internal/geom/
 	$(GO) test -run '^$$' -bench 'BenchmarkRowScanFresh/n=1000/' -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkEdgeStreamPrefix' -benchtime 1x ./internal/graph/
-	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -benchtime 1x -benchmem -timeout 20m ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -count 3 -benchmem -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseLayers' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseLayers' -benchtime 1x -benchmem ./internal/core/
 

@@ -144,12 +144,13 @@ var mutants = []mutant{
 		old: "const _ uint = 1 << 62",
 		new: "const _ uint = 1 << 31"},
 
-	// Cancellation. The BKST heap loop is short at test sizes, and the
-	// fallback loop after it still polls, so only ctxflow sees the
-	// dropped stride poll.
+	// Cancellation. The fallback loop after BKST's heap loop still
+	// polls, so the cancel test also pins how few candidates a cancelled
+	// build popped.
 	{file: "internal/steiner/bkst.go", kind: "cancel", lint: []string{"ctxflow"},
-		old: "\t\tif err := chk.Tick(); err != nil {\n\t\t\treturn err\n\t\t}\n\t\tb.step()",
-		new: "\t\tb.step()"},
+		old:  "\t\tif err := chk.Tick(); err != nil {\n\t\t\treturn err\n\t\t}\n\t\tb.step()",
+		new:  "\t\tb.step()",
+		test: "-run ^TestCancelStopsKruskalScans$ ./internal/engine"},
 	{file: "internal/core/bkrus.go", kind: "cancel",
 		old:  "\tchk := cancel.New(ctx, cancelStride)",
 		new:  "\tchk := cancel.New(context.Background(), cancelStride)",

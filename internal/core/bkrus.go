@@ -17,10 +17,11 @@
 // Forest (forest.go) that the Steiner construction drives too. The
 // paper's Merge stores P[x][y], the in-forest path length of every
 // same-tree pair, in an n² matrix; the forest keeps the partial forest
-// itself (adjacency lists) and reads in-tree paths with an incremental
-// DFS from the edge endpoint. Inside source-free trees it also keeps
-// r[x], the radius of x within its tree, and the live members (3-b)
-// scans. The source tree needs none of it: (3-a) reads only path(S,u),
+// itself (adjacency lists), fills whole rows of it by DFS where a merge
+// changes radii, and reads single paths from a rooted copy of each
+// source-free tree. Inside source-free trees it also keeps r[x], the
+// radius of x within its tree, each tree's diameter, and the live
+// members (3-b) scans. The source tree needs none of it: (3-a) reads only path(S,u),
 // so a tree that joins the source tree contributes its source paths
 // (distS) and nothing else. The substrate only decides which edge
 // sequence feeds the scan: the complete graph over the distance matrix

@@ -58,17 +58,18 @@ var (
 )
 
 // BenchmarkSparseLayers splits the sparse pipeline of
-// BenchmarkBKRUSSparse/n=10000 into its layers over one instance (ε = 2
-// as there): layer=index is the octant index (geom.NewIndex),
-// layer=edges the candidate set and its stream (graph.NewSparseEdgeStream
-// over a built index), layer=build the scan and the forest bookkeeping
-// (BKRUSBuild over a fresh stream, so the bucket sorts the scan reaches
-// count here). The rows sum to that benchmark's op less the instance's
-// own construction. The index rows pin GOMAXPROCS to their worker count
-// (1 is the serial search), and layout=columns indexes 10⁴ points on 7
-// vertical pin columns (x ∈ {0…6}, y ∈ [0, 3)), whose cells hold ~20
-// points each in 7 of ~141 grid columns, against the instance's uniform
-// points.
+// BenchmarkBKRUSSparse/n=10000 into its layers over one instance:
+// layer=index is the octant index (geom.NewIndex), layer=edges the
+// candidate set and its stream (graph.NewSparseEdgeStream over a built
+// index), layer=build the scan and the forest bookkeeping (BKRUSBuild
+// over a fresh stream, so the bucket sorts the scan reaches count here)
+// at the bounds perfbench's sparse_1e4 cycles through, ε = 0.1, 0.5 and
+// 2. With the ε = 2 row (that benchmark's bound) the rows sum to that
+// benchmark's op less the instance's own construction. The index rows
+// pin GOMAXPROCS to their worker count (1 is the serial search), and
+// layout=columns indexes 10⁴ points on 7 vertical pin columns
+// (x ∈ {0…6}, y ∈ [0, 3)), whose cells hold ~20 points each in 7 of
+// ~141 grid columns, against the instance's uniform points.
 func BenchmarkSparseLayers(b *testing.B) {
 	const nodes = 10000
 	in := randomInstance(rand.New(rand.NewSource(29)), nodes-1, 1000)
@@ -98,20 +99,22 @@ func BenchmarkSparseLayers(b *testing.B) {
 			layerStream = graph.NewSparseEdgeStream(ix, graph.Source)
 		}
 	})
-	b.Run("layer=build", func(b *testing.B) {
-		bounds := UpperOnly(in, 2)
-		var s Scratch
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s.Release()
-			s.EdgeStream(in, GeomSparse) // a fresh stream, cached for the build
-			b.StartTimer()
-			if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Scratch: &s, Geometry: GeomSparse}); err != nil {
-				b.Fatal(err)
+	for _, eps := range []float64{0.1, 0.5, 2} {
+		b.Run(fmt.Sprintf("layer=build/eps=%g", eps), func(b *testing.B) {
+			bounds := UpperOnly(in, eps)
+			var s Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.Release()
+				s.EdgeStream(in, GeomSparse) // a fresh stream, cached for the build
+				b.StartTimer()
+				if _, err := BKRUSBuild(context.Background(), in, bounds, Config{Scratch: &s, Geometry: GeomSparse}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkDenseLayers is BenchmarkSparseLayers' dense twin at n = 1000

@@ -228,31 +228,64 @@ func scanByHand(e *engine, before, after func(graph.Edge)) int {
 // TestTooFarNeverPrunesAWitness checks the witness scan's distance
 // prune against the exact test it stands in for: at every (3-b)
 // candidate, every live member on either side that tooFar prunes must
-// fail the exact witness test. Tight bounds and a lattice (integer L1
+// fail the exact witness test, and pathLow must not exceed the path
+// read for any live member. Tight bounds and a lattice (integer L1
 // distances, so staircase tree paths equal the straight line exactly)
-// put many members right at the bound.
+// put many members right at the bound. Clusters of points 1e-9 apart
+// put nearly coincident members in one tree; in the chain layout two
+// such clusters sit near the origin, where their coordinates and
+// distances are finer-grained than the depths, and the first is hung
+// under a 300-point chain before the second joins through it. There the
+// depth-difference read rounds to ulp(depth), far more than any
+// fraction of the members' distance: without pathLow's depth term the
+// read falls below its bound.
 func TestTooFarNeverPrunesAWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	var clustered, chain []geom.Point
+	for c := 0; c < 12; c++ {
+		cx, cy := rng.Float64()*1000, rng.Float64()*1000
+		for k := 0; k < 16; k++ {
+			clustered = append(clustered, geom.Point{X: cx + float64(k%4)*1e-9, Y: cy + float64(k/4)*1e-9})
+		}
+	}
+	for k, pos := 0, 1.0; k < 300; k++ {
+		chain = append(chain, geom.Point{X: pos, Y: 0})
+		pos += 0.9 + 0.2*rng.Float64()
+	}
+	for k := 0; k < 16; k++ {
+		chain = append(chain,
+			geom.Point{X: 1e-3 + float64(k%4)*1e-9, Y: 1e-3 + float64(k/4)*1.3e-9},
+			geom.Point{X: 1e-3 + float64(k%4)*1.7e-9, Y: -2 + float64(k/4)*1e-9})
+	}
 	instances := []*inst.Instance{
 		latticeInstance(15),
 		randomInstanceMetric(rng, 150, 100, geom.Manhattan),
 		randomInstanceMetric(rng, 150, 100, geom.Euclidean),
+		inst.MustNew(geom.Point{X: 500, Y: 500}, clustered, geom.Manhattan),
+		inst.MustNew(geom.Point{X: 500, Y: 500}, clustered, geom.Euclidean),
+		inst.MustNew(geom.Point{X: -1000, Y: 0}, chain, geom.Manhattan),
+		inst.MustNew(geom.Point{X: -1000, Y: 0}, chain, geom.Euclidean),
+		inst.MustNew(geom.Point{X: 150, Y: 5}, chain, geom.Euclidean),
 	}
-	pruned := 0
+	pruned, reads := 0, 0
 	for _, in := range instances {
 		for _, geo := range []Geometry{GeomDense, GeomSparse} {
 			for _, eps := range []float64{0, 0.1, 0.5} {
 				e := newEngine(in, UpperOnly(in, eps), Config{Geometry: geo})
 				f := e.f
 				side := func(u, v int, w float64) {
-					path := slices.Clone(f.PathsFrom(u))
 					for _, m := range f.live[f.ds.Find(u)] {
 						x := int(m)
+						path := f.path(u, x)
+						reads++
+						if low := f.pathLow(u, x); low > path {
+							t.Fatalf("%s eps=%g: pathLow(%d,%d) = %v above the path read %v", geo, eps, u, x, low, path)
+						}
 						if !f.tooFar(u, x, w, f.r[v]) {
 							continue
 						}
 						pruned++
-						if f.b.WithinUpper(f.dS[x] + math.Max(f.r[x], path[x]+w+f.r[v])) {
+						if f.b.WithinUpper(f.dS[x] + math.Max(f.r[x], path+w+f.r[v])) {
 							t.Fatalf("%s eps=%g: tooFar pruned witness %d for edge (%d,%d)", geo, eps, x, u, v)
 						}
 					}
@@ -269,7 +302,7 @@ func TestTooFarNeverPrunesAWitness(t *testing.T) {
 	if pruned == 0 {
 		t.Fatal("tooFar never fired; the property is vacuous")
 	}
-	t.Logf("%d pruned members checked", pruned)
+	t.Logf("%d path reads checked, %d pruned members", reads, pruned)
 }
 
 // TestScratchWitnessOrderStaysBounded builds many distinct instances
@@ -368,10 +401,11 @@ func TestForestArenaAfterShrink(t *testing.T) {
 			small, len(f.half), cap(f.half), 2*(small-1), bigCap)
 	}
 	// Every buffer the forest holds, summed independently of MemBytes:
-	// the arena and the per-node arrays sized by the n = 10⁴ build, the
-	// DFS stack, every live list (the ones past n = 100 too) and the
-	// disjoint set.
-	want := int64(bigCap)*halfEdgeBytes + int64(big)*(3*4+4*8) + int64(cap(f.stack))*4 + f.ds.MemBytes()
+	// the arena and the per-node arrays sized by the n = 10⁴ build (six
+	// of int32: head, tail, up, hops, jump, via; six of float64: dS,
+	// distS, r, diam, depth, dist), the fill's stack and order, every
+	// live list (the ones past n = 100 too) and the disjoint set.
+	want := int64(bigCap)*halfEdgeBytes + int64(big)*(6*4+6*8) + int64(cap(f.stack)+cap(f.seq))*4 + f.ds.MemBytes()
 	want += int64(cap(f.live)) * 24
 	for _, l := range f.live[:cap(f.live)] {
 		want += int64(cap(l)) * 4

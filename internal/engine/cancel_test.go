@@ -13,6 +13,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/inst"
 	"repro/internal/mst"
+	"repro/internal/obs"
+	"repro/internal/steiner"
 )
 
 // A context cancelled while the exact enumeration is deep in its search
@@ -87,23 +89,39 @@ func (c *cancelAfterFirstPoll) Err() error {
 
 // The Kruskal-scan constructors poll inside their scan: cancelled after
 // Build's own check, each stops at the first poll of its edge-stream
-// scan instead of finishing the tree.
+// scan instead of finishing the tree. BKST's scan is its candidate-pair
+// heap loop, which polls every 64 pops; its fallback loop after the
+// heap runs dry polls too, so its row also pins that the cancelled
+// build popped fewer candidates than that stride.
 func TestCancelStopsKruskalScans(t *testing.T) {
 	in := bench.Random(11, 1000, 1000)
-	for _, tc := range []struct{ name, scan string }{
-		{"mst", "repro/internal/mst.KruskalFrom"},
-		{"maxst", "repro/internal/mst.KruskalFrom"},
-		{"brbc", "repro/internal/mst.KruskalFrom"},
-		{"elmore", "repro/internal/delay.buildElmore"},
-		{"bkrus", "repro/internal/core.(*engine).run"},
+	for _, tc := range []struct {
+		name, scan string
+		in         *inst.Instance
+		pops       bool // candidate pops are counted and must stay under the stride
+	}{
+		{"mst", "repro/internal/mst.KruskalFrom", in, false},
+		{"maxst", "repro/internal/mst.KruskalFrom", in, false},
+		{"brbc", "repro/internal/mst.KruskalFrom", in, false},
+		{"elmore", "repro/internal/delay.buildElmore", in, false},
+		{"bkrus", "repro/internal/core.(*engine).run", in, false},
+		{"bkst", "repro/internal/steiner.(*builder).run", bench.Random(11, 40, 1000), true},
 	} {
 		ctx := newCancelAfterFirstPoll()
-		if _, err := Build(ctx, tc.name, in, conformanceParams[tc.name]); !errors.Is(err, context.Canceled) {
+		reg := obs.NewRegistry()
+		p := conformanceParams[tc.name]
+		p.Obs = reg
+		if _, err := Build(ctx, tc.name, tc.in, p); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s cancelled mid-scan returned %v, want context.Canceled", tc.name, err)
 			continue
 		}
 		if !slices.Contains(ctx.fired, tc.scan) {
 			t.Errorf("%s: the cancelling poll came from %v, want it inside %s", tc.name, ctx.fired, tc.scan)
+		}
+		if tc.pops {
+			if got := reg.Scope(steiner.ScopeName).Counter(steiner.CtrCandidatesExamined).Load(); got >= 64 {
+				t.Errorf("%s: %d candidates popped when cancelled, want under the heap loop's stride 64", tc.name, got)
+			}
 		}
 	}
 }
