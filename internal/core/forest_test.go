@@ -41,31 +41,25 @@ func (noPairs) At(int, int) float64 { return 0 }
 // adjacency of its links kept on the side for an independent DFS.
 type linkedForest struct {
 	f   Forest
-	adj [][]struct {
-		to int
-		w  float64
-	}
+	adj [][]halfLink
+}
+
+// halfLink is one direction of a link in linkedForest's side adjacency.
+type halfLink struct {
+	to int
+	w  float64
 }
 
 func newLinkedForest(n int) *linkedForest {
-	lf := &linkedForest{adj: make([][]struct {
-		to int
-		w  float64
-	}, n)}
+	lf := &linkedForest{adj: make([][]halfLink, n)}
 	lf.f.Reset(n+1, n, func(int) float64 { return 0 }, noPairs{}, Bounds{Upper: math.Inf(1)})
 	return lf
 }
 
 func (lf *linkedForest) link(u, v int, w float64) {
 	lf.f.Link(u, v, w)
-	lf.adj[u] = append(lf.adj[u], struct {
-		to int
-		w  float64
-	}{v, w})
-	lf.adj[v] = append(lf.adj[v], struct {
-		to int
-		w  float64
-	}{u, w})
+	lf.adj[u] = append(lf.adj[u], halfLink{v, w})
+	lf.adj[v] = append(lf.adj[v], halfLink{u, w})
 }
 
 // pathsFrom is a DFS over the side adjacency: the path length from x to
