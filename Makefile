@@ -97,7 +97,10 @@ bench-gate:
 # The matrix-fill rows carry -benchmem, so B/op shows the packed
 # triangle's 8·n(n+1)/2 bytes, and the row-scan constructors (spt,
 # bprim, ahhk at n = 10³ on a fresh instance) show a matrix build if
-# one of them goes back to reading the matrix.
+# one of them goes back to reading the matrix. BenchmarkCodec runs the
+# /v1/build decoder and encoder beside encoding/json on fixed 4-, 64-
+# and 300-sink bodies (1000 iterations: a single one would time the
+# buffer growth).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSStream' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSweep' -benchtime 1x -benchmem ./internal/engine/
@@ -107,6 +110,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBKRUSSparse/n=100000$$' -count 3 -benchmem -timeout 5m ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkSparseLayers' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkDenseLayers' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime 1000x -benchmem ./internal/serve/
 
 # CPU profile of the sparse BKRUS hot path (n = 10⁴, ε = 0.2): runs
 # BenchmarkBKRUSRefreshSparse under -cpuprofile and prints the 15
@@ -168,6 +172,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadInstance -fuzztime 30s ./internal/bench/
 	$(GO) test -fuzz FuzzReadNetlist -fuzztime 30s ./internal/router/
 	$(GO) test -fuzz FuzzBuildHandler -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz FuzzDecodeRequest -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz FuzzIndex -fuzztime 30s ./internal/geom/
 
 # end-to-end check of the -metrics pipeline: run one construction with

@@ -156,10 +156,9 @@ var mutants = []mutant{
 		new:  "\tchk := cancel.New(context.Background(), cancelStride)",
 		test: "-run ^TestCancelStopsKruskalScans$ ./internal/engine"},
 
-	// Goroutines and channels. sharedwrite accepts worker-indexed
-	// slots and field writes through a captured pointer, so the
-	// counter mix-up is the parallel-equals-serial test's to find.
-	{file: "internal/geom/index.go", kind: "shared write",
+	// Goroutines and channels. fanOut runs its work literal on other
+	// goroutines, so sharedwrite checks it as a goroutine body.
+	{file: "internal/geom/index.go", kind: "shared write", lint: []string{"sharedwrite"},
 		old:  "\t\t\tprobes[g], candidates[g] = ix.searchRange(start, ids, xy, lo, hi)",
 		new:  "\t\t\tix.probes, ix.candidates = ix.searchRange(start, ids, xy, lo, hi)",
 		test: "-run ^TestNewIndexParallelMatchesSerial$ ./internal/geom"},

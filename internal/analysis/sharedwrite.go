@@ -29,6 +29,11 @@ import (
 //     variables, passing the value as an argument keeps per-worker
 //     identity explicit and is the idiom this repo pins in tests.
 //
+// A goroutine body is the function literal of a go statement, or a
+// function literal passed to a module function that runs that
+// parameter on another goroutine (geom.fanOut's work): the module's
+// spawn summaries, below, name those parameters.
+//
 // Channel sends need no special case: they are synchronization.
 // Index-disjointness is approximated syntactically (any goroutine-local
 // identifier in the index expression passes); cross-worker index
@@ -40,6 +45,8 @@ var SharedWrite = &Analyzer{
 }
 
 func runSharedWrite(p *Pass) {
+	mod := p.module()
+	mod.spawnSummaries()
 	for _, f := range p.Files {
 		var loops []ast.Node
 		var visit func(n ast.Node)
@@ -56,8 +63,14 @@ func runSharedWrite(p *Pass) {
 					return false
 				case *ast.GoStmt:
 					if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-						checkGoroutineWrites(p, m, lit, loops)
+						checkGoroutineWrites(p, m.Pos(), lit, loops)
 					}
+				case *ast.CallExpr:
+					mod.eachSpawnedArg(p.pkg, m, func(arg ast.Expr) {
+						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+							checkGoroutineWrites(p, m.Pos(), lit, loops)
+						}
+					})
 				}
 				return true
 			})
@@ -67,12 +80,12 @@ func runSharedWrite(p *Pass) {
 }
 
 // checkGoroutineWrites reports unsafe writes in one goroutine body.
-// loops are the for/range statements enclosing the go statement, whose
-// loop variables must not be captured.
-func checkGoroutineWrites(p *Pass, gs *ast.GoStmt, lit *ast.FuncLit, loops []ast.Node) {
+// loops are the for/range statements enclosing the go statement (or
+// the spawning call) at pos, whose loop variables must not be captured.
+func checkGoroutineWrites(p *Pass, pos token.Pos, lit *ast.FuncLit, loops []ast.Node) {
 	loopVars := loopVarObjects(p, loops)
 	if obj := capturedLoopVar(p, lit, loopVars); obj != nil {
-		p.Reportf(gs.Pos(),
+		p.Reportf(pos,
 			"goroutine captures loop variable %s: pass it as an argument so per-worker identity is explicit", obj.Name())
 	}
 	guarded := holdsMutex(p, lit.Body)
@@ -97,6 +110,108 @@ func checkGoroutineWrites(p *Pass, gs *ast.GoStmt, lit *ast.FuncLit, loops []ast
 		}
 		return true
 	})
+}
+
+// spawnSummaries computes, per module function, the parameters it runs
+// on another goroutine (bit k: the k'th declared parameter, receiver
+// excluded): ones it calls in a go statement — go f(…), or inside a
+// go'd function literal — or passes on to a spawned parameter of a
+// module callee, by name or called inside a function literal passed
+// there. Bits only grow, so the fixed point terminates.
+func (m *Module) spawnSummaries() map[*modFunc]uint64 {
+	if m.spawns != nil {
+		return m.spawns
+	}
+	m.spawns = map[*modFunc]uint64{}
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range m.order {
+			if bits := m.spawnedParams(fn); bits != m.spawns[fn] {
+				m.spawns[fn] = bits
+				changed = true
+			}
+		}
+	}
+	return m.spawns
+}
+
+// spawnedParams derives fn's spawn bits from its body and its callees'
+// current bits.
+func (m *Module) spawnedParams(fn *modFunc) uint64 {
+	p := fn.pass()
+	index := map[types.Object]uint{}
+	k := uint(0)
+	for _, f := range fn.decl.Type.Params.List {
+		isFunc := false
+		if t := p.TypeOf(f.Type); t != nil {
+			_, isFunc = t.Underlying().(*types.Signature)
+		}
+		for _, name := range f.Names {
+			if obj := p.Info.Defs[name]; obj != nil && isFunc && k < 64 {
+				index[obj] = k
+			}
+			k++
+		}
+		if len(f.Names) == 0 {
+			k++
+		}
+	}
+	if len(index) == 0 {
+		return 0
+	}
+	param := func(e ast.Expr) uint64 {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			if k, ok := index[p.Info.Uses[id]]; ok {
+				return 1 << k
+			}
+		}
+		return 0
+	}
+	// runs is the set of parameters that running e runs: e names one,
+	// or e is a literal that calls one.
+	runs := func(e ast.Expr) uint64 {
+		lit, ok := ast.Unparen(e).(*ast.FuncLit)
+		if !ok {
+			return param(e)
+		}
+		var bits uint64
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				bits |= param(call.Fun)
+			}
+			return true
+		})
+		return bits
+	}
+	var bits uint64
+	ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			bits |= runs(n.Call.Fun)
+		case *ast.CallExpr:
+			m.eachSpawnedArg(fn.pkg, n, func(arg ast.Expr) { bits |= runs(arg) })
+		}
+		return true
+	})
+	return bits
+}
+
+// eachSpawnedArg calls f on every argument of call that its module
+// callee runs on another goroutine, by the current spawn summaries.
+func (m *Module) eachSpawnedArg(pkg *Package, call *ast.CallExpr, f func(arg ast.Expr)) {
+	if pkg == nil {
+		return
+	}
+	callee := m.resolve(pkg, call)
+	if callee == nil {
+		return
+	}
+	bits := m.spawns[callee]
+	for k, arg := range call.Args {
+		if k < 64 && bits&(1<<k) != 0 {
+			f(arg)
+		}
+	}
 }
 
 // checkWriteTarget classifies one write destination inside the

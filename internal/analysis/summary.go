@@ -44,6 +44,7 @@ type Module struct {
 	alloc   map[*modFunc]*allocSummary
 	locks   *lockGraph
 	chanops map[*modFunc]*chanOpSummary
+	spawns  map[*modFunc]uint64
 }
 
 // modFunc is one declared function or method in the module.

@@ -374,32 +374,61 @@ func namedResultObjects(p *Pass, fd *ast.FuncDecl) []types.Object {
 }
 
 // taintSummaries computes the module's per-function taint summaries by
-// monotone fixed point (see the package comment in summary.go).
+// monotone fixed point (see the package comment in summary.go). A
+// function's summary depends only on its module callees' summaries, so
+// after the first round a function is re-evaluated only when one of
+// them changed: later in the same round when it comes after the callee
+// in m.order, else in the next round. That is the order in which a
+// full sweep per round first sees each change, so the summaries and
+// their origins are the full sweep's.
 func (m *Module) taintSummaries() map[*modFunc]*taintSummary {
 	if m.taint != nil {
 		return m.taint
 	}
 	m.taint = map[*modFunc]*taintSummary{}
-	for _, fn := range m.order {
+	callers := map[*modFunc][]int{}
+	for i, fn := range m.order {
 		m.taint[fn] = &taintSummary{}
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := m.resolve(fn.pkg, call); callee != nil {
+					callers[callee] = append(callers[callee], i)
+				}
+			}
+			return true
+		})
+	}
+	dirty := make([]bool, len(m.order))
+	for i := range dirty {
+		dirty[i] = true
 	}
 	for round := 0; round < 32; round++ {
 		changed := false
-		for _, fn := range m.order {
-			s := m.taint[fn]
-			if !s.introduces {
+		for i, fn := range m.order {
+			if !dirty[i] {
+				continue
+			}
+			dirty[i] = false
+			s, was := m.taint[fn], *m.taint[fn]
+			// Tainting the parameters only adds taint, so a function
+			// whose returns stay clean with tainted parameters neither
+			// propagates nor introduces: the clean evaluation runs only
+			// when the tainted one finds something.
+			if !s.propagates {
+				tc := newTaintCtx(fn.pass(), m, fn.defUse(), fn.decl.Body, true)
+				s.propagates = len(tc.returnTaints(fn)) > 0
+			}
+			if s.propagates && !s.introduces {
 				tc := newTaintCtx(fn.pass(), m, fn.defUse(), fn.decl.Body, false)
 				if rets := tc.returnTaints(fn); len(rets) > 0 {
 					s.introduces, s.why = true, rets[0].info.why
-					changed = true
 				}
 			}
-			if !s.propagates {
-				tc := newTaintCtx(fn.pass(), m, fn.defUse(), fn.decl.Body, true)
-				if rets := tc.returnTaints(fn); len(rets) > 0 {
-					s.propagates = true
-					changed = true
+			if *s != was {
+				for _, c := range callers[fn] {
+					dirty[c] = true
 				}
+				changed = true
 			}
 		}
 		if !changed {

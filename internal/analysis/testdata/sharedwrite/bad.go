@@ -59,6 +59,35 @@ func loopVarCapture(rows [][]float64, out []float64) {
 	wg.Wait()
 }
 
+// spawnedAccumulate: the literal runs on spawnRanges's goroutines, so
+// the captured accumulator is written concurrently.
+func spawnedAccumulate(rows [][]float64, cut []int) float64 {
+	total := 0.0
+	spawnRanges(cut, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			total += sum(rows[i]) // want:sharedwrite
+		}
+	})
+	return total
+}
+
+// forwardedSharedSlot: forRanges hands the literal on to spawnRanges,
+// and every worker writes the same slot.
+func forwardedSharedSlot(rows [][]float64, cut []int, out []float64) {
+	forRanges(cut, func(_, lo, hi int) {
+		out[0] = sum(rows[lo]) // want:sharedwrite
+	})
+}
+
+// counters: the workers' counts land in fields of one captured struct.
+type counters struct{ probes int64 }
+
+func spawnedFieldWrite(cut []int, c *counters) {
+	spawnRanges(cut, func(g, lo, hi int) {
+		c.probes += int64(hi - lo) // want:sharedwrite
+	})
+}
+
 func sum(row []float64) float64 {
 	t := 0.0
 	for _, v := range row {

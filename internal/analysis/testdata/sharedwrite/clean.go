@@ -90,6 +90,58 @@ func suppressed(row []float64, out *float64, done chan struct{}) {
 	}()
 }
 
+// spawnRanges runs work(g, cut[g], cut[g+1]) for every range g on its
+// own goroutine — the geom.fanOut shape: a function literal passed as
+// work is a goroutine body.
+func spawnRanges(cut []int, work func(g, lo, hi int)) {
+	var wg sync.WaitGroup
+	for g := 0; g+1 < len(cut); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			work(g, cut[g], cut[g+1])
+		}(g)
+	}
+	wg.Wait()
+}
+
+// forRanges passes its work on to spawnRanges: work runs on another
+// goroutine here too.
+func forRanges(cut []int, work func(g, lo, hi int)) {
+	spawnRanges(cut, func(g, lo, hi int) { work(g, lo, hi) })
+}
+
+// inline runs work on the calling goroutine.
+func inline(cut []int, work func(g, lo, hi int)) {
+	for g := 0; g+1 < len(cut); g++ {
+		work(g, cut[g], cut[g+1])
+	}
+}
+
+// spawnedSlots: each spawned worker owns the slot of its range index.
+func spawnedSlots(rows [][]float64, cut []int, out []float64) {
+	spawnRanges(cut, func(g, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[g] += sumClean(rows[i])
+		}
+	})
+	forRanges(cut, func(g, lo, hi int) {
+		out[g] = float64(hi - lo)
+	})
+}
+
+// inlineAccumulate: a literal that runs on the caller's goroutine may
+// write what it captures.
+func inlineAccumulate(rows [][]float64, cut []int) float64 {
+	total := 0.0
+	inline(cut, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			total += sumClean(rows[i])
+		}
+	})
+	return total
+}
+
 func sumClean(row []float64) float64 {
 	t := 0.0
 	for _, v := range row {

@@ -39,7 +39,9 @@ func FuzzBuildHandler(f *testing.F) {
 			return
 		}
 		var req BuildRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			t.Fatalf("200 for an undecodable body %q: %v", body, err)
 		}
 		var resp BuildResponse
@@ -58,5 +60,22 @@ func FuzzBuildHandler(f *testing.F) {
 				t.Fatalf("net %d: %d trees, want %d", i, len(r.Trees), want)
 			}
 		}
+	})
+}
+
+// FuzzDecodeRequest: whatever the body, decodeRequest answers as
+// encoding/json does — the same error text or the same value, floats
+// compared by bits — and whenever the canonical parser accepts a body,
+// encoding/json accepts it too. The 512-byte cap puts the MaxBytesReader
+// boundary within reach of the fuzzer.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, c := range decodeCases {
+		f.Add([]byte(c.body))
+	}
+	for _, c := range malformedCases {
+		f.Add([]byte(c.body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body, 512)
 	})
 }

@@ -22,6 +22,10 @@
 //     instead of re-sorting O(n²) edges, and ε-sweeps run through
 //     engine.Sweep on that same scratch, so a sweep's sorted prefix
 //     serves the next request for its net;
+//   - codec: a build body in the canonical form is parsed in one pass
+//     and the 200 body appended by hand, each byte for byte what
+//     encoding/json reads and writes; any other body is decoded by
+//     encoding/json itself (codec.go);
 //   - observation: every admission decision and build lands in an
 //     internal/obs registry served at /metrics, with /debug/pprof for
 //     profiles.
@@ -323,28 +327,39 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req BuildRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBuild(w, r, &req); err != nil {
 		s.badRequest(w, fmt.Sprintf("invalid request body: %v", err))
 		return
 	}
-	//lint:ignore ctxflow request validation is O(nets) with constant per-net work, bounded by maxBatch
 	nets, err := s.validate(&req)
 	if err != nil {
 		s.badRequest(w, err.Error())
 		return
 	}
+	resp, ok := s.buildBatch(w, r, &req, nets)
+	if !ok {
+		return
+	}
+	if s.c != nil {
+		s.c.RequestsOK.Inc()
+	}
+	s.writeBuild(w, &resp)
+}
 
+// buildBatch admits the request and builds its nets in order under the
+// request deadline. The deadline starts here, set by the decoded
+// timeout_ms, and covers the admission wait and the builds; decoding
+// comes before it and the 200 body, written whole, after the worker
+// slot is released. On failure buildBatch has answered the request.
+func (s *Server) buildBatch(w http.ResponseWriter, r *http.Request, req *BuildRequest, nets []checkedNet) (BuildResponse, bool) {
 	ctx, cancelTimeout := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
 	defer cancelTimeout()
 
 	release, err := s.gate.acquire(ctx)
 	if err != nil {
 		s.admissionError(w, err)
-		return
+		return BuildResponse{}, false
 	}
 	defer release()
 
@@ -353,19 +368,50 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	for i := range nets {
 		if err := chk.Err(); err != nil {
 			s.netError(w, nets[i].label, err)
-			return
+			return BuildResponse{}, false
 		}
 		nr, err := s.buildNet(ctx, nets[i])
 		if err != nil {
 			s.netError(w, nets[i].label, err)
-			return
+			return BuildResponse{}, false
 		}
 		resp.Results[i] = nr
 	}
+	return resp, true
+}
+
+// decodeBuild reads the capped request body once and decodes it, timed
+// as the decode phase.
+func (s *Server) decodeBuild(w http.ResponseWriter, r *http.Request, req *BuildRequest) error {
 	if s.c != nil {
-		s.c.RequestsOK.Inc()
+		defer s.c.Decode.Start()()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	fast, err := decodeRequest(http.MaxBytesReader(w, r.Body, s.maxBody), s.maxBody, buf, req)
+	if !fast && s.c != nil {
+		s.c.DecodeFallbacks.Inc()
+	}
+	return err
+}
+
+// writeBuild answers 200 with resp in one Write, as writeJSON would,
+// timed as the encode phase.
+func (s *Server) writeBuild(w http.ResponseWriter, resp *BuildResponse) {
+	if s.c != nil {
+		defer s.c.Encode.Start()()
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	b, ok := appendBuildResponse(*buf, resp)
+	*buf = b
+	// A non-finite float has no JSON form: like encoding/json, write no
+	// body. A failed Write means the client went away.
+	if ok {
+		_, _ = w.Write(b)
+	}
 }
 
 // badRequest answers 400 and counts it.

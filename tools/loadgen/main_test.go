@@ -27,8 +27,9 @@ func serveURL(t *testing.T, cfg serve.Config) (string, *httptest.Server) {
 }
 
 // TestRunMixedBurst drives an in-process daemon with the default mix
-// and checks the success path: all 200s, a parseable report, and a
-// valid metrics snapshot on disk.
+// and checks the success path: all 200s, a parseable report, a valid
+// metrics snapshot on disk, and every body decoded by the daemon's
+// canonical parser (no decode_fallbacks).
 func TestRunMixedBurst(t *testing.T) {
 	addr, _ := serveURL(t, serve.Config{})
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
@@ -36,7 +37,7 @@ func TestRunMixedBurst(t *testing.T) {
 	cfg := config{
 		addr: addr, n: 12, c: 3,
 		algos: []string{"bkrus", "mst", "bkst"},
-		sinks: 8, sweep: 2, seed: 42,
+		sinks: 8, sweep: 2, seed: 42, timeoutMS: 5000,
 		metricsOut: metrics,
 	}
 	if err := run(cfg, &out); err != nil {
@@ -56,6 +57,18 @@ func TestRunMixedBurst(t *testing.T) {
 	}
 	if len(snap.Scopes) == 0 {
 		t.Error("metrics-out snapshot has no scopes")
+	}
+	counters := map[string]int64{}
+	for _, sc := range snap.Scopes {
+		if sc.Name == serve.ScopeName {
+			for _, c := range sc.Counters {
+				counters[c.Name] = c.Value
+			}
+		}
+	}
+	if fallbacks, ok := counters[serve.CtrDecodeFallbacks]; !ok || counters[serve.CtrRequests] != 12 || fallbacks != 0 {
+		t.Errorf("%s = %d, %s = %d; want 12 bodies, all on the canonical parser",
+			serve.CtrRequests, counters[serve.CtrRequests], serve.CtrDecodeFallbacks, counters[serve.CtrDecodeFallbacks])
 	}
 }
 
