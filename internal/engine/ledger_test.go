@@ -13,14 +13,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/delay"
 	"repro/internal/geom"
 	"repro/internal/inst"
 )
 
-var updateLedger = flag.Bool("update", false, "rewrite testdata/forest_ledger.txt from the current trees")
+var updateLedger = flag.Bool("update", false, "rewrite the tree ledgers in testdata from the current trees")
 
 // ledgerPath is the committed tree ledger of TestForestLedger.
 var ledgerPath = filepath.Join("testdata", "forest_ledger.txt")
+
+// constructorLedgerPath is the committed tree ledger of
+// TestConstructorLedger.
+var constructorLedgerPath = filepath.Join("testdata", "constructor_ledger.txt")
 
 // ledgerEps are the bounds every ledger case is built at.
 var ledgerEps = []float64{0, 0.05, 0.1, 0.3, 0.5, 1, 2}
@@ -185,23 +190,7 @@ func ledgerDigest(ctor ledgerCtor, in *inst.Instance) string {
 // the ledger. The n ≥ 2047 cases run the sparse constructors only, and
 // only without -short.
 func TestForestLedger(t *testing.T) {
-	want := map[string]string{}
-	if !*updateLedger {
-		f, err := os.Open(ledgerPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if k, v, ok := strings.Cut(sc.Text(), " "); ok {
-				want[k] = v
-			}
-		}
-		f.Close()
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := readLedger(t, ledgerPath)
 	var lines []string
 	for _, c := range ledgerCases() {
 		if c.long && testing.Short() {
@@ -222,12 +211,158 @@ func TestForestLedger(t *testing.T) {
 		}
 		in.Release()
 	}
+	writeLedger(t, ledgerPath, lines)
+}
+
+// readLedger loads a committed ledger as key → digest; under -update it
+// returns an empty map, since every line is about to be rewritten.
+func readLedger(t *testing.T, path string) map[string]string {
+	t.Helper()
+	want := map[string]string{}
 	if *updateLedger {
-		if testing.Short() {
-			t.Fatal("-update needs the long cases: run without -short")
-		}
-		if err := os.WriteFile(ledgerPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
+		return want
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), " "); ok {
+			want[k] = v
 		}
 	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// writeLedger rewrites path from lines under -update and does nothing
+// otherwise.
+func writeLedger(t *testing.T, path string, lines []string) {
+	t.Helper()
+	if !*updateLedger {
+		return
+	}
+	if testing.Short() {
+		t.Fatal("-update needs the long cases: run without -short")
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// registryRow is one registered constructor that TestForestLedger does
+// not run, as TestConstructorLedger runs it: every Params it is built
+// at, in order, and the largest instance it is built on.
+type registryRow struct {
+	name   string // the ledger's key, e.g. "bkex/depth=0"
+	algo   string
+	maxN   int  // the exact searches and the exchange passes stay small
+	l1only bool // a Hanan-grid constructor
+	params []Params
+}
+
+// strongDriver is an RC model whose driver is strong enough that the
+// Elmore constructors merge sinks instead of falling back to the star.
+var strongDriver = delay.Model{RUnit: 0.1, CUnit: 0.2, RDriver: 0.01, CDriver: 0.1}
+
+func registryRows() []registryRow {
+	each := func(p func(eps float64) Params) []Params {
+		ps := make([]Params, len(ledgerEps))
+		for i, eps := range ledgerEps {
+			ps[i] = p(eps)
+		}
+		return ps
+	}
+	upper := each(func(eps float64) Params { return Params{Eps: eps} })
+	cat := func(pss ...[]Params) []Params {
+		var out []Params
+		for _, ps := range pss {
+			out = append(out, ps...)
+		}
+		return out
+	}
+	return []registryRow{
+		{"mst", "mst", 600, false, []Params{{}}},
+		{"spt", "spt", 600, false, []Params{{}}},
+		{"maxst", "maxst", 600, false, []Params{{}}},
+		{"bprim", "bprim", 600, false, upper},
+		{"brbc", "brbc", 600, false, upper},
+		{"ahhk", "ahhk", 600, false, []Params{{AHHKC: 0}, {AHHKC: 0.25}, {AHHKC: 0.5}, {AHHKC: 1}, {AHHKC: 1.5}}},
+		{"bkh2", "bkh2", 12, false, upper},
+		{"bkh2/xbudget=5000", "bkh2", 40, false, each(func(eps float64) Params { return Params{Eps: eps, ExchangeBudget: 5000} })},
+		{"bkex/depth=0", "bkex", 5, false, upper},
+		{"bkex/depth=2", "bkex", 10, false, each(func(eps float64) Params { return Params{Eps: eps, ExchangeDepth: 2} })},
+		{"bmstg", "bmstg", 10, false, cat(upper, []Params{{Eps: 0, GabowBudget: 3}})},
+		// An infeasible window exhausts the default budget of 200 000
+		// trees; 2000 keeps the row fast and still reaches ErrBudget.
+		{"bmstglu", "bmstglu", 10, false, each(func(eps float64) Params { return Params{Eps1: 0.3, Eps2: eps, GabowBudget: 2000} })},
+		{"elmore", "elmore", 40, false, cat(upper, each(func(eps float64) Params { return Params{Eps: eps, RC: strongDriver} }))},
+		{"bkh2elmore", "bkh2elmore", 12, false, cat(upper, each(func(eps float64) Params { return Params{Eps: eps, RC: strongDriver} }))},
+		{"bkstplanar", "bkstplanar", ledgerSteinerMax, true, upper},
+	}
+}
+
+// registryCases are the ledger layouts under both metrics at the sizes
+// the registry rows run: n = 10 keeps nine sinks, the largest the
+// exact searches take.
+func registryCases() []ledgerCase {
+	var cases []ledgerCase
+	for l := range ledgerLayouts {
+		for _, m := range []geom.Metric{geom.Manhattan, geom.Euclidean} {
+			for _, n := range []int{5, 10, 12, 40, 150, 600} {
+				cases = append(cases, ledgerCase{layout: l, metric: m, n: n})
+			}
+		}
+	}
+	return cases
+}
+
+// TestConstructorLedger pins every tree of the registered constructors
+// TestForestLedger does not run — the references, the baselines, the
+// exchange passes, the exact searches, the Elmore variants and
+// bkstplanar — to a SHA-256 per (constructor, case) over the row's
+// parameter list, error strings included. Together the two ledgers
+// cover all seventeen registrations. go test -run Ledger -update
+// rewrites both.
+func TestConstructorLedger(t *testing.T) {
+	want := readLedger(t, constructorLedgerPath)
+	var lines []string
+	for _, c := range registryCases() {
+		in := c.instance()
+		for _, row := range registryRows() {
+			if c.n > row.maxN || row.l1only && c.metric != geom.Manhattan {
+				continue
+			}
+			key := row.name + "/" + c.String()
+			got := paramsDigest(row.algo, in, row.params)
+			lines = append(lines, key+" "+got)
+			if !*updateLedger && want[key] != got {
+				t.Errorf("%s on %s: digest %s, ledger %q", row.name, c, got, want[key])
+			}
+		}
+		in.Release()
+	}
+	writeLedger(t, constructorLedgerPath, lines)
+}
+
+// paramsDigest builds in with algo at each of ps, on one shared
+// scratch, and hashes the edge lists, or the error where a build
+// fails, in order.
+func paramsDigest(algo string, in *inst.Instance, ps []Params) string {
+	h := sha256.New()
+	var s core.Scratch
+	for i, p := range ps {
+		p.Scratch = &s
+		r, err := Build(context.Background(), algo, in, p)
+		if err != nil {
+			fmt.Fprintf(h, "%d error: %v\n", i, err)
+			continue
+		}
+		fmt.Fprintf(h, "%d %s\n", i, edgeString(r))
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
