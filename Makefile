@@ -42,9 +42,10 @@ mutants:
 
 # cross-algorithm conformance: every constructor in the internal/engine
 # registry builds valid, bound-feasible, byte-deterministic trees on the
-# shared fixtures
+# shared fixtures, and the same trees the tree ledgers record
+# (TestForestLedger, TestConstructorLedger)
 conformance:
-	$(GO) test -run 'TestConformance|TestCancel|TestSweep|TestPreCancelled' -v ./internal/engine/
+	$(GO) test -run 'TestConformance|TestCancel|TestSweep|TestPreCancelled|Ledger' -v ./internal/engine/
 
 # the whole suite under the race detector (the obs layer and the
 # parallel router are the concurrency-heavy parts)

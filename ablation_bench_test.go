@@ -37,7 +37,7 @@ func BenchmarkAblationGabowLemmasOff(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BMSTG(n, 0.1, GabowOptions{DisableLemmas: true}); err != nil {
+		if _, err := exact.BMSTGBounds(context.Background(), n.in, core.UpperOnly(n.in, 0.1), exact.Options{DisableLemmas: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func benchmarkExchangeDepth(b *testing.B, depth int) {
 	n := randomBenchNet(32, 12)
 	in := n.in
 	eps := 0.1
-	start, err := core.BKRUS(in, eps)
+	start, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func BenchmarkAblationBKSTLayered(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steiner.BKST(n.in, 0.2); err != nil {
+		if _, err := steiner.BKSTBuild(context.Background(), n.in, core.UpperOnly(n.in, 0.2), steiner.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func BenchmarkAblationBKSTPlanar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := steiner.BKSTPlanar(n.in, 0.2); err != nil &&
+		if _, err := steiner.BKSTBuild(context.Background(), n.in, core.UpperOnly(n.in, 0.2), steiner.Config{Planar: true}); err != nil &&
 			err != steiner.ErrNotPlanar && err != steiner.ErrInfeasible {
 			b.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func BenchmarkAblationExactGabow15(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.BMSTG(context.Background(), n.in, 0.2, exact.Options{MaxTrees: 100000}); err != nil && err != exact.ErrBudget {
+		if _, err := exact.BMSTGBounds(context.Background(), n.in, core.UpperOnly(n.in, 0.2), exact.Options{MaxTrees: 100000}); err != nil && err != exact.ErrBudget {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkAblationExactBKEX15(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exchange.BKEX(context.Background(), n.in, 0.2, 6); err != nil {
+		if _, err := BKEX(n, 0.2, 6); err != nil {
 			b.Fatal(err)
 		}
 	}

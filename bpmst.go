@@ -2,19 +2,17 @@ package bpmst
 
 import (
 	"context"
-
 	"errors"
 	"math"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/delay"
+	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/exchange"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/inst"
-	"repro/internal/mst"
 	"repro/internal/steiner"
 )
 
@@ -178,61 +176,64 @@ func (t *Tree) WithinBound(eps float64) bool {
 // Validate checks the tree spans all terminals without cycles.
 func (t *Tree) Validate() error { return t.t.Validate() }
 
+// build runs the registered constructor name on the net through
+// engine.Build, the one path every public constructor takes.
+func (n *Net) build(name string, p engine.Params) (engine.Result, error) {
+	return engine.Build(context.Background(), name, n.in, p)
+}
+
+// tree runs a spanning constructor, mapping the layers' sentinel errors
+// to the public ones.
+func (n *Net) tree(name string, p engine.Params) (*Tree, error) {
+	r, err := n.build(name, p)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	return n.wrap(r.Tree), nil
+}
+
+// reference runs an unbounded constructor, which cannot fail: the
+// context never cancels and the complete graph always connects.
+func (n *Net) reference(name string) *Tree {
+	t, _ := n.tree(name, engine.Params{})
+	return t
+}
+
 // MST returns a minimal spanning tree (Kruskal) — minimal wirelength,
 // unbounded paths.
-func (n *Net) MST() *Tree { return n.wrap(mst.Kruskal(n.in.DistMatrix())) }
+func (n *Net) MST() *Tree { return n.reference("mst") }
 
 // SPT returns the shortest path tree (Dijkstra) — minimal paths, maximal
 // practical wirelength.
-func (n *Net) SPT() *Tree { return n.wrap(mst.SPT(n.in.Oracle(), graph.Source)) }
+func (n *Net) SPT() *Tree { return n.reference("spt") }
 
 // MaxST returns the maximal spanning tree, the expensive end of the
 // paper's Figure 11 cost chart.
-func (n *Net) MaxST() *Tree {
-	// Background never cancels, and the complete graph always connects.
-	t, _ := mst.Maximal(context.Background(), n.in.DistMatrix())
-	return n.wrap(t)
-}
+func (n *Net) MaxST() *Tree { return n.reference("maxst") }
 
 // BKRUS constructs a bounded path length spanning tree by the paper's
 // bounded Kruskal heuristic (§3.1). Always succeeds for eps ≥ 0 (eps may
 // be +Inf, yielding the MST).
 func BKRUS(n *Net, eps float64) (*Tree, error) {
-	t, err := core.BKRUS(n.in, eps)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bkrus", engine.Params{Eps: eps})
 }
 
 // BKRUSLU constructs a spanning tree with every source-sink path length
 // in [eps1·R, (1+eps2)·R] (§6, clock routing). Returns ErrInfeasible
 // when the window cannot be met by a spanning tree heuristic.
 func BKRUSLU(n *Net, eps1, eps2 float64) (*Tree, error) {
-	t, err := core.BKRUSLU(n.in, eps1, eps2)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bkruslu", engine.Params{Eps1: eps1, Eps2: eps2})
 }
 
 // BPRIM constructs the bounded Prim baseline tree (Cong et al. 1992).
 func BPRIM(n *Net, eps float64) (*Tree, error) {
-	t, err := baseline.BPRIM(n.in, eps)
-	if err != nil {
-		return nil, err
-	}
-	return n.wrap(t), nil
+	return n.tree("bprim", engine.Params{Eps: eps})
 }
 
 // BRBC constructs the bounded-radius bounded-cost baseline tree (Cong et
 // al. 1992): radius ≤ (1+eps)·R and cost ≤ (1 + 2/eps)·cost(MST).
 func BRBC(n *Net, eps float64) (*Tree, error) {
-	t, err := baseline.BRBC(n.in, eps)
-	if err != nil {
-		return nil, err
-	}
-	return n.wrap(t), nil
+	return n.tree("brbc", engine.Params{Eps: eps})
 }
 
 // AHHK constructs the Prim-Dijkstra trade-off tree of Alpert et al.
@@ -240,42 +241,27 @@ func BRBC(n *Net, eps float64) (*Tree, error) {
 // minimizing c·path(S,u) + dist(u,v). c = 0 is the MST, c = 1 the SPT;
 // no hard path-length guarantee.
 func AHHK(n *Net, c float64) (*Tree, error) {
-	t, err := baseline.AHHK(n.in, c)
-	if err != nil {
-		return nil, err
-	}
-	return n.wrap(t), nil
+	return n.tree("ahhk", engine.Params{AHHKC: c})
 }
 
 // GabowOptions tunes the exact BMSTG search; the zero value applies the
-// defaults (lemma preprocessing on, DefaultMaxTrees budget).
+// default budget. The Lemma 4.1-4.3 edge filters always run.
 type GabowOptions struct {
 	// MaxTrees caps how many spanning trees the enumeration may generate
 	// (0 = a built-in default). Exceeding it returns ErrBudget.
 	MaxTrees int
-	// DisableLemmas turns off the Lemma 4.1-4.3 candidate-edge filtering.
-	DisableLemmas bool
 }
 
 // BMSTG returns an optimal bounded path length MST by Gabow-style
 // enumeration of spanning trees in nondecreasing cost (§4). Exponential
 // space in the worst case; intended for nets of up to ~15 sinks.
 func BMSTG(n *Net, eps float64, opt GabowOptions) (*Tree, error) {
-	t, err := exact.BMSTG(context.Background(), n.in, eps, exact.Options{MaxTrees: opt.MaxTrees, DisableLemmas: opt.DisableLemmas})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bmstg", engine.Params{Eps: eps, GabowBudget: opt.MaxTrees})
 }
 
 // BMSTGLU is BMSTG with both lower and upper path length bounds.
 func BMSTGLU(n *Net, eps1, eps2 float64, opt GabowOptions) (*Tree, error) {
-	b := core.LowerUpper(n.in, eps1, eps2)
-	t, err := exact.BMSTGBounds(context.Background(), n.in, b, exact.Options{MaxTrees: opt.MaxTrees, DisableLemmas: opt.DisableLemmas})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bmstglu", engine.Params{Eps1: eps1, Eps2: eps2, GabowBudget: opt.MaxTrees})
 }
 
 // BKEX runs the paper's negative-sum-exchange exact method (§5): BKRUS
@@ -283,21 +269,13 @@ func BMSTGLU(n *Net, eps1, eps2 float64, opt GabowOptions) (*Tree, error) {
 // length per search (0 = V-1, which loses no solutions; the paper found
 // depth 6 sufficient on all 2750 random benchmarks).
 func BKEX(n *Net, eps float64, maxDepth int) (*Tree, error) {
-	t, err := exchange.BKEX(context.Background(), n.in, eps, maxDepth)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bkex", engine.Params{Eps: eps, ExchangeDepth: maxDepth})
 }
 
 // BKH2 runs the paper's depth-2 exchange heuristic (§5): a deeper local
 // optimum than BKRUS at O(E²V³).
 func BKH2(n *Net, eps float64) (*Tree, error) {
-	t, err := exchange.BKH2(context.Background(), n.in, eps)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bkh2", engine.Params{Eps: eps})
 }
 
 // Improve applies negative-sum-exchange search (capped at maxDepth
@@ -313,13 +291,10 @@ func Improve(t *Tree, eps float64, maxDepth int) (*Tree, error) {
 
 // BKRUSElmore constructs a spanning tree whose worst source-sink Elmore
 // delay is at most (1+eps)·R, where R is the worst delay of the direct
-// source-sink star (§3.2). May return ErrInfeasible for weak drivers.
+// source-sink star (§3.2). May return ErrInfeasible for weak drivers. A
+// zero model means DefaultRCModel().
 func BKRUSElmore(n *Net, eps float64, m RCModel) (*Tree, error) {
-	t, err := delay.BKRUSElmore(n.in, eps, m)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("elmore", engine.Params{Eps: eps, RC: m})
 }
 
 // ElmoreDelays returns the Elmore delay from the source to every
@@ -342,13 +317,9 @@ func ElmoreStarR(n *Net, m RCModel) float64 {
 // BKH2Elmore is the delay-model analogue of BKH2: BKRUSElmore followed
 // by depth-2 negative-sum-exchange search constrained by the Elmore
 // delay bound — exchanges reduce wirelength while the worst source-sink
-// delay stays within (1+eps)·R.
+// delay stays within (1+eps)·R. A zero model means DefaultRCModel().
 func BKH2Elmore(n *Net, eps float64, m RCModel) (*Tree, error) {
-	t, err := delay.BKH2Elmore(context.Background(), n.in, eps, m)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return n.wrap(t), nil
+	return n.tree("bkh2elmore", engine.Params{Eps: eps, RC: m})
 }
 
 // BufferSpec models a repeater cell for buffer insertion (§8 future

@@ -2,6 +2,7 @@ package bpmst
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -252,6 +253,30 @@ func TestElmoreFacade(t *testing.T) {
 	d := ElmoreDelays(tr, m)
 	if len(d) != n.NumSinks()+1 {
 		t.Errorf("delay vector length %d", len(d))
+	}
+}
+
+// An all-zero RCModel means DefaultRCModel() in the Elmore
+// constructors, as it does for every engine caller: both build the
+// default model's tree.
+func TestElmoreZeroModelIsDefault(t *testing.T) {
+	// At this extent the wires' RC matters: a zero model would let
+	// every merge through and build the MST.
+	n := randomNet(rand.New(rand.NewSource(12)), 12, 1000)
+	for name, build := range map[string]func(*Net, float64, RCModel) (*Tree, error){
+		"BKRUSElmore": BKRUSElmore, "BKH2Elmore": BKH2Elmore,
+	} {
+		zero, err := build(n, 0.3, RCModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := build(n, 0.3, DefaultRCModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(zero.Edges()) != fmt.Sprint(def.Edges()) {
+			t.Errorf("%s: the zero model built %v, the default model %v", name, zero.Edges(), def.Edges())
+		}
 	}
 }
 

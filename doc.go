@@ -42,8 +42,9 @@
 //
 // # Beneath the facade
 //
-// This package is a thin re-export layer. The machinery underneath
-// (all stdlib-only, see README.md "Architecture" and DESIGN.md):
+// This package is a thin facade: every constructor above builds through
+// internal/engine by registry name. The machinery underneath (all
+// stdlib-only, see README.md "Architecture" and DESIGN.md):
 //
 //   - internal/engine — the unified construction engine: every
 //     constructor above registered behind one Params surface, with

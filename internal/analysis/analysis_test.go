@@ -146,11 +146,11 @@ func TestObsGateFixture(t *testing.T) {
 }
 
 func TestParallelGateFixture(t *testing.T) {
-	checkFixture(t, ParallelGate, filepath.Join("testdata", "parallelgate"), "repro/internal/graph")
+	checkFixture(t, ParallelGate, filepath.Join("testdata", "parallelgate"), "repro/internal/geom")
 }
 
 func TestWaitPairFixture(t *testing.T) {
-	checkFixture(t, WaitPair, filepath.Join("testdata", "waitpair"), "repro/internal/graph")
+	checkFixture(t, WaitPair, filepath.Join("testdata", "waitpair"), "repro/internal/geom")
 }
 
 func TestSharedWriteFixture(t *testing.T) {
@@ -240,26 +240,12 @@ func TestAppliesTo(t *testing.T) {
 		{ObsGate, "repro/internal/obs", false}, // the instruments themselves
 		{ObsGate, "repro/cmd/bmstree", false},  // binaries run off the hot path
 		{ParallelGate, "repro/internal/geom", true},
-		{ParallelGate, "repro/internal/graph", true},
-		{ParallelGate, "repro/internal/engine", true},
 		{ParallelGate, "repro/internal/router", false}, // bounded pool, no serial twin
+		{ParallelGate, "repro/internal/core", false},   // serial since DESIGN.md §14
+		{WaitPair, "repro/internal/geom", true},
 		{WaitPair, "repro/internal/router", true},
 		{WaitPair, "repro/internal/obs", false},
-		// The construction layers have no worker pool since the serial
-		// rewrite (DESIGN.md §14), but stay under the worker-gate
-		// discipline so a new spawn there must be gated.
-		{ParallelGate, "repro/internal/core", true},
-		{ParallelGate, "repro/internal/exact", true},
-		{ParallelGate, "repro/internal/steiner", true},
-		{WaitPair, "repro/internal/core", true},
-		{WaitPair, "repro/internal/exact", true},
-		{WaitPair, "repro/internal/steiner", true},
-		// The serving layer promises the same concurrency discipline as
-		// the engine it fronts (but keeps wall-clock freedom: request
-		// timing is its job).
-		{ParallelGate, "repro/internal/serve", true},
-		{WaitPair, "repro/internal/serve", true},
-		{WallClock, "repro/internal/serve", false},
+		{WaitPair, "repro/internal/serve", false},
 		// ctxflow covers every package with a cancellation contract:
 		// the construction layers, the engine and the serving layer.
 		{CtxFlow, "repro/internal/core", true},
@@ -281,6 +267,15 @@ func TestAppliesTo(t *testing.T) {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", c.a.Name, c.path, got, c.want)
 		}
 	}
+	// The goroutine allowlists name only packages that spawn: a listed
+	// package whose non-test code has no go statement is a stale entry.
+	for _, pkgs := range [][]string{parallelGatePackages, waitPairPackages} {
+		for _, path := range pkgs {
+			if !spawns(t, filepath.Join("..", "..", strings.TrimPrefix(path, "repro/"))) {
+				t.Errorf("%s is allowlisted for the goroutine analyzers but its non-test code has no go statement", path)
+			}
+		}
+	}
 	// Every package owes determinism, error handling and goroutine
 	// hygiene, so these carry no allowlist.
 	for _, a := range []*Analyzer{DetFlow, ErrDrop, SharedWrite, ChanLeak} {
@@ -288,6 +283,34 @@ func TestAppliesTo(t *testing.T) {
 			t.Errorf("%s must apply to every package", a.Name)
 		}
 	}
+}
+
+// spawns reports whether a non-test Go file in dir has a go statement.
+func spawns(t *testing.T, dir string) bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			_, ok := n.(*ast.GoStmt)
+			found = found || ok
+			return !found
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSuppressionDiagnostics covers the directive edge cases: a
@@ -369,7 +392,7 @@ func gatedInLiteral(workers int) {
 }
 `
 	var lines []string
-	for _, d := range Run(inlinePackage(t, "repro/internal/graph", src), []*Analyzer{ParallelGate}) {
+	for _, d := range Run(inlinePackage(t, "repro/internal/geom", src), []*Analyzer{ParallelGate}) {
 		lines = append(lines, fmt.Sprintf("%d %s", d.Pos.Line, d.Analyzer))
 	}
 	if want := "8 parallelgate"; strings.Join(lines, ", ") != want {

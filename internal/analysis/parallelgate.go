@@ -14,16 +14,10 @@ import (
 	"strings"
 )
 
-// parallelGatePackages host the parallel construction kernels.
-var parallelGatePackages = []string{
-	"repro/internal/geom",
-	"repro/internal/graph",
-	"repro/internal/engine",
-	"repro/internal/serve",
-	"repro/internal/core",
-	"repro/internal/exact",
-	"repro/internal/steiner",
-}
+// parallelGatePackages host the parallel construction kernels: the
+// packages whose non-test code has a go statement and a serial twin
+// (TestAppliesTo keeps the list to those).
+var parallelGatePackages = []string{"repro/internal/geom"}
 
 // ParallelGate requires every `go` statement to be dominated by a
 // worker-count gate with a reachable serial fallback. Accepted shapes,

@@ -10,7 +10,7 @@ import (
 	"repro/internal/inst"
 )
 
-// AHHK implements the paper's reference [9] — Alpert, Hu, Huang and
+// AHHKBuild implements the paper's reference [9] — Alpert, Hu, Huang and
 // Kahng, "A direct combination of the Prim and Dijkstra constructions
 // for improved performance-driven global routing" (ISCAS 1993). The
 // tree grows from the source, always attaching the sink v (via tree
@@ -21,13 +21,9 @@ import (
 // c = 0 reproduces Prim's MST; c = 1 reproduces Dijkstra's SPT; values
 // between trade the average source-sink path length against total cost.
 // Unlike BKRUS it offers no hard guarantee on the longest path — the
-// paper compares against it as the best prior trade-off heuristic.
-func AHHK(in *inst.Instance, c float64) (*graph.Tree, error) {
-	return AHHKBuild(context.Background(), in, c)
-}
-
-// AHHKBuild is AHHK with a context polled once per attachment, so the
-// O(n²) growth loop aborts within one relaxation sweep of cancellation.
+// paper compares against it as the best prior trade-off heuristic. ctx
+// is polled once per attachment, so the O(n²) growth loop aborts within
+// one relaxation sweep of cancellation.
 func AHHKBuild(ctx context.Context, in *inst.Instance, c float64) (*graph.Tree, error) {
 	if c < 0 || c > 1 || math.IsNaN(c) {
 		return nil, fmt.Errorf("baseline: AHHK parameter c = %g outside [0,1]", c)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestAHHKParameterValidation(t *testing.T) {
 	in := randomInstance(rand.New(rand.NewSource(1)), 5, 100)
 	for _, c := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := AHHK(in, c); err == nil {
+		if _, err := AHHKBuild(context.Background(), in, c); err == nil {
 			t.Errorf("c = %v accepted", c)
 		}
 	}
@@ -26,7 +27,7 @@ func TestAHHKEndpoints(t *testing.T) {
 		dm := in.DistMatrix()
 
 		// c = 0 is Prim's MST
-		prim, err := AHHK(in, 0)
+		prim, err := AHHKBuild(context.Background(), in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestAHHKEndpoints(t *testing.T) {
 		}
 
 		// c = 1 is Dijkstra's SPT: every path equals the direct distance
-		spt, err := AHHK(in, 1)
+		spt, err := AHHKBuild(context.Background(), in, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestAHHKTradeoffProperty(t *testing.T) {
 		n := int(szRaw%20) + 3
 		c := float64(cRaw) / 255
 		in := randomInstance(rng, n, 100)
-		tr, err := AHHK(in, c)
+		tr, err := AHHKBuild(context.Background(), in, c)
 		if err != nil || tr.Validate() != nil {
 			return false
 		}
@@ -73,7 +74,7 @@ func TestAHHKTradeoffProperty(t *testing.T) {
 
 func TestAHHKSingleSink(t *testing.T) {
 	in := randomInstance(rand.New(rand.NewSource(5)), 1, 10)
-	tr, err := AHHK(in, 0.5)
+	tr, err := AHHKBuild(context.Background(), in, 0.5)
 	if err != nil || len(tr.Edges) != 1 {
 		t.Errorf("single sink: %v %v", tr, err)
 	}

@@ -24,8 +24,8 @@
 //     proof of CKR 1992 charges per shortcut. Kruskal + the Dijkstra
 //     pass dominate at O(n² log n).
 //
-// Relaxation-scan and shortcut counts are recorded into the "baseline"
-// obs scope (see OBSERVABILITY.md) when observability is enabled.
+// Relaxation-scan and shortcut counts are recorded into the counter set
+// the caller passes, the "baseline" obs scope (see OBSERVABILITY.md).
 package baseline
 
 import (
@@ -39,18 +39,12 @@ import (
 	"repro/internal/mst"
 )
 
-// BPRIM constructs a bounded path length spanning tree by the bounded
-// Prim rule. Every source-sink path is at most (1+eps)·R; the direct
-// source edge is always feasible, so the construction always completes
-// for eps ≥ 0. When a default obs registry is installed the
-// construction records into its "baseline" scope.
-func BPRIM(in *inst.Instance, eps float64) (*graph.Tree, error) {
-	return BPRIMBuild(context.Background(), in, eps, defaultCounters())
-}
-
-// BPRIMBuild is BPRIM with an explicit counter set (nil = counting off)
-// and a context polled once per attachment, so an O(n²) construction
-// aborts within one relaxation sweep of cancellation.
+// BPRIMBuild constructs a bounded path length spanning tree by the
+// bounded Prim rule. Every source-sink path is at most (1+eps)·R; the
+// direct source edge is always feasible, so the construction always
+// completes for eps ≥ 0. It records into c (nil counts nothing) and
+// polls ctx once per attachment, so the O(n²) construction aborts
+// within one relaxation sweep of cancellation.
 func BPRIMBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters) (*graph.Tree, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("baseline: negative eps %g", eps)
@@ -119,18 +113,11 @@ func BPRIMBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters
 	return t, nil
 }
 
-// BRBC constructs the bounded-radius bounded-cost tree. eps = +Inf
+// BRBCBuild constructs the bounded-radius bounded-cost tree. eps = +Inf
 // returns the plain MST; eps = 0 degenerates to the shortest path tree.
-// When a default obs registry is installed the construction records
-// into its "baseline" scope.
-func BRBC(in *inst.Instance, eps float64) (*graph.Tree, error) {
-	return BRBCBuild(context.Background(), in, eps, defaultCounters())
-}
-
-// BRBCBuild is BRBC with an explicit counter set (nil = counting off)
-// and a context polled inside the MST scan and again after the tour,
-// bounding post-cancellation work to one stride of the scan or the
-// O(n) tour.
+// It records into c (nil counts nothing) and polls ctx inside the MST
+// scan and again after the tour, bounding post-cancellation work to
+// one stride of the scan or the O(n) tour.
 func BRBCBuild(ctx context.Context, in *inst.Instance, eps float64, c *Counters) (*graph.Tree, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("baseline: negative eps %g", eps)

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,10 +25,10 @@ func randomInstance(rng *rand.Rand, sinks int, extent float64) *inst.Instance {
 
 func TestBPRIMNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BPRIM(in, -1); err == nil {
+	if _, err := BPRIMBuild(context.Background(), in, -1, nil); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, err := BRBC(in, -1); err == nil {
+	if _, err := BRBCBuild(context.Background(), in, -1, nil); err == nil {
 		t.Error("negative eps accepted by BRBC")
 	}
 }
@@ -38,7 +39,7 @@ func TestBPRIMBoundProperty(t *testing.T) {
 		n := int(szRaw%25) + 2
 		eps := float64(epsRaw%200) / 100
 		in := randomInstance(rng, n, 100)
-		tr, err := BPRIM(in, eps)
+		tr, err := BPRIMBuild(context.Background(), in, eps, nil)
 		if err != nil {
 			return false
 		}
@@ -56,7 +57,7 @@ func TestBPRIMInfiniteEpsIsMST(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(25), 100)
-		tr, err := BPRIM(in, math.Inf(1))
+		tr, err := BPRIMBuild(context.Background(), in, math.Inf(1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +82,11 @@ func TestBPRIMChainPathology(t *testing.T) {
 	}
 	in := inst.MustNew(geom.Point{}, sinks, geom.Manhattan)
 	eps := 0.25
-	bp, err := BPRIM(in, eps)
+	bp, err := BPRIMBuild(context.Background(), in, eps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk, err := core.BKRUS(in, eps)
+	bk, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestBRBCRadiusGuarantee(t *testing.T) {
 		n := int(szRaw%25) + 2
 		eps := float64(epsRaw%150)/100 + 0.01
 		in := randomInstance(rng, n, 100)
-		tr, err := BRBC(in, eps)
+		tr, err := BRBCBuild(context.Background(), in, eps, nil)
 		if err != nil || tr.Validate() != nil {
 			return false
 		}
@@ -118,7 +119,7 @@ func TestBRBCCostGuarantee(t *testing.T) {
 		n := 3 + rng.Intn(30)
 		eps := 0.1 + rng.Float64()
 		in := randomInstance(rng, n, 100)
-		tr, err := BRBC(in, eps)
+		tr, err := BRBCBuild(context.Background(), in, eps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestBRBCCostGuarantee(t *testing.T) {
 func TestBRBCZeroEpsIsStar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	in := randomInstance(rng, 15, 100)
-	tr, err := BRBC(in, 0)
+	tr, err := BRBCBuild(context.Background(), in, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBRBCZeroEpsIsStar(t *testing.T) {
 func TestBRBCInfiniteEpsIsMST(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	in := randomInstance(rng, 20, 100)
-	tr, err := BRBC(in, math.Inf(1))
+	tr, err := BRBCBuild(context.Background(), in, math.Inf(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +161,14 @@ func TestBRBCInfiniteEpsIsMST(t *testing.T) {
 
 func TestBPRIMSingleSink(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 2, Y: 3}}, geom.Euclidean)
-	tr, err := BPRIM(in, 0)
+	tr, err := BPRIMBuild(context.Background(), in, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Edges) != 1 || math.Abs(tr.Cost()-in.R()) > 1e-12 {
 		t.Errorf("single-sink BPRIM wrong: %v", tr.Edges)
 	}
-	if tr2, err := BRBC(in, 0.5); err != nil || len(tr2.Edges) != 1 {
+	if tr2, err := BRBCBuild(context.Background(), in, 0.5, nil); err != nil || len(tr2.Edges) != 1 {
 		t.Errorf("single-sink BRBC wrong: %v %v", tr2, err)
 	}
 }
@@ -178,7 +179,7 @@ func BenchmarkBPRIM100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BPRIM(in, 0.2); err != nil {
+		if _, err := BPRIMBuild(context.Background(), in, 0.2, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -190,7 +191,7 @@ func BenchmarkBRBC100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BRBC(in, 0.2); err != nil {
+		if _, err := BRBCBuild(context.Background(), in, 0.2, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,12 +47,3 @@ func NewCounters(sc *obs.Scope) *Counters {
 		BRBCMSTReturns:       sc.Counter(CtrBRBCMSTReturns),
 	}
 }
-
-// defaultCounters resolves the instrument set from the process default
-// registry, or nil when observability is off.
-func defaultCounters() *Counters {
-	if sc := obs.DefaultScope(ScopeName); sc != nil {
-		return NewCounters(sc)
-	}
-	return nil
-}

@@ -16,7 +16,7 @@ func TestBaselineBuildCountersMatchPlain(t *testing.T) {
 	in := randomInstance(rng, 25, 100)
 	ctx := context.Background()
 
-	plainP, err := BPRIM(in, 0.2)
+	plainP, err := BPRIMBuild(context.Background(), in, 0.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestBaselineBuildCountersMatchPlain(t *testing.T) {
 		t.Errorf("attachments = %d, want %d", got, in.N()-1)
 	}
 
-	plainB, err := BRBC(in, 0.1)
+	plainB, err := BRBCBuild(context.Background(), in, 0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,31 +68,5 @@ func TestBaselineBuildCountersMatchPlain(t *testing.T) {
 	silentB, err := BRBCBuild(ctx, in, 0.1, nil)
 	if err != nil || silentB.Cost() != plainB.Cost() {
 		t.Errorf("nil-counter BRBC differs: %v", err)
-	}
-}
-
-// Plain BPRIM/BRBC must feed the default registry's baseline scope when
-// one is installed, and stay silent when none is.
-func TestBaselineDefaultRegistryPickup(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	in := randomInstance(rng, 10, 50)
-
-	// No registry: nothing to record into, still works.
-	if _, err := BPRIM(in, 0.3); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	defer obs.SetDefault(nil)
-	if _, err := BPRIM(in, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BRBC(in, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	sc := reg.Scope(ScopeName)
-	if sc.Counter(CtrBPRIMRelaxScans).Load() == 0 {
-		t.Error("default scope saw no BPRIM relax scans")
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func TestP4Characteristics(t *testing.T) {
 // The p1 family must exhibit its pathology: BKT at eps=0 close to N x MST.
 func TestP1Pathology(t *testing.T) {
 	in := P1()
-	bkt, err := core.BKRUS(in, 0)
+	bkt, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestGridPattern(t *testing.T) {
 
 func TestRingZeroSkewFeasible(t *testing.T) {
 	in := Ring(8, 20)
-	tr, err := core.BKRUSLU(in, 1.0, 0.0)
+	tr, err := core.BKRUSBuild(context.Background(), in, core.LowerUpper(in, 1.0, 0.0), core.Config{})
 	if err != nil {
 		t.Fatalf("zero-skew on a ring should be feasible: %v", err)
 	}

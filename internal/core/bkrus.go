@@ -38,7 +38,6 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/inst"
-	"repro/internal/obs"
 )
 
 // ErrInfeasible is returned when no spanning tree can satisfy the
@@ -109,36 +108,9 @@ func FeasibleTree(t *graph.Tree, b Bounds) bool {
 	return true
 }
 
-// BKRUS constructs a bounded path length spanning tree with every
-// source-sink path at most (1+eps)·R. eps must be ≥ 0 or +Inf.
-func BKRUS(in *inst.Instance, eps float64) (*graph.Tree, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("core: negative eps %g", eps)
-	}
-	return BKRUSBounds(in, UpperOnly(in, eps))
-}
-
-// BKRUSLU constructs a spanning tree with every source-sink path in
-// [eps1·R, (1+eps2)·R] (§6). Unlike the upper-bound-only case this can
-// fail with ErrInfeasible.
-func BKRUSLU(in *inst.Instance, eps1, eps2 float64) (*graph.Tree, error) {
-	if eps1 < 0 || eps2 < 0 {
-		return nil, fmt.Errorf("core: negative eps1/eps2 %g/%g", eps1, eps2)
-	}
-	return BKRUSBounds(in, LowerUpper(in, eps1, eps2))
-}
-
-// BKRUSBounds runs the bounded Kruskal construction for an arbitrary
-// absolute bound window.
-func BKRUSBounds(in *inst.Instance, b Bounds) (*graph.Tree, error) {
-	return BKRUSBuild(context.Background(), in, b, Config{})
-}
-
 // Config carries the optional hooks of one BKRUS construction.
 type Config struct {
-	// Counters receives the construction's event counts. nil keeps the
-	// historical opportunistic behaviour: count into the process default
-	// registry's core scope when one is installed, otherwise count
+	// Counters receives the construction's event counts; nil counts
 	// nothing.
 	Counters *Counters
 	// Scratch, when non-nil, supplies the working buffers and the
@@ -154,11 +126,18 @@ type Config struct {
 	Geometry Geometry
 }
 
-// BKRUSBuild is the full-control entry point behind every BKRUS variant:
-// arbitrary bound window, explicit counters, pooled scratch, and a
-// context checked periodically inside the edge scan so sweeps and
-// servers can enforce deadlines. A cancelled ctx surfaces as ctx.Err()
-// within a bounded number of edge examinations.
+// BKRUSBuild is the bounded Kruskal construction, the one entry point
+// behind every BKRUS variant: an arbitrary bound window, explicit
+// counters, a reusable scratch, and a context checked periodically
+// inside the edge scan so sweeps and servers can enforce deadlines. A
+// cancelled ctx surfaces as ctx.Err() within a bounded number of edge
+// examinations.
+//
+// UpperOnly(in, ε) gives the paper's BKRUS (§3.1): every source-sink
+// path at most (1+ε)·R. For ε ≥ 0 (ε may be +Inf, which yields the
+// MST) it always succeeds, since the source star is feasible.
+// LowerUpper(in, ε1, ε2) gives the §6 window [ε1·R, (1+ε2)·R]; unlike
+// the upper bound alone it can fail with ErrInfeasible.
 func BKRUSBuild(ctx context.Context, in *inst.Instance, b Bounds, cfg Config) (*graph.Tree, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -260,22 +239,13 @@ func newEngine(in *inst.Instance, b Bounds, cfg Config) *engine {
 		dm = in.DistMatrix()
 	}
 	s.f.Reset(n, graph.Source, func(x int) float64 { return dm.At(graph.Source, x) }, dm, b)
-	e := &engine{
+	return &engine{
 		n:      n,
 		b:      b,
 		f:      &s.f,
 		c:      cfg.Counters,
 		stream: s.EdgeStream(in, cfg.Geometry),
 	}
-	// Opportunistic instrumentation: when no explicit counter set was
-	// given and a binary has installed a process-wide registry,
-	// accumulate counters into its core scope.
-	if e.c == nil {
-		if sc := obs.DefaultScope(ScopeName); sc != nil {
-			e.c = NewCounters(sc)
-		}
-	}
-	return e
 }
 
 // cancelStride is how many stream entries the scan passes between

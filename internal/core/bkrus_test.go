@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +14,22 @@ import (
 	"repro/internal/mst"
 )
 
+// bkrusBounds is the hook-free build the tests run: no counters, a
+// fresh scratch, a context that never cancels.
+func bkrusBounds(in *inst.Instance, b Bounds) (*graph.Tree, error) {
+	return BKRUSBuild(context.Background(), in, b, Config{})
+}
+
+// bkrus builds under the paper's bound (1+eps)·R.
+func bkrus(in *inst.Instance, eps float64) (*graph.Tree, error) {
+	return bkrusBounds(in, UpperOnly(in, eps))
+}
+
+// bkruslu builds under the §6 window [eps1·R, (1+eps2)·R].
+func bkruslu(in *inst.Instance, eps1, eps2 float64) (*graph.Tree, error) {
+	return bkrusBounds(in, LowerUpper(in, eps1, eps2))
+}
+
 func randomInstance(rng *rand.Rand, sinks int, extent float64) *inst.Instance {
 	pts := make([]geom.Point, sinks)
 	for i := range pts {
@@ -21,10 +39,13 @@ func randomInstance(rng *rand.Rand, sinks int, extent float64) *inst.Instance {
 	return inst.MustNew(src, pts, geom.Manhattan)
 }
 
+// A negative ε puts the bound below R, where the farthest sink's own
+// direct wire does not fit: the build reports the window infeasible.
+// (The engine rejects a negative ε by name before it builds.)
 func TestBKRUSRejectsNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BKRUS(in, -0.1); err == nil {
-		t.Error("negative eps accepted")
+	if _, err := bkrus(in, -0.1); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("negative eps: err %v, want ErrInfeasible", err)
 	}
 }
 
@@ -47,7 +68,7 @@ func TestBKRUSInfiniteEpsIsMST(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(30), 100)
-		tr, err := BKRUS(in, math.Inf(1))
+		tr, err := bkrus(in, math.Inf(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +83,7 @@ func TestBKRUSZeroEpsRadiusEqualsR(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(25), 100)
-		tr, err := BKRUS(in, 0)
+		tr, err := bkrus(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +103,7 @@ func TestBKRUSRejectionFixture(t *testing.T) {
 	if in.R() != 12 {
 		t.Fatalf("fixture R = %v", in.R())
 	}
-	tight, err := BKRUS(in, 0)
+	tight, err := bkrus(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +113,7 @@ func TestBKRUSRejectionFixture(t *testing.T) {
 	if !tight.HasEdge(0, 1) || !tight.HasEdge(0, 2) {
 		t.Errorf("eps=0 edges = %v, want the source star", tight.Edges)
 	}
-	loose, err := BKRUS(in, 1)
+	loose, err := bkrus(in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +134,7 @@ func TestBKRUSFigure5NonOptimal(t *testing.T) {
 		{X: 0.0, Y: 7.7}, // d = node 4
 	}, geom.Manhattan)
 	b := Bounds{Upper: 8.3}
-	tr, err := BKRUSBounds(in, b)
+	tr, err := bkrusBounds(in, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +171,7 @@ func TestBKRUSBoundPropertyQuick(t *testing.T) {
 		n := int(szRaw%25) + 2
 		eps := float64(epsRaw%200) / 100 // 0.00 .. 1.99
 		in := randomInstance(rng, n, 100)
-		tr, err := BKRUS(in, eps)
+		tr, err := bkrus(in, eps)
 		if err != nil {
 			return false
 		}
@@ -176,7 +197,7 @@ func TestBKRUSBoundNestingProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(szRaw%15) + 2
 		in := randomInstance(rng, n, 50)
-		tight, err := BKRUS(in, 0.1)
+		tight, err := bkrus(in, 0.1)
 		if err != nil {
 			return false
 		}
@@ -191,7 +212,7 @@ func TestBKRUSBoundNestingProperty(t *testing.T) {
 
 func TestBKRUSSingleSink(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 5, Y: 5}}, geom.Euclidean)
-	tr, err := BKRUS(in, 0)
+	tr, err := bkrus(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +228,7 @@ func TestBKRUSEuclideanMetric(t *testing.T) {
 		pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 	}
 	in := inst.MustNew(geom.Point{X: 5, Y: 5}, pts, geom.Euclidean)
-	tr, err := BKRUS(in, 0.2)
+	tr, err := bkrus(in, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +241,11 @@ func TestBKRUSLUZeroLowerMatchesBKRUS(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(15), 100)
-		a, err := BKRUS(in, 0.3)
+		a, err := bkrus(in, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BKRUSLU(in, 0, 0.3)
+		b, err := bkruslu(in, 0, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +262,7 @@ func TestBKRUSLUBoundsRespected(t *testing.T) {
 		in := randomInstance(rng, 3+rng.Intn(12), 100)
 		eps1 := float64(rng.Intn(8)) / 10  // 0.0 .. 0.7
 		eps2 := float64(rng.Intn(15)) / 10 // 0.0 .. 1.4
-		tr, err := BKRUSLU(in, eps1, eps2)
+		tr, err := bkruslu(in, eps1, eps2)
 		if err != nil {
 			continue // genuinely infeasible combos are expected (§6)
 		}
@@ -262,13 +283,15 @@ func TestBKRUSLUBoundsRespected(t *testing.T) {
 	}
 }
 
+// A negative ε1 is a malformed window; a negative ε2 puts the upper
+// bound below R, which the farthest sink cannot meet.
 func TestBKRUSLUNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BKRUSLU(in, -0.5, 0.5); err == nil {
-		t.Error("negative eps1 accepted")
+	if _, err := bkruslu(in, -0.5, 0.5); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("negative eps1: err %v, want a malformed-bounds error", err)
 	}
-	if _, err := BKRUSLU(in, 0.5, -0.5); err == nil {
-		t.Error("negative eps2 accepted")
+	if _, err := bkruslu(in, 0.5, -0.5); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("negative eps2: err %v, want ErrInfeasible", err)
 	}
 }
 
@@ -281,7 +304,7 @@ func TestBKRUSLUInfeasibleWindow(t *testing.T) {
 	// ride through sink1 for a long path, so choose a window that kills
 	// that too: Lower = 0.95*R = 9.5, Upper = R = 10. Paths to sink 2:
 	// direct 1 (violates), via sink1: 10 + 9 = 19 > Upper. Infeasible.
-	if _, err := BKRUSLU(in, 0.95, 0.0); err == nil {
+	if _, err := bkruslu(in, 0.95, 0.0); err == nil {
 		t.Error("infeasible window accepted")
 	}
 }
@@ -319,7 +342,7 @@ func TestBKRUSFigure13Pathology(t *testing.T) {
 		sinks[i] = geom.Point{X: 20 - t0, Y: t0}
 	}
 	in := inst.MustNew(geom.Point{}, sinks, geom.Manhattan)
-	bkt, err := BKRUS(in, 0)
+	bkt, err := bkrus(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +352,7 @@ func TestBKRUSFigure13Pathology(t *testing.T) {
 		t.Errorf("pathology ratio = %v, want close to %d", ratio, n)
 	}
 	// with generous eps the ratio collapses to 1
-	loose, err := BKRUS(in, 2)
+	loose, err := bkrus(in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +367,7 @@ func BenchmarkBKRUS100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BKRUS(in, 0.2); err != nil {
+		if _, err := bkrus(in, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,7 +392,7 @@ func TestBKRUSWithStats(t *testing.T) {
 		t.Errorf("inconsistent counters: %v", loads(c))
 	}
 	// instrumentation off (plain BKRUS) must agree on the tree
-	plain, err := BKRUS(in, 0)
+	plain, err := bkrus(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

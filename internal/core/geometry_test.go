@@ -74,7 +74,7 @@ func TestNeighborGraphContainsDenseBKRUSEdges(t *testing.T) {
 	propertyCorpus(t, func(name string, in *inst.Instance) {
 		set := neighborKeySet(in)
 		for _, eps := range propertyEps {
-			tr, err := BKRUS(in, eps)
+			tr, err := bkrus(in, eps)
 			if err != nil {
 				t.Fatalf("%s n=%d eps=%g: dense BKRUS failed: %v", name, in.N(), eps, err)
 			}

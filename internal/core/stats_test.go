@@ -33,7 +33,7 @@ func TestBKRUSBuildCountersMatchWithStats(t *testing.T) {
 	in := bench.P3()
 	b := UpperOnly(in, 0.25)
 
-	plain, err := BKRUSBounds(in, b)
+	plain, err := bkrusBounds(in, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBKRUSBuildScratchReuse(t *testing.T) {
 			t.Fatalf("unknown fixture %q", in.name)
 		}
 		b := UpperOnly(inst, in.eps)
-		want, err := BKRUSBounds(inst, b)
+		want, err := bkrusBounds(inst, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,45 +93,6 @@ func TestBKRUSBuildScratchReuse(t *testing.T) {
 				t.Fatalf("%s eps=%g: edge %d differs: %v vs %v", in.name, in.eps, i, got.Edges[i], want.Edges[i])
 			}
 		}
-	}
-}
-
-// With a default registry installed, plain BKRUS accumulates into its
-// core scope; a standalone counter set stays per-run isolated.
-func TestDefaultRegistryPickup(t *testing.T) {
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	defer obs.SetDefault(nil)
-
-	in := bench.P4()
-	if _, err := BKRUS(in, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	merges := reg.Scope(ScopeName).Counter(CtrMerges).Load()
-	if merges != int64(in.N()-1) {
-		t.Errorf("default scope merges = %d, want %d", merges, in.N()-1)
-	}
-
-	// Two more runs accumulate.
-	if _, err := BKRUS(in, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Scope(ScopeName).Counter(CtrMerges).Load(); got != 2*merges {
-		t.Errorf("counters did not accumulate: %d vs %d", got, 2*merges)
-	}
-
-	// A standalone counter set isolates its run: the default scope must
-	// not move.
-	before := reg.Scope(ScopeName).Counter(CtrEdgesExamined).Load()
-	_, c, err := runCounted(in, UpperOnly(in, 0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Merges.Load(); got != int64(in.N()-1) {
-		t.Errorf("standalone merges = %d", got)
-	}
-	if after := reg.Scope(ScopeName).Counter(CtrEdgesExamined).Load(); after != before {
-		t.Errorf("standalone run leaked into the default scope: %d -> %d", before, after)
 	}
 }
 

@@ -234,8 +234,8 @@ func withinBound(v, bound float64) bool {
 // always a solution; with such a driver the construction completes).
 var ErrInfeasible = errors.New("delay: no spanning tree satisfies the Elmore delay bound")
 
-// BKRUSElmore runs the bounded Kruskal construction with the Elmore delay
-// model replacing wirelength: every source-sink delay of the result is at
+// BKRUSElmoreBuild runs the bounded Kruskal construction with the Elmore
+// delay model replacing wirelength: every source-sink delay of the result is at
 // most (1+eps)·R where R = StarR(in, m). Feasibility tests follow §3.2:
 //
 //	(3-a') the merged tree containing the source keeps r[source] ≤ bound
@@ -246,20 +246,15 @@ var ErrInfeasible = errors.New("delay: no spanning tree satisfies the Elmore del
 //	       still serve every node.
 //
 // Because every committed wire loads the shared driver, greedy merges
-// can strand a component even when feasible trees exist. BKRUSElmore
+// can strand a component even when feasible trees exist. The build
 // therefore retries with progressively tighter internal acceptance
 // bounds and ultimately falls back to the direct star, whose worst delay
 // equals R — so for eps ≥ 0 a bound-respecting tree is always returned.
 //
 // The radii recomputation makes this O(E·V²); intended for the ≤ a few
-// hundred sink nets that dominate delay-driven routing.
-func BKRUSElmore(in *inst.Instance, eps float64, m Model) (*graph.Tree, error) {
-	return BKRUSElmoreBuild(context.Background(), in, eps, m)
-}
-
-// BKRUSElmoreBuild is BKRUSElmore with a context polled inside the
-// greedy edge scan of every ladder step, so the O(E·V²) construction
-// aborts with ctx.Err() within a bounded number of edge examinations.
+// hundred sink nets that dominate delay-driven routing. ctx is polled
+// inside the greedy edge scan of every ladder step, so a cancelled
+// build returns ctx.Err() within a bounded number of edge examinations.
 func BKRUSElmoreBuild(ctx context.Context, in *inst.Instance, eps float64, m Model) (*graph.Tree, error) {
 	if eps < 0 {
 		return nil, fmt.Errorf("delay: negative eps %g", eps)

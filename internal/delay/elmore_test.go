@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -167,10 +168,10 @@ func TestZeroResistanceDelayProperty(t *testing.T) {
 
 func TestBKRUSElmoreNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BKRUSElmore(in, -1, DefaultModel()); err == nil {
+	if _, err := BKRUSElmoreBuild(context.Background(), in, -1, DefaultModel()); err == nil {
 		t.Error("negative eps accepted")
 	}
-	if _, err := BKRUSElmore(in, 0, Model{RUnit: -1}); err == nil {
+	if _, err := BKRUSElmoreBuild(context.Background(), in, 0, Model{RUnit: -1}); err == nil {
 		t.Error("invalid model accepted")
 	}
 }
@@ -186,7 +187,7 @@ func TestBKRUSElmoreBoundHolds(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(10), 50)
 		eps := float64(rng.Intn(10)) / 10
-		tr, err := BKRUSElmore(in, eps, m)
+		tr, err := BKRUSElmoreBuild(context.Background(), in, eps, m)
 		if err != nil {
 			continue
 		}
@@ -212,7 +213,7 @@ func TestBKRUSElmoreStrongDriverAlwaysCompletes(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(10), 50)
 		eps := float64(rng.Intn(10)) / 10
-		tr, err := BKRUSElmore(in, eps, m)
+		tr, err := BKRUSElmoreBuild(context.Background(), in, eps, m)
 		if err != nil {
 			t.Fatalf("trial %d (eps=%v): %v", trial, eps, err)
 		}
@@ -229,7 +230,7 @@ func TestBKRUSElmoreCheaperThanStarWhenLoose(t *testing.T) {
 	better := 0
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 12, 50)
-		tr, err := BKRUSElmore(in, 2.0, m)
+		tr, err := BKRUSElmoreBuild(context.Background(), in, 2.0, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func TestBKRUSElmoreApproachesMSTWithStrongDriver(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	in := randomInstance(rng, 10, 50)
 	m := Model{RUnit: 0.01, CUnit: 0.01, RDriver: 0.001, CDriver: 0}
-	tr, err := BKRUSElmore(in, 5, m)
+	tr, err := BKRUSElmoreBuild(context.Background(), in, 5, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestBKRUSElmoreApproachesMSTWithStrongDriver(t *testing.T) {
 
 func TestBKRUSElmoreSingleSink(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 5, Y: 5}}, geom.Manhattan)
-	tr, err := BKRUSElmore(in, 0, DefaultModel())
+	tr, err := BKRUSElmoreBuild(context.Background(), in, 0, DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestBKRUSElmoreGolden(t *testing.T) {
 			m.Load = loads
 			for _, eps := range []float64{0, 0.05, 0.2, 1} {
 				fmt.Fprintf(h, "n=%d m=%d eps=%g:", sinks, mi, eps)
-				tr, err := BKRUSElmore(in, eps, m)
+				tr, err := BKRUSElmoreBuild(context.Background(), in, eps, m)
 				if err != nil {
 					fmt.Fprintf(h, "err %v\n", err)
 					continue
@@ -325,7 +326,7 @@ func BenchmarkBKRUSElmore30(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BKRUSElmore(in, 0.5, m); err != nil {
+		if _, err := BKRUSElmoreBuild(context.Background(), in, 0.5, m); err != nil {
 			b.Fatal(err)
 		}
 	}

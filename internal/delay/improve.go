@@ -13,8 +13,9 @@ import (
 // tree: exchanges reduce wirelength while the Elmore worst delay stays
 // within (1+eps)·R. This extends the paper's §5 post-processing to the
 // §3.2 delay model — exchanges that save wire also unload the driver, so
-// they frequently reduce delay too. maxDepth caps the chained exchanges
-// (2 gives the BKH2-analogue); budget caps search work (0 = unlimited).
+// they frequently reduce delay too. maxDepth caps the chained exchanges;
+// budget caps search work (0 = unlimited). From a BKRUSElmoreBuild tree
+// at maxDepth 2 it is BKH2Elmore, the delay-model analogue of BKH2.
 // Cancellation propagates through the underlying exchange search.
 func ImproveElmore(ctx context.Context, in *inst.Instance, start *graph.Tree, eps float64, m Model, maxDepth, budget int) (*graph.Tree, error) {
 	if eps < 0 {
@@ -32,14 +33,4 @@ func ImproveElmore(ctx context.Context, in *inst.Instance, start *graph.Tree, ep
 		return nil, err
 	}
 	return res.Tree, nil
-}
-
-// BKH2Elmore is the delay-model analogue of BKH2: BKRUSElmore followed by
-// depth-2 exchange search under the Elmore delay bound.
-func BKH2Elmore(ctx context.Context, in *inst.Instance, eps float64, m Model) (*graph.Tree, error) {
-	start, err := BKRUSElmoreBuild(ctx, in, eps, m)
-	if err != nil {
-		return nil, err
-	}
-	return ImproveElmore(ctx, in, start, eps, m, 2, 0)
 }

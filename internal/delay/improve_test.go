@@ -10,7 +10,7 @@ func TestImproveElmoreValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := randomInstance(rng, 5, 50)
 	m := DefaultModel()
-	start, err := BKRUSElmore(in, 0.5, m)
+	start, err := BKRUSElmoreBuild(context.Background(), in, 0.5, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestBKH2ElmoreNeverWorse(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(8), 50)
 		eps := 0.2 + float64(rng.Intn(8))/10
-		start, err := BKRUSElmore(in, eps, m)
+		start, err := BKRUSElmoreBuild(context.Background(), in, eps, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		better, err := BKH2Elmore(context.Background(), in, eps, m)
+		better, err := ImproveElmore(context.Background(), in, start, eps, m, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

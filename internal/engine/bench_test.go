@@ -42,7 +42,7 @@ func BenchmarkBKRUSSweepFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range sweepEps {
-			if _, err := core.BKRUS(in, e); err != nil {
+			if _, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, e), core.Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}

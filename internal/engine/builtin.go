@@ -18,7 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/inst"
 	"repro/internal/mst"
-	"repro/internal/obs"
 	"repro/internal/steiner"
 )
 
@@ -32,17 +31,24 @@ func requireNonNegative(name string, v float64) error {
 	return nil
 }
 
-// baselineCounters resolves the baseline layer's instrument set for a
-// build: explicit registry if set, else the historical default-registry
-// pickup.
-func baselineCounters(p Params) *baseline.Counters {
-	if p.Obs != nil {
-		return baseline.NewCounters(p.Obs.Scope(baseline.ScopeName))
+// upper is the single-bound window (1+ε)·R, rejecting a negative ε.
+func upper(in *inst.Instance, p Params) (core.Bounds, error) {
+	if err := requireNonNegative("eps", p.Eps); err != nil {
+		return core.Bounds{}, err
 	}
-	if sc := obs.DefaultScope(baseline.ScopeName); sc != nil {
-		return baseline.NewCounters(sc)
+	return core.UpperOnly(in, p.Eps), nil
+}
+
+// window is the §6 window [ε1·R, (1+ε2)·R], rejecting a negative ε1 or
+// ε2.
+func window(in *inst.Instance, p Params) (core.Bounds, error) {
+	if err := requireNonNegative("eps1", p.Eps1); err != nil {
+		return core.Bounds{}, err
 	}
-	return nil
+	if err := requireNonNegative("eps2", p.Eps2); err != nil {
+		return core.Bounds{}, err
+	}
+	return core.LowerUpper(in, p.Eps1, p.Eps2), nil
 }
 
 // exactOptions wires Params into the exact layer's search options.
@@ -64,6 +70,22 @@ func steinerResult(st *steiner.SteinerTree, err error) (Result, error) {
 	return Result{Steiner: st}, nil
 }
 
+// exchanged is the §5 pipeline behind bkh2 and bkex: a BKRUS start
+// under (1+ε)·R that takes p's counters, scratch and geometry, then
+// negative-sum-exchange search within the same bound.
+func exchanged(ctx context.Context, in *inst.Instance, p Params, opt exchange.Options) (Result, error) {
+	b, err := upper(in, p)
+	if err != nil {
+		return Result{}, err
+	}
+	start, err := core.BKRUSBuild(ctx, in, b, p.coreConfig())
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := exchange.Improve(ctx, in, start, b, opt)
+	return spanning(res.Tree, err)
+}
+
 func init() {
 	// Unbounded references.
 	Register(Info{
@@ -77,7 +99,7 @@ func init() {
 	})
 	Register(Info{
 		Name: "spt", Kind: Spanning,
-		Doc: "shortest path tree (source star under a complete metric); minimal radius, maximal cost",
+		Doc: "shortest path tree (Dijkstra over the complete graph; under L1 a rounding-low path sum can take a sink-to-sink edge); minimal radius, maximal cost",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
 		return spanning(mst.SPT(in.Oracle(), graph.Source), nil)
 	})
@@ -93,22 +115,21 @@ func init() {
 		Name: "bkrus", Kind: Spanning, Needs: []string{"eps"},
 		Doc: "bounded Kruskal (§3): every source-sink path ≤ (1+ε)·R",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
+		b, err := upper(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		return spanning(core.BKRUSBuild(ctx, in, core.UpperOnly(in, p.Eps), p.coreConfig()))
+		return spanning(core.BKRUSBuild(ctx, in, b, p.coreConfig()))
 	})
 	Register(Info{
 		Name: "bkruslu", Kind: Spanning, Needs: []string{"eps1", "eps2"},
 		Doc: "bounded Kruskal with the §6 window: paths in [ε1·R, (1+ε2)·R]",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps1", p.Eps1); err != nil {
+		b, err := window(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		if err := requireNonNegative("eps2", p.Eps2); err != nil {
-			return Result{}, err
-		}
-		return spanning(core.BKRUSBuild(ctx, in, core.LowerUpper(in, p.Eps1, p.Eps2), p.coreConfig()))
+		return spanning(core.BKRUSBuild(ctx, in, b, p.coreConfig()))
 	})
 
 	// Prior-work baselines.
@@ -119,7 +140,7 @@ func init() {
 		if err := requireNonNegative("eps", p.Eps); err != nil {
 			return Result{}, err
 		}
-		return spanning(baseline.BPRIMBuild(ctx, in, p.Eps, baselineCounters(p)))
+		return spanning(baseline.BPRIMBuild(ctx, in, p.Eps, p.baselineCounters()))
 	})
 	Register(Info{
 		Name: "brbc", Kind: Spanning, Needs: []string{"eps"},
@@ -128,7 +149,7 @@ func init() {
 		if err := requireNonNegative("eps", p.Eps); err != nil {
 			return Result{}, err
 		}
-		return spanning(baseline.BRBCBuild(ctx, in, p.Eps, baselineCounters(p)))
+		return spanning(baseline.BRBCBuild(ctx, in, p.Eps, p.baselineCounters()))
 	})
 	Register(Info{
 		Name: "ahhk", Kind: Spanning, Needs: []string{"c"},
@@ -142,19 +163,13 @@ func init() {
 		Name: "bkh2", Kind: Spanning, Needs: []string{"eps", "xbudget"},
 		Doc: "BKRUS + depth-2 negative-sum-exchange heuristic (§5)",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
-			return Result{}, err
-		}
-		return spanning(exchange.BKH2Budget(ctx, in, p.Eps, p.ExchangeBudget))
+		return exchanged(ctx, in, p, exchange.Options{MaxDepth: 2, MaxExpansions: p.ExchangeBudget})
 	})
 	Register(Info{
 		Name: "bkex", Kind: Spanning, Needs: []string{"eps", "depth"},
 		Doc: "BKRUS + unbounded negative-sum-exchange search (§5 exact method)",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
-			return Result{}, err
-		}
-		return spanning(exchange.BKEX(ctx, in, p.Eps, p.ExchangeDepth))
+		return exchanged(ctx, in, p, exchange.Options{MaxDepth: p.ExchangeDepth})
 	})
 
 	// §4 exact enumeration.
@@ -162,22 +177,20 @@ func init() {
 		Name: "bmstg", Kind: Spanning, Needs: []string{"eps", "gbudget"},
 		Doc: "optimal BMST by Gabow-style tree enumeration (§4)",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
+		b, err := upper(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		return spanning(exact.BMSTG(ctx, in, p.Eps, exactOptions(p)))
+		return spanning(exact.BMSTGBounds(ctx, in, b, exactOptions(p)))
 	})
 	Register(Info{
 		Name: "bmstglu", Kind: Spanning, Needs: []string{"eps1", "eps2", "gbudget"},
 		Doc: "optimal BMST under the §6 window by tree enumeration",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps1", p.Eps1); err != nil {
+		b, err := window(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		if err := requireNonNegative("eps2", p.Eps2); err != nil {
-			return Result{}, err
-		}
-		b := core.LowerUpper(in, p.Eps1, p.Eps2)
 		return spanning(exact.BMSTGBounds(ctx, in, b, exactOptions(p)))
 	})
 
@@ -192,13 +205,18 @@ func init() {
 		return spanning(delay.BKRUSElmoreBuild(ctx, in, p.Eps, p.rcModel()))
 	})
 	Register(Info{
-		Name: "bkh2elmore", Kind: Spanning, Needs: []string{"eps", "rc"},
+		Name: "bkh2elmore", Kind: Spanning, Needs: []string{"eps", "rc", "xbudget"},
 		Doc: "Elmore-bounded BKRUS + depth-2 exchange search",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
 		if err := requireNonNegative("eps", p.Eps); err != nil {
 			return Result{}, err
 		}
-		return spanning(delay.BKH2Elmore(ctx, in, p.Eps, p.rcModel()))
+		m := p.rcModel()
+		start, err := delay.BKRUSElmoreBuild(ctx, in, p.Eps, m)
+		if err != nil {
+			return Result{}, err
+		}
+		return spanning(delay.ImproveElmore(ctx, in, start, p.Eps, m, 2, p.ExchangeBudget))
 	})
 
 	// §7 Steiner constructions (Manhattan metric only).
@@ -206,30 +224,30 @@ func init() {
 		Name: "bkst", Kind: Steiner, Needs: []string{"eps"},
 		Doc: "bounded path length Steiner tree on the Hanan grid (§7)",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
+		b, err := upper(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		return steinerResult(steiner.BKSTBuild(ctx, in, core.UpperOnly(in, p.Eps), p.steinerConfig(false)))
+		return steinerResult(steiner.BKSTBuild(ctx, in, b, p.steinerConfig(false)))
 	})
 	Register(Info{
 		Name: "bkstlu", Kind: Steiner, Needs: []string{"eps1", "eps2"},
 		Doc: "bounded Steiner tree with the §6 window",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps1", p.Eps1); err != nil {
+		b, err := window(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		if err := requireNonNegative("eps2", p.Eps2); err != nil {
-			return Result{}, err
-		}
-		return steinerResult(steiner.BKSTBuild(ctx, in, core.LowerUpper(in, p.Eps1, p.Eps2), p.steinerConfig(false)))
+		return steinerResult(steiner.BKSTBuild(ctx, in, b, p.steinerConfig(false)))
 	})
 	Register(Info{
 		Name: "bkstplanar", Kind: Steiner, Needs: []string{"eps"},
 		Doc: "bounded Steiner tree restricted to planar embeddings",
 	}, func(ctx context.Context, in *inst.Instance, p Params) (Result, error) {
-		if err := requireNonNegative("eps", p.Eps); err != nil {
+		b, err := upper(in, p)
+		if err != nil {
 			return Result{}, err
 		}
-		return steinerResult(steiner.BKSTBuild(ctx, in, core.UpperOnly(in, p.Eps), p.steinerConfig(true)))
+		return steinerResult(steiner.BKSTBuild(ctx, in, b, p.steinerConfig(true)))
 	})
 }

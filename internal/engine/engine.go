@@ -5,15 +5,21 @@
 // here under a stable name, takes the same explicit Params surface, and
 // is driven through one Build call with context cancellation.
 //
-// The package exists to kill three recurring problems:
+// The package exists to kill four recurring problems:
 //
 //   - flag reuse: callers used to smuggle AHHK's c through -eps and
 //     pick algorithms with per-binary switch statements. Params makes
 //     every knob an explicit named field; the registry makes dispatch
 //     data, not code.
 //   - obs shims: each layer grew a parallel ...Observed entry point to
-//     thread counters in. The engine resolves each layer's scope from
-//     Params.Obs at build time instead.
+//     thread counters in, and read the default registry itself. The
+//     engine resolves each layer's scope once per build instead
+//     (Params.Obs, else the default registry) and passes the layer
+//     explicit counters.
+//   - per-layer front doors: the public API, the router and the §5
+//     exchange pipelines each called the layers their own way. Every
+//     construction now goes through Build, and each layer keeps one
+//     full-control entry point.
 //   - allocation churn in sweeps: ε-sweeps rebuild on one immutable
 //     instance many times. Build draws the BKRUS scratch from a
 //     sync.Pool, and Sweep pins one scratch across a whole parameter
@@ -31,6 +37,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/graph"
@@ -80,8 +87,8 @@ type Params struct {
 	// ExchangeDepth caps chained T-exchanges in BKEX (0 = unlimited,
 	// i.e. V-1).
 	ExchangeDepth int
-	// ExchangeBudget caps total exchange-search work in BKH2
-	// (0 = unlimited).
+	// ExchangeBudget caps total exchange-search work in bkh2 and
+	// bkh2elmore (0 = unlimited).
 	ExchangeBudget int
 	// GabowBudget caps spanning trees enumerated by the exact search
 	// (0 = exact.DefaultMaxTrees).
@@ -90,9 +97,9 @@ type Params struct {
 	// zero model means delay.DefaultModel().
 	RC delay.Model
 	// Obs, when non-nil, receives each layer's construction metrics in
-	// its usual scope ("core", "baseline", "steiner", ...). nil keeps
-	// the historical opportunistic behaviour: layers record into the
-	// process default registry when one is installed.
+	// its usual scope ("core", "baseline", "steiner", ...). nil records
+	// into the process default registry when one is installed
+	// (obs.SetDefault), and nowhere otherwise.
 	Obs *obs.Registry
 	// Scratch, when non-nil, supplies the reusable BKRUS working buffers
 	// (forest bookkeeping, sorted edges). Build and Sweep manage this
@@ -129,11 +136,22 @@ func (p Params) rcModel() delay.Model {
 	return m
 }
 
+// scope resolves a layer's obs scope for one build: Params.Obs when
+// set, else the process default registry's, else nil. It is the one
+// place a layer's metrics are resolved; the layers take the counters
+// the engine passes them, and nil counts nothing.
+func (p Params) scope(name string) *obs.Scope {
+	if p.Obs != nil {
+		return p.Obs.Scope(name)
+	}
+	return obs.DefaultScope(name)
+}
+
 // coreConfig wires Params into the core layer's build hooks.
 func (p Params) coreConfig() core.Config {
 	cfg := core.Config{Scratch: p.Scratch, Geometry: p.Geometry}
-	if p.Obs != nil {
-		cfg.Counters = core.NewCounters(p.Obs.Scope(core.ScopeName))
+	if sc := p.scope(core.ScopeName); sc != nil {
+		cfg.Counters = core.NewCounters(sc)
 	}
 	return cfg
 }
@@ -141,10 +159,18 @@ func (p Params) coreConfig() core.Config {
 // steinerConfig wires Params into the Steiner layer's build hooks.
 func (p Params) steinerConfig(planar bool) steiner.Config {
 	cfg := steiner.Config{Planar: planar}
-	if p.Obs != nil {
-		cfg.Counters = steiner.NewCounters(p.Obs.Scope(steiner.ScopeName))
+	if sc := p.scope(steiner.ScopeName); sc != nil {
+		cfg.Counters = steiner.NewCounters(sc)
 	}
 	return cfg
+}
+
+// baselineCounters wires Params into the baseline layer's counters.
+func (p Params) baselineCounters() *baseline.Counters {
+	if sc := p.scope(baseline.ScopeName); sc != nil {
+		return baseline.NewCounters(sc)
+	}
+	return nil
 }
 
 // Result is what a constructor produces: exactly one of Tree (spanning)
@@ -289,7 +315,8 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(core.Scratch) }
 
 // Build resolves name and runs it with a pooled scratch (unless the
 // caller pinned one in p.Scratch). A cancelled ctx returns before
-// dispatch, so even a constructor with no loop to poll (spt) honours it.
+// dispatch, so spt, whose Dijkstra over the complete graph polls no
+// context, honours it too.
 func (r *Registry) Build(ctx context.Context, name string, in *inst.Instance, p Params) (Result, error) {
 	c, err := r.Lookup(name)
 	if err != nil {

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/inst"
 	"repro/internal/mst"
@@ -104,19 +107,108 @@ func TestParamsObsWiring(t *testing.T) {
 	}
 }
 
-// With Obs unset the engine must preserve the layers' historical
-// default-registry pickup.
+// bkh2 and bkex start from a BKRUS build that takes the Params they
+// were given: its core counters reach Params.Obs, and a pinned scratch
+// keeps the edge stream the first build sorted, so a second build at
+// the same bound re-serves the sorted prefix and sorts only the buckets
+// the first one filtered.
+func TestExchangeStartTakesParams(t *testing.T) {
+	in := bench.Random(1, 30, 1000)
+	for _, name := range []string{"bkh2", "bkex"} {
+		reg := obs.NewRegistry()
+		if _, err := Build(context.Background(), name, in, Params{Eps: 0.2, ExchangeDepth: 2, Obs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Scope(core.ScopeName).Counter(core.CtrMerges).Load(); got != int64(in.N()-1) {
+			t.Errorf("%s: core merges %d in Params.Obs, want %d", name, got, in.N()-1)
+		}
+	}
+	var s core.Scratch
+	reg := obs.NewRegistry()
+	batches := reg.Scope(core.ScopeName).Counter(core.CtrStreamBatches)
+	var sorted [2]int64
+	for i := range sorted {
+		before := batches.Load()
+		if _, err := Build(context.Background(), "bkh2", in, Params{Eps: 0.2, Obs: reg, Scratch: &s}); err != nil {
+			t.Fatal(err)
+		}
+		sorted[i] = batches.Load() - before
+	}
+	if sorted[0] == 0 || sorted[1] >= sorted[0] {
+		t.Errorf("bkh2 on a pinned scratch sorted %d then %d stream buckets, want fewer the second time", sorted[0], sorted[1])
+	}
+}
+
+// bkh2elmore caps its exchange search by Params.ExchangeBudget, as bkh2
+// does: on a 35-sink net with a strong driver at ε = 0 the unlimited
+// search runs for tens of seconds, and a small budget returns a tree
+// well inside a 2 s deadline.
+func TestBKH2ElmoreTakesBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	pts := make([]geom.Point, 35)
+	for i := range pts {
+		pts[i] = geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
+	}
+	in := inst.MustNew(geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, pts, geom.Manhattan)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	p := Params{RC: strongDriver, ExchangeBudget: 20000}
+	r, err := Build(ctx, "bkh2elmore", in, p)
+	if err != nil {
+		t.Fatalf("budgeted bkh2elmore: %v", err)
+	}
+	start, err := Build(context.Background(), "elmore", in, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cost() > start.Cost() {
+		t.Errorf("bkh2elmore cost %g above its elmore start %g", r.Cost(), start.Cost())
+	}
+}
+
+// With Obs unset the engine resolves each layer's scope from the
+// process default registry: the layers take only the counters the
+// engine passes them. Runs accumulate there, and a build with Params.Obs
+// set leaves the default registry untouched.
 func TestDefaultRegistryPickupThroughEngine(t *testing.T) {
 	in := bench.P3()
 	reg := obs.NewRegistry()
 	obs.SetDefault(reg)
 	defer obs.SetDefault(nil)
 
-	if _, err := Build(context.Background(), "bkrus", in, Params{Eps: 0.2}); err != nil {
+	merges := reg.Scope(core.ScopeName).Counter(core.CtrMerges)
+	for run := int64(1); run <= 2; run++ {
+		if _, err := Build(context.Background(), "bkrus", in, Params{Eps: 0.2}); err != nil {
+			t.Fatal(err)
+		}
+		if got := merges.Load(); got != run*int64(in.N()-1) {
+			t.Errorf("after %d bkrus builds the default core scope has %d merges, want %d", run, got, run*int64(in.N()-1))
+		}
+	}
+	if _, err := Build(context.Background(), "bprim", in, Params{Eps: 0.3}); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Scope(core.ScopeName).Counter(core.CtrEdgesExamined).Load(); got == 0 {
-		t.Error("default registry saw no core counters from an engine build")
+	if reg.Scope(baseline.ScopeName).Counter(baseline.CtrBPRIMRelaxScans).Load() == 0 {
+		t.Error("default baseline scope saw no bprim relax scans")
+	}
+	if _, err := Build(context.Background(), "bkst", in, Params{Eps: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	sc := reg.Scope(steiner.ScopeName)
+	if sc.Counter(steiner.CtrCandidatesExamined).Load() == 0 || sc.Gauge(steiner.GaugeGridNodes).Load() == 0 {
+		t.Error("default steiner scope saw no candidates or grid dimensions")
+	}
+
+	before := merges.Load()
+	own := obs.NewRegistry()
+	if _, err := Build(context.Background(), "bkrus", in, Params{Eps: 0.2, Obs: own}); err != nil {
+		t.Fatal(err)
+	}
+	if got := own.Scope(core.ScopeName).Counter(core.CtrMerges).Load(); got != int64(in.N()-1) {
+		t.Errorf("Params.Obs core scope has %d merges, want %d", got, in.N()-1)
+	}
+	if after := merges.Load(); after != before {
+		t.Errorf("a build with Params.Obs leaked into the default registry: %d -> %d merges", before, after)
 	}
 }
 
@@ -198,7 +290,7 @@ func TestSweepMatchesIndependentBuilds(t *testing.T) {
 	}
 	buildReg := obs.NewRegistry()
 	for i, e := range epss {
-		want, err := core.BKRUS(in, e)
+		want, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, e), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,6 @@ package exact
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/cancel"
@@ -48,22 +47,14 @@ type Options struct {
 	DisableLemmas bool
 }
 
-// BMSTG returns an optimal bounded path length minimal spanning tree for
-// bound (1+eps)·R, or ErrBudget if the enumeration budget runs out, or
-// core.ErrInfeasible if no spanning tree satisfies the bound. The search
-// tree can grow exponentially, so the context is polled on every
+// BMSTGBounds returns an optimal bounded path length minimal spanning
+// tree for the bound window b — core.UpperOnly(in, ε) for the paper's
+// (1+ε)·R, or the §6 window (Lemma 6.1 is applied when a lower bound is
+// active) — or ErrBudget if the enumeration budget runs out, or
+// core.ErrInfeasible if no spanning tree satisfies the bounds. The
+// search tree can grow exponentially, so the context is polled on every
 // subproblem pop: cancelling ctx aborts the enumeration with ctx.Err()
 // after at most one constrained-MST partition step.
-func BMSTG(ctx context.Context, in *inst.Instance, eps float64, opt Options) (*graph.Tree, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("exact: negative eps %g", eps)
-	}
-	return BMSTGBounds(ctx, in, core.UpperOnly(in, eps), opt)
-}
-
-// BMSTGBounds is BMSTG for an arbitrary absolute bound window, supporting
-// the §6 lower+upper bounded problem (Lemma 6.1 is applied when a lower
-// bound is active).
 func BMSTGBounds(ctx context.Context, in *inst.Instance, b core.Bounds, opt Options) (*graph.Tree, error) {
 	t, _, err := BMSTGWithStats(ctx, in, b, opt)
 	return t, err

@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"errors"
 
 	"math"
 	"math/rand"
@@ -60,10 +61,13 @@ func bruteBMST(in *inst.Instance, b core.Bounds) *graph.Tree {
 	return best
 }
 
+// A negative ε puts the bound below R, where no spanning tree fits: the
+// search reports it infeasible. (The engine rejects a negative ε by
+// name before it searches.)
 func TestBMSTGNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BMSTG(context.Background(), in, -1, Options{}); err == nil {
-		t.Error("negative eps accepted")
+	if _, err := BMSTGBounds(context.Background(), in, core.UpperOnly(in, -1), Options{}); !errors.Is(err, core.ErrInfeasible) {
+		t.Errorf("negative eps: err %v, want core.ErrInfeasible", err)
 	}
 }
 
@@ -71,7 +75,7 @@ func TestBMSTGInfiniteEpsIsMST(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(8), 100)
-		tr, err := BMSTG(context.Background(), in, math.Inf(1), Options{})
+		tr, err := BMSTGBounds(context.Background(), in, core.UpperOnly(in, math.Inf(1)), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +93,7 @@ func TestBMSTGMatchesBruteForce(t *testing.T) {
 		eps := float64(rng.Intn(5)) / 10
 		b := core.UpperOnly(in, eps)
 		want := bruteBMST(in, b)
-		got, err := BMSTG(context.Background(), in, eps, Options{})
+		got, err := BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), Options{})
 		if want == nil {
 			if err == nil {
 				t.Errorf("trial %d: expected infeasible, got cost %v", trial, got.Cost())
@@ -113,8 +117,8 @@ func TestBMSTGLemmaAblationAgrees(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(4), 100)
 		eps := float64(rng.Intn(8)) / 10
-		a, errA := BMSTG(context.Background(), in, eps, Options{})
-		b, errB := BMSTG(context.Background(), in, eps, Options{DisableLemmas: true})
+		a, errA := BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), Options{})
+		b, errB := BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), Options{DisableLemmas: true})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: lemma/no-lemma disagree on feasibility: %v vs %v", trial, errA, errB)
 		}
@@ -243,11 +247,11 @@ func TestBMSTGSandwichProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInstance(rng, 3+rng.Intn(5), 100)
 		eps := float64(epsRaw%120) / 100
-		opt, err := BMSTG(context.Background(), in, eps, Options{})
+		opt, err := BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), Options{})
 		if err != nil {
 			return false
 		}
-		bk, err := core.BKRUS(in, eps)
+		bk, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,9 @@
 package exchange
 
 import (
+	"context"
+
+	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/inst"
@@ -18,19 +21,20 @@ import (
 // best); both converge to depth-2-exchange local optima of equal cost on
 // the paper's benchmarks — TestBKH2BFSAgreesWithDFS verifies the
 // equivalence empirically. Exposed for fidelity validation; production
-// callers should prefer BKH2, which shares the budgeted engine.
-func BKH2BFS(in *inst.Instance, eps float64) (*graph.Tree, error) {
-	start, err := core.BKRUS(in, eps)
+// callers should prefer Improve at MaxDepth 2, the budgeted engine.
+// ctx is polled once per first exchange of a round.
+func BKH2BFS(ctx context.Context, in *inst.Instance, eps float64) (*graph.Tree, error) {
+	b := core.UpperOnly(in, eps)
+	t, err := core.BKRUSBuild(ctx, in, b, core.Config{})
 	if err != nil {
 		return nil, err
 	}
-	b := core.UpperOnly(in, eps)
 	dm := in.DistMatrix()
-	t := start.Clone()
+	chk := cancel.New(ctx, 1)
 	for {
-		improved, ok := bestDoubleExchange(t, dm, b)
-		if !ok {
-			return t, nil
+		improved, err := bestDoubleExchange(t, dm, b, &chk)
+		if err != nil || improved == nil {
+			return t, err
 		}
 		t = improved
 	}
@@ -85,11 +89,14 @@ func apply(t *graph.Tree, dm graph.Weights, c exchangeCand) *graph.Tree {
 
 // bestDoubleExchange finds the feasible tree of least cost reachable by
 // one or two exchanges with negative running sums, per the BKH2
-// definition. It reports false when no improvement exists.
-func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds) (*graph.Tree, bool) {
+// definition. It returns nil when no improvement exists.
+func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds, chk *cancel.Checker) (*graph.Tree, error) {
 	bestCost := t.Cost() - 1e-12
 	var best *graph.Tree
 	for _, c1 := range enumerate(t, dm) {
+		if err := chk.Tick(); err != nil {
+			return nil, err
+		}
 		if c1.diff >= -1e-12 {
 			continue // prefix sums must stay negative
 		}
@@ -109,8 +116,5 @@ func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds) (*graph.
 			}
 		}
 	}
-	if best == nil {
-		return nil, false
-	}
-	return best, true
+	return best, nil
 }

@@ -1,6 +1,7 @@
 // Package exchange implements the paper's §5: the negative-sum-exchange
-// search engine, the BKEX exact post-processing method built on it, and
-// the BKH2 depth-2 heuristic.
+// search engine behind the BKEX exact post-processing method and the
+// BKH2 depth-2 heuristic (Improve from a BKRUS tree, unlimited or at
+// depth 2).
 //
 // A T-exchange removes a tree edge e and adds a non-tree edge f such that
 // the result is again a spanning tree; its weight is w(f) - w(e). A
@@ -65,6 +66,16 @@ type Feasibility func(*graph.Tree) bool
 // context is polled periodically inside the exchange enumeration, so a
 // cancelled ctx aborts the search with ctx.Err() within a bounded
 // number of candidate evaluations.
+//
+// From a BKRUS tree (BKT) it is both of the paper's §5 methods. With
+// MaxDepth 0 (unlimited) it is BKEX, the exact method: the search runs
+// to a local, empirically global, optimum; the paper reports depth 6
+// solved every random benchmark of its 2750-case study. With MaxDepth
+// 2 it is BKH2, the depth-2 heuristic: single and double exchanges
+// until no improvement remains. By Lemma 3.1 BKT is already a local
+// optimum for single exchanges, so depth 2 is the first level that can
+// improve it. MaxExpansions caps BKH2 on the large benchmarks; when it
+// runs out the best tree found so far is returned.
 func Improve(ctx context.Context, in *inst.Instance, start *graph.Tree, b core.Bounds, opt Options) (Result, error) {
 	return ImproveFunc(ctx, in, start, func(t *graph.Tree) bool {
 		return core.FeasibleTree(t, b)
@@ -116,48 +127,6 @@ func ImproveFunc(ctx context.Context, in *inst.Instance, start *graph.Tree, feas
 	res.Tree = s.t
 	res.Truncated = s.exhausted
 	return res, nil
-}
-
-// BKEX is the paper's exact method: construct BKT with BKRUS, then apply
-// negative-sum-exchange search to a local (empirically global) optimum.
-// maxDepth ≤ 0 means unlimited depth; the paper reports depth 6 solved
-// every random benchmark in its 2750-case study.
-func BKEX(ctx context.Context, in *inst.Instance, eps float64, maxDepth int) (*graph.Tree, error) {
-	start, err := core.BKRUSBuild(ctx, in, core.UpperOnly(in, eps), core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	if maxDepth < 0 {
-		maxDepth = 0
-	}
-	res, err := Improve(ctx, in, start, core.UpperOnly(in, eps), Options{MaxDepth: maxDepth})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
-}
-
-// BKH2 is the paper's depth-2 heuristic: BKT followed by single and
-// double negative-sum exchanges until no improvement remains. By Lemma
-// 3.1, BKT is already a local optimum for single exchanges, so the depth
-// 2 search is the first level that can improve it.
-func BKH2(ctx context.Context, in *inst.Instance, eps float64) (*graph.Tree, error) {
-	return BKH2Budget(ctx, in, eps, 0)
-}
-
-// BKH2Budget is BKH2 with an expansion budget for the large benchmarks
-// (0 = unlimited). When the budget runs out the best tree found so far is
-// returned.
-func BKH2Budget(ctx context.Context, in *inst.Instance, eps float64, maxExpansions int) (*graph.Tree, error) {
-	start, err := core.BKRUSBuild(ctx, in, core.UpperOnly(in, eps), core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	res, err := Improve(ctx, in, start, core.UpperOnly(in, eps), Options{MaxDepth: 2, MaxExpansions: maxExpansions})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
 }
 
 // searcher carries the mutable state of one improvement run.

@@ -2,13 +2,13 @@ package exchange_test
 
 import (
 	"context"
-
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/exact"
 	"repro/internal/exchange"
 	"repro/internal/geom"
@@ -16,6 +16,13 @@ import (
 	"repro/internal/inst"
 	"repro/internal/mst"
 )
+
+// build runs a registered exchange pipeline, "bkex" or "bkh2": a BKRUS
+// start followed by exchange search.
+func build(name string, in *inst.Instance, eps float64) (*graph.Tree, error) {
+	r, err := engine.Build(context.Background(), name, in, engine.Params{Eps: eps})
+	return r.Tree, err
+}
 
 func randomInstance(rng *rand.Rand, sinks int, extent float64) *inst.Instance {
 	pts := make([]geom.Point, sinks)
@@ -45,7 +52,7 @@ func TestImproveRejectsBadStart(t *testing.T) {
 func TestImproveDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := randomInstance(rng, 8, 100)
-	start, err := core.BKRUS(in, 0.2)
+	start, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0.2), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestBKEXRecoversFigure5Optimum(t *testing.T) {
 		{X: 3.4, Y: 2.8}, {X: 5.2, Y: 2.6}, {X: 4, Y: 0}, {X: 0, Y: 7.7},
 	}, geom.Manhattan)
 	b := core.Bounds{Upper: 8.3}
-	start, err := core.BKRUSBounds(in, b)
+	start, err := core.BKRUSBuild(context.Background(), in, b, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +103,11 @@ func TestBKEXMatchesBMSTG(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(5), 100) // 4-8 sinks
 		eps := float64(rng.Intn(6)) / 10
-		want, err := exact.BMSTG(context.Background(), in, eps, exact.Options{})
+		want, err := exact.BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), exact.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := exchange.BKEX(context.Background(), in, eps, 0)
+		got, err := build("bkex", in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +131,15 @@ func TestBKH2Sandwich(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(6), 100)
 		eps := float64(rng.Intn(6)) / 10
-		bkt, err := core.BKRUS(in, eps)
+		bkt, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h2, err := exchange.BKH2(context.Background(), in, eps)
+		h2, err := build("bkh2", in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := exact.BMSTG(context.Background(), in, eps, exact.Options{})
+		opt, err := exact.BMSTGBounds(context.Background(), in, core.UpperOnly(in, eps), exact.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +164,7 @@ func TestExchangeInvariantsProperty(t *testing.T) {
 		eps := float64(epsRaw%100) / 100
 		depth := int(depthRaw%3) + 1 // 1..3: deeper searches are exponential by design
 		in := randomInstance(rng, n, 100)
-		start, err := core.BKRUS(in, eps)
+		start, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 		if err != nil {
 			return false
 		}
@@ -186,7 +193,7 @@ func TestBKTSingleExchangeLocalOptimum(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(8), 100)
 		eps := float64(rng.Intn(8)) / 10
-		start, err := core.BKRUS(in, eps)
+		start, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,7 @@ func TestExpansionBudgetTruncates(t *testing.T) {
 		{X: 3.4, Y: 2.8}, {X: 5.2, Y: 2.6}, {X: 4, Y: 0}, {X: 0, Y: 7.7},
 	}, geom.Manhattan)
 	b := core.Bounds{Upper: 8.3}
-	start, err := core.BKRUSBounds(in, b)
+	start, err := core.BKRUSBuild(context.Background(), in, b, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestExpansionBudgetTruncates(t *testing.T) {
 
 func TestCountExchanges(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 0}, {X: 2, Y: 0}, {X: 3, Y: 0}}, geom.Manhattan)
-	tr, err := core.BKRUS(in, math.Inf(1))
+	tr, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, math.Inf(1)), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func BenchmarkBKH2Net15(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exchange.BKH2(context.Background(), in, 0.2); err != nil {
+		if _, err := build("bkh2", in, 0.2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,11 +274,11 @@ func TestBKH2BFSAgreesWithDFS(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(6), 100)
 		eps := float64(rng.Intn(6)) / 10
-		dfs, err := exchange.BKH2(context.Background(), in, eps)
+		dfs, err := build("bkh2", in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfs, err := exchange.BKH2BFS(in, eps)
+		bfs, err := exchange.BKH2BFS(context.Background(), in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}

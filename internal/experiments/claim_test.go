@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestAbstractClaim119(t *testing.T) {
 		for k := 0; k < 10; k++ {
 			for _, eps := range []float64{0.0, 0.1, 0.2, 0.5} {
 				in := bench.RandomCase(size, k)
-				bk, err := core.BKRUS(in, eps)
+				bk, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, eps), core.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,12 +30,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/inst"
-	"repro/internal/mst"
 )
 
 // Net is one named signal net of a design.
@@ -74,44 +72,32 @@ type Policy struct {
 	Build func(ctx context.Context, in *inst.Instance) (*graph.Tree, error)
 }
 
-// BKRUSPolicy routes every net with the bounded Kruskal construction.
-func BKRUSPolicy(eps float64) Policy {
+// enginePolicy is a policy that builds every net with one registered
+// constructor through engine.Build.
+func enginePolicy(name, algo string, p engine.Params) Policy {
 	return Policy{
-		Name: fmt.Sprintf("bkrus(eps=%g)", eps),
+		Name: name,
 		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return core.BKRUSBuild(ctx, in, core.UpperOnly(in, eps), core.Config{})
+			r, err := engine.Build(ctx, algo, in, p)
+			return r.Tree, err
 		},
 	}
+}
+
+// BKRUSPolicy routes every net with the bounded Kruskal construction.
+func BKRUSPolicy(eps float64) Policy {
+	return enginePolicy(fmt.Sprintf("bkrus(eps=%g)", eps), "bkrus", engine.Params{Eps: eps})
 }
 
 // MSTPolicy routes every net at minimal wirelength, ignoring paths.
-func MSTPolicy() Policy {
-	return Policy{
-		Name: "mst",
-		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return mst.KruskalFrom(ctx, in.N(), graph.NewEdgeStream(in.DistMatrix()))
-		},
-	}
-}
+func MSTPolicy() Policy { return enginePolicy("mst", "mst", engine.Params{}) }
 
-// SPTPolicy routes every net as the direct shortest path tree.
-func SPTPolicy() Policy {
-	return Policy{
-		Name: "spt",
-		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return mst.SPT(in.Oracle(), graph.Source), nil
-		},
-	}
-}
+// SPTPolicy routes every net as the shortest path tree.
+func SPTPolicy() Policy { return enginePolicy("spt", "spt", engine.Params{}) }
 
 // AHHKPolicy routes with the Prim-Dijkstra trade-off heuristic.
 func AHHKPolicy(c float64) Policy {
-	return Policy{
-		Name: fmt.Sprintf("ahhk(c=%g)", c),
-		Build: func(ctx context.Context, in *inst.Instance) (*graph.Tree, error) {
-			return baseline.AHHKBuild(ctx, in, c)
-		},
-	}
+	return enginePolicy(fmt.Sprintf("ahhk(c=%g)", c), "ahhk", engine.Params{AHHKC: c})
 }
 
 // NetResult is the routed tree of one net with its quality metrics.

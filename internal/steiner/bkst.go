@@ -11,7 +11,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/inst"
-	"repro/internal/obs"
 )
 
 // ErrInfeasible is returned when no bounded Steiner tree could be built
@@ -146,34 +145,46 @@ func pairLess(p, q pairItem) bool {
 	return p.b < q.b
 }
 
-// BKST constructs a bounded path length rectilinear Steiner tree with
-// every source-sink path at most (1+eps)·R. The instance must use the
-// Manhattan metric. eps may be +Inf for the unconstrained Steiner
-// heuristic. When a default obs registry is installed the construction
-// records into its "steiner" scope.
-func BKST(in *inst.Instance, eps float64) (*SteinerTree, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("steiner: negative eps %g", eps)
-	}
-	return BKSTBuild(context.Background(), in, core.UpperOnly(in, eps), Config{})
-}
-
 // Config carries the optional knobs of one BKST construction.
 type Config struct {
-	// Counters receives the construction's metrics. nil keeps the
-	// historical opportunistic behaviour: record into the process default
-	// registry's steiner scope when one is installed, otherwise nothing.
+	// Counters receives the construction's metrics; nil records nothing.
 	Counters *Counters
 	// Planar forbids layered jumper wires; walled-in terminals surface as
 	// ErrNotPlanar.
 	Planar bool
 }
 
-// BKSTBuild is the full-control entry point behind every BKST variant:
-// arbitrary bound window (Lower = 0 disables the §6 lower bound),
-// planarity, explicit counters, and a context polled periodically inside
-// the candidate-pair loop so a cancelled ctx surfaces as ctx.Err()
-// within a bounded number of heap pops.
+// BKSTBuild constructs a bounded path length rectilinear Steiner tree
+// on the Hanan grid, the one entry point behind every BKST variant: an
+// arbitrary bound window, planarity, explicit counters, and a context
+// polled periodically inside the candidate-pair loop so a cancelled ctx
+// surfaces as ctx.Err() within a bounded number of heap pops. The
+// instance must use the Manhattan metric.
+//
+// core.UpperOnly(in, ε) bounds every source-sink path by (1+ε)·R; ε may
+// be +Inf for the unconstrained Steiner heuristic.
+//
+// core.LowerUpper(in, ε1, ε2) keeps every path in [ε1·R, (1+ε2)·R] —
+// the paper's §8 "lower and upper bounded Steiner trees" future-work
+// item, built by extending the BKST feasibility tests the same way §6
+// extends BKRUS:
+//
+//   - a merge into the source tree must keep every newly attached
+//     terminal sink at least ε1·R from the source (Steiner points are
+//     exempt: only real sinks latch data);
+//   - the witness for a source-free merge must additionally satisfy
+//     dist(S,x) ≥ ε1·R, so the direct completion through it respects
+//     the lower bound for every carried node.
+//
+// Like the spanning window construction, tight windows can be
+// infeasible; ErrInfeasible is returned then.
+//
+// Config.Planar builds a tree that never crosses its own wires — the
+// paper's §8 "preserving planarity" future-work item. The standard
+// BKST may, as a last resort, route a direct attachment over existing
+// wires on another layer; the planar variant forbids that, returning
+// ErrNotPlanar when a detached terminal is walled in, or ErrInfeasible
+// when the only planar completions break the bound.
 func BKSTBuild(ctx context.Context, in *inst.Instance, bounds core.Bounds, cfg Config) (*SteinerTree, error) {
 	if err := bounds.Validate(); err != nil {
 		return nil, err
@@ -269,11 +280,6 @@ func newBuilder(in *inst.Instance, bounds core.Bounds) *builder {
 	}
 	b.terminals = len(b.forest)
 	b.seedPairs()
-	// Opportunistic instrumentation, overridable by Config.Counters.
-	if sc := obs.DefaultScope(ScopeName); sc != nil {
-		b.c = NewCounters(sc)
-		b.c.publishGrid(g)
-	}
 	return b
 }
 
@@ -636,4 +642,19 @@ func (st *SteinerTree) BranchingPoints() []int {
 		}
 	}
 	return out
+}
+
+// IsPlanarEmbedding reports whether every edge of the tree is a unit
+// grid step (no layered jumpers), i.e. the embedding never crosses
+// wires.
+func IsPlanarEmbedding(st *SteinerTree) bool {
+	g := st.Grid()
+	for _, e := range st.Edges() {
+		dc := g.Col(e.U) - g.Col(e.V)
+		dr := g.Row(e.U) - g.Row(e.V)
+		if dc*dc+dr*dr != 1 {
+			return false
+		}
+	}
+	return true
 }

@@ -11,14 +11,14 @@ import (
 
 func TestBKSTLUValidation(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Manhattan)
-	if _, err := BKSTLU(in, -1, 0.5); err == nil {
+	if _, err := bkstlu(in, -1, 0.5); err == nil {
 		t.Error("negative eps1 accepted")
 	}
-	if _, err := BKSTLU(in, 0.5, -1); err == nil {
+	if _, err := bkstlu(in, 0.5, -1); err == nil {
 		t.Error("negative eps2 accepted")
 	}
 	eu := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Euclidean)
-	if _, err := BKSTLU(eu, 0, 0.5); err == nil {
+	if _, err := bkstlu(eu, 0, 0.5); err == nil {
 		t.Error("Euclidean accepted")
 	}
 }
@@ -27,8 +27,8 @@ func TestBKSTLUZeroLowerMatchesBKST(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng, 8, 30)
-		a, errA := BKST(in, 0.4)
-		b, errB := BKSTLU(in, 0, 0.4)
+		a, errA := bkst(in, 0.4)
+		b, errB := bkstlu(in, 0, 0.4)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: feasibility disagrees: %v vs %v", trial, errA, errB)
 		}
@@ -45,7 +45,7 @@ func TestBKSTLUBoundsRespected(t *testing.T) {
 		in := randomInstance(rng, 3+rng.Intn(8), 30)
 		eps1 := float64(rng.Intn(7)) / 10
 		eps2 := float64(rng.Intn(12)) / 10
-		st, err := BKSTLU(in, eps1, eps2)
+		st, err := bkstlu(in, eps1, eps2)
 		if err != nil {
 			continue // infeasible windows are expected
 		}
@@ -74,7 +74,7 @@ func TestBKSTLUInfeasibleWindow(t *testing.T) {
 	// least 0.95*R but any detour overshoots the upper bound.
 	in := inst.MustNew(geom.Point{},
 		[]geom.Point{{X: 10, Y: 0}, {X: 1, Y: 0}}, geom.Manhattan)
-	if _, err := BKSTLU(in, 0.95, 0.0); err == nil {
+	if _, err := bkstlu(in, 0.95, 0.0); err == nil {
 		t.Error("infeasible window accepted")
 	}
 }
@@ -88,7 +88,7 @@ func TestBKSTLUZeroSkewRing(t *testing.T) {
 		sinks[i] = geom.Point{X: 12 - tt, Y: tt}
 	}
 	in := inst.MustNew(geom.Point{}, sinks, geom.Manhattan)
-	st, err := BKSTLU(in, 1.0, 0.0)
+	st, err := bkstlu(in, 1.0, 0.0)
 	if err != nil {
 		t.Fatalf("zero-skew ring infeasible: %v", err)
 	}

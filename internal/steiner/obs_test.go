@@ -15,7 +15,7 @@ func TestBKSTBuildCountersMatchBKST(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in := randomInstance(rng, 12, 40)
 
-	plain, err := BKST(in, 0.3)
+	plain, err := bkst(in, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,28 +58,7 @@ func TestBKSTBuildCountersMatchBKST(t *testing.T) {
 	}
 
 	// Validation errors surface before any building.
-	if _, err := BKST(in, -1); err == nil {
-		t.Error("negative eps accepted")
-	}
-}
-
-// Plain BKST must feed the default registry's steiner scope when one is
-// installed.
-func TestBKSTDefaultRegistryPickup(t *testing.T) {
-	reg := obs.NewRegistry()
-	obs.SetDefault(reg)
-	defer obs.SetDefault(nil)
-
-	rng := rand.New(rand.NewSource(9))
-	in := randomInstance(rng, 8, 30)
-	if _, err := BKST(in, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	sc := reg.Scope(ScopeName)
-	if sc.Counter(CtrCandidatesExamined).Load() == 0 {
-		t.Error("default scope saw no candidates")
-	}
-	if sc.Gauge(GaugeGridNodes).Load() == 0 {
-		t.Error("default scope saw no grid dimensions")
+	if _, err := BKSTBuild(context.Background(), in, core.Bounds{Lower: -1, Upper: 1}, Config{}); err == nil {
+		t.Error("malformed window accepted")
 	}
 }

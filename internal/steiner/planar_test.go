@@ -11,11 +11,11 @@ import (
 
 func TestBKSTPlanarValidation(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Manhattan)
-	if _, err := BKSTPlanar(in, -1); err == nil {
+	if _, err := bkstPlanar(in, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
 	eu := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Euclidean)
-	if _, err := BKSTPlanar(eu, 0); err == nil {
+	if _, err := bkstPlanar(eu, 0); err == nil {
 		t.Error("Euclidean accepted")
 	}
 }
@@ -26,7 +26,7 @@ func TestBKSTPlanarAlwaysAdjacent(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		in := randomInstance(rng, 3+rng.Intn(10), 30)
 		eps := float64(rng.Intn(12)) / 10
-		st, err := BKSTPlanar(in, eps)
+		st, err := bkstPlanar(in, eps)
 		if err != nil {
 			if errors.Is(err, ErrNotPlanar) || errors.Is(err, ErrInfeasible) {
 				continue // honest planar failure
@@ -54,9 +54,9 @@ func TestBKSTMayUseJumpersWherePlanarFails(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := randomInstance(rng, 4+rng.Intn(9), 30)
 		eps := float64(rng.Intn(8)) / 10
-		if _, err := BKSTPlanar(in, eps); err != nil {
+		if _, err := bkstPlanar(in, eps); err != nil {
 			planarFailed++
-			if _, err := BKST(in, eps); err != nil {
+			if _, err := bkst(in, eps); err != nil {
 				t.Errorf("trial %d: standard BKST failed too: %v", trial, err)
 			}
 		}

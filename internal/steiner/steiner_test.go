@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,21 @@ import (
 	"repro/internal/inst"
 	"repro/internal/mst"
 )
+
+// bkst builds under the paper's bound (1+eps)·R with no counters.
+func bkst(in *inst.Instance, eps float64) (*SteinerTree, error) {
+	return BKSTBuild(context.Background(), in, core.UpperOnly(in, eps), Config{})
+}
+
+// bkstlu builds under the window [eps1·R, (1+eps2)·R].
+func bkstlu(in *inst.Instance, eps1, eps2 float64) (*SteinerTree, error) {
+	return BKSTBuild(context.Background(), in, core.LowerUpper(in, eps1, eps2), Config{})
+}
+
+// bkstPlanar builds a planar tree under (1+eps)·R.
+func bkstPlanar(in *inst.Instance, eps float64) (*SteinerTree, error) {
+	return BKSTBuild(context.Background(), in, core.UpperOnly(in, eps), Config{Planar: true})
+}
 
 func randomInstance(rng *rand.Rand, sinks int, extent float64) *inst.Instance {
 	pts := make([]geom.Point, sinks)
@@ -110,7 +126,7 @@ func TestBKSTBeatsMSTOnCross(t *testing.T) {
 		{X: 2, Y: 0}, {X: 1, Y: 2}, {X: 1, Y: -2},
 	}, geom.Manhattan)
 	for _, eps := range []float64{0, 1} {
-		st, err := BKST(in, eps)
+		st, err := bkst(in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +150,7 @@ func TestBKSTZeroEpsRespectsBound(t *testing.T) {
 	in := inst.MustNew(geom.Point{X: 0, Y: 0}, []geom.Point{
 		{X: 2, Y: 0}, {X: 1, Y: 1}, {X: 1, Y: -1},
 	}, geom.Manhattan)
-	st, err := BKST(in, 0)
+	st, err := bkst(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,21 +165,21 @@ func TestBKSTZeroEpsRespectsBound(t *testing.T) {
 
 func TestBKSTRejectsEuclidean(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Euclidean)
-	if _, err := BKST(in, 0); err == nil {
+	if _, err := bkst(in, 0); err == nil {
 		t.Error("Euclidean instance accepted")
 	}
 }
 
 func TestBKSTNegativeEps(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 1, Y: 1}}, geom.Manhattan)
-	if _, err := BKST(in, -1); err == nil {
+	if _, err := bkst(in, -1); err == nil {
 		t.Error("negative eps accepted")
 	}
 }
 
 func TestBKSTSingleSink(t *testing.T) {
 	in := inst.MustNew(geom.Point{}, []geom.Point{{X: 3, Y: 4}}, geom.Manhattan)
-	st, err := BKST(in, 0)
+	st, err := bkst(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestBKSTBoundProperty(t *testing.T) {
 		n := int(szRaw%10) + 2
 		eps := float64(epsRaw%150) / 100
 		in := randomInstance(rng, n, 30)
-		st, err := BKST(in, eps)
+		st, err := bkst(in, eps)
 		if err != nil {
 			// infeasibility is possible only through fallback collisions;
 			// treat as failure since eps >= 0 has the star available
@@ -205,11 +221,11 @@ func TestBKSTBeatsBKRUSOnAverage(t *testing.T) {
 	var stCost, bkCost float64
 	for trial := 0; trial < 30; trial++ {
 		in := randomInstance(rng, 10, 40)
-		st, err := BKST(in, 0.5)
+		st, err := bkst(in, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bk, err := core.BKRUS(in, 0.5)
+		bk, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0.5), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +240,7 @@ func TestBKSTBeatsBKRUSOnAverage(t *testing.T) {
 func TestSteinerTreePathLengthsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := randomInstance(rng, 8, 25)
-	st, err := BKST(in, 0.3)
+	st, err := bkst(in, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +259,7 @@ func BenchmarkBKST15(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BKST(in, 0.3); err != nil {
+		if _, err := bkst(in, 0.3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,7 +275,7 @@ func BenchmarkBKSTSinks(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := BKST(in, 0.3); err != nil {
+				if _, err := bkst(in, 0.3); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -306,7 +322,7 @@ func TestSteinerPointsAndBranching(t *testing.T) {
 	in := inst.MustNew(geom.Point{X: 0, Y: 0}, []geom.Point{
 		{X: 2, Y: 0}, {X: 1, Y: 2}, {X: 1, Y: -2},
 	}, geom.Manhattan)
-	st, err := BKST(in, 1)
+	st, err := bkst(in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package viz
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func fixtureInstance() *inst.Instance {
 
 func TestTreeSVGWellFormed(t *testing.T) {
 	in := fixtureInstance()
-	tr, err := core.BKRUS(in, 0.5)
+	tr, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0.5), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTreeSVGWellFormed(t *testing.T) {
 
 func TestTreeSVGRectilinear(t *testing.T) {
 	in := fixtureInstance()
-	tr, err := core.BKRUS(in, 0.5)
+	tr, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0.5), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTreeSVGRectilinear(t *testing.T) {
 
 func TestSteinerSVGWithGrid(t *testing.T) {
 	in := fixtureInstance()
-	st, err := steiner.BKST(in, 0.5)
+	st, err := steiner.BKSTBuild(context.Background(), in, core.UpperOnly(in, 0.5), steiner.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSteinerSVGWithGrid(t *testing.T) {
 func TestTransformDegenerate(t *testing.T) {
 	// all points identical: transform must not divide by zero
 	in := inst.MustNew(geom.Point{X: 1, Y: 1}, []geom.Point{{X: 1, Y: 1}}, geom.Manhattan)
-	tr, err := core.BKRUS(in, 0)
+	tr, err := core.BKRUSBuild(context.Background(), in, core.UpperOnly(in, 0), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

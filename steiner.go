@@ -1,6 +1,7 @@
 package bpmst
 
 import (
+	"repro/internal/engine"
 	"repro/internal/steiner"
 )
 
@@ -16,11 +17,8 @@ type SteinerTree struct {
 // Manhattan metric. Typically 5-30% cheaper than the spanning
 // constructions, at higher runtime.
 func BKST(n *Net, eps float64) (*SteinerTree, error) {
-	st, err := steiner.BKST(n.in, eps)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return &SteinerTree{net: n, st: st}, nil
+	st, err := n.steinerTree("bkst", engine.Params{Eps: eps})
+	return st, wrapErr(err)
 }
 
 // BKSTLU constructs a rectilinear Steiner tree with every source-sink
@@ -29,23 +27,26 @@ func BKST(n *Net, eps float64) (*SteinerTree, error) {
 // bound; only real sinks are constrained. Tight windows can be
 // infeasible (ErrInfeasible).
 func BKSTLU(n *Net, eps1, eps2 float64) (*SteinerTree, error) {
-	st, err := steiner.BKSTLU(n.in, eps1, eps2)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return &SteinerTree{net: n, st: st}, nil
+	st, err := n.steinerTree("bkstlu", engine.Params{Eps1: eps1, Eps2: eps2})
+	return st, wrapErr(err)
 }
 
 // BKSTPlanar constructs a bounded path length Steiner tree that never
-// crosses its own wires (§8 "preserving planarity"). Returns an error
-// when no planar completion within the bound exists; the standard BKST
-// then still succeeds by routing the last attachments on another layer.
+// crosses its own wires (§8 "preserving planarity"). Returns the Steiner
+// layer's error, unmapped, when no planar completion within the bound
+// exists; the standard BKST then still succeeds by routing the last
+// attachments on another layer.
 func BKSTPlanar(n *Net, eps float64) (*SteinerTree, error) {
-	st, err := steiner.BKSTPlanar(n.in, eps)
+	return n.steinerTree("bkstplanar", engine.Params{Eps: eps})
+}
+
+// steinerTree runs a Steiner constructor through engine.Build.
+func (n *Net) steinerTree(name string, p engine.Params) (*SteinerTree, error) {
+	r, err := n.build(name, p)
 	if err != nil {
 		return nil, err
 	}
-	return &SteinerTree{net: n, st: st}, nil
+	return &SteinerTree{net: n, st: r.Steiner}, nil
 }
 
 // IsPlanar reports whether the tree's embedding is planar (every wire a
