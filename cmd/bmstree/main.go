@@ -53,7 +53,7 @@ func main() {
 		random  = flag.Int("random", 0, "generate a random net with this many sinks")
 		seed    = flag.Int64("seed", 1, "seed for -random")
 		depth   = flag.Int("depth", 0, "bkex exchange depth limit (0 = V-1)")
-		xbudget = flag.Int("xbudget", 0, "exchange work budget for bkh2 (0 = unlimited)")
+		xbudget = flag.Int("xbudget", 0, "exchange work budget for bkh2, bkh2elmore (0 = unlimited)")
 		gbudget = flag.Int("gbudget", 0, "tree enumeration budget for bmstg (0 = default)")
 		timeout = flag.Duration("timeout", 0, "abort the construction after this long (0 = no limit)")
 		quiet   = flag.Bool("quiet", false, "print only the summary line")

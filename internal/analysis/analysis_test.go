@@ -236,6 +236,7 @@ func TestAppliesTo(t *testing.T) {
 		{WallClock, "repro/internal/cancel", true},
 		{WallClock, "repro/internal/router", false}, // times its own parallel runs
 		{WallClock, "repro/internal/experiments", false},
+		{WallClock, "repro/internal/serve", false}, // request timing is its job
 		{ObsGate, "repro/internal/router", true},
 		{ObsGate, "repro/internal/obs", false}, // the instruments themselves
 		{ObsGate, "repro/cmd/bmstree", false},  // binaries run off the hot path
@@ -267,12 +268,37 @@ func TestAppliesTo(t *testing.T) {
 			t.Errorf("%s.AppliesTo(%q) = %v, want %v", c.a.Name, c.path, got, c.want)
 		}
 	}
-	// The goroutine allowlists name only packages that spawn: a listed
-	// package whose non-test code has no go statement is a stale entry.
-	for _, pkgs := range [][]string{parallelGatePackages, waitPairPackages} {
-		for _, path := range pkgs {
-			if !spawns(t, filepath.Join("..", "..", strings.TrimPrefix(path, "repro/"))) {
-				t.Errorf("%s is allowlisted for the goroutine analyzers but its non-test code has no go statement", path)
+	// The goroutine allowlists name exactly the internal packages that
+	// spawn. A listed package whose non-test code has no go statement is
+	// a stale entry; an unlisted one that has one escapes the analyzer,
+	// unless it is named here as exempt.
+	dirs, err := filepath.Glob(filepath.Join("..", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawners := map[string]bool{}
+	for _, dir := range dirs {
+		if spawns(t, dir) {
+			spawners["repro/internal/"+filepath.Base(dir)] = true
+		}
+	}
+	for _, g := range []struct {
+		a      *Analyzer
+		listed []string
+		exempt string
+	}{
+		{ParallelGate, parallelGatePackages, "repro/internal/router"}, // bounded pool, no serial twin
+		{WaitPair, waitPairPackages, ""},
+	} {
+		for _, path := range g.listed {
+			if !spawners[path] {
+				t.Errorf("%s lists %s, but its non-test code has no go statement", g.a.Name, path)
+			}
+		}
+		for _, dir := range dirs {
+			path := "repro/internal/" + filepath.Base(dir)
+			if spawners[path] && path != g.exempt && !g.a.AppliesTo(path) {
+				t.Errorf("%s has a go statement in non-test code, but %s does not cover it", path, g.a.Name)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -193,25 +194,48 @@ func TestForestLedger(t *testing.T) {
 	want := readLedger(t, ledgerPath)
 	var lines []string
 	for _, c := range ledgerCases() {
-		if c.long && testing.Short() {
-			continue
+		skip := c.long && testing.Short()
+		var in *inst.Instance
+		if !skip {
+			in = c.instance()
 		}
-		in := c.instance()
 		for _, ctor := range ledgerCtors() {
 			if c.long && ctor.geo != GeomSparse ||
 				ctor.steinr && (c.metric != geom.Manhattan || c.n > ledgerSteinerMax) {
 				continue
 			}
 			key := ctor.name + "/" + c.String()
+			if skip {
+				delete(want, key) // a long row, not run under -short
+				continue
+			}
 			got := ledgerDigest(ctor, in)
 			lines = append(lines, key+" "+got)
 			if !*updateLedger && want[key] != got {
 				t.Errorf("%s on %s: digest %s, ledger %q", ctor.name, c, got, want[key])
 			}
+			delete(want, key)
 		}
-		in.Release()
+		if in != nil {
+			in.Release()
+		}
 	}
+	unproduced(t, want)
 	writeLedger(t, ledgerPath, lines)
+}
+
+// unproduced fails for every ledger row left in want: a row no case
+// produced any more, so the ledger's coverage shrank.
+func unproduced(t *testing.T, want map[string]string) {
+	t.Helper()
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		t.Errorf("%s: in the ledger but no longer built", k)
+	}
 }
 
 // readLedger loads a committed ledger as key → digest; under -update it
@@ -343,9 +367,11 @@ func TestConstructorLedger(t *testing.T) {
 			if !*updateLedger && want[key] != got {
 				t.Errorf("%s on %s: digest %s, ledger %q", row.name, c, got, want[key])
 			}
+			delete(want, key)
 		}
 		in.Release()
 	}
+	unproduced(t, want)
 	writeLedger(t, constructorLedgerPath, lines)
 }
 

@@ -1,12 +1,8 @@
 package exchange
 
 import (
-	"context"
-
-	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/inst"
 )
 
 // BKH2BFS is a literal reading of the paper's BKH2 description: "does
@@ -22,19 +18,14 @@ import (
 // the paper's benchmarks — TestBKH2BFSAgreesWithDFS verifies the
 // equivalence empirically. Exposed for fidelity validation; production
 // callers should prefer Improve at MaxDepth 2, the budgeted engine.
-// ctx is polled once per first exchange of a round.
-func BKH2BFS(ctx context.Context, in *inst.Instance, eps float64) (*graph.Tree, error) {
-	b := core.UpperOnly(in, eps)
-	t, err := core.BKRUSBuild(ctx, in, b, core.Config{})
-	if err != nil {
-		return nil, err
-	}
-	dm := in.DistMatrix()
-	chk := cancel.New(ctx, 1)
+// The search starts from start (left untouched) under bounds b; the
+// paper starts it from the BKRUS tree under the upper-only bound.
+func BKH2BFS(start *graph.Tree, dm graph.Weights, b core.Bounds) *graph.Tree {
+	t := start
 	for {
-		improved, err := bestDoubleExchange(t, dm, b, &chk)
-		if err != nil || improved == nil {
-			return t, err
+		improved := bestDoubleExchange(t, dm, b)
+		if improved == nil {
+			return t
 		}
 		t = improved
 	}
@@ -90,13 +81,10 @@ func apply(t *graph.Tree, dm graph.Weights, c exchangeCand) *graph.Tree {
 // bestDoubleExchange finds the feasible tree of least cost reachable by
 // one or two exchanges with negative running sums, per the BKH2
 // definition. It returns nil when no improvement exists.
-func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds, chk *cancel.Checker) (*graph.Tree, error) {
+func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds) *graph.Tree {
 	bestCost := t.Cost() - 1e-12
 	var best *graph.Tree
 	for _, c1 := range enumerate(t, dm) {
-		if err := chk.Tick(); err != nil {
-			return nil, err
-		}
 		if c1.diff >= -1e-12 {
 			continue // prefix sums must stay negative
 		}
@@ -116,5 +104,5 @@ func bestDoubleExchange(t *graph.Tree, dm graph.Weights, b core.Bounds, chk *can
 			}
 		}
 	}
-	return best, nil
+	return best
 }

@@ -17,8 +17,9 @@ import (
 	"repro/internal/mst"
 )
 
-// build runs a registered exchange pipeline, "bkex" or "bkh2": a BKRUS
-// start followed by exchange search.
+// build runs a registered constructor through the engine: an exchange
+// pipeline, "bkex" or "bkh2" (a BKRUS start followed by exchange
+// search), or the "bkrus" start itself.
 func build(name string, in *inst.Instance, eps float64) (*graph.Tree, error) {
 	r, err := engine.Build(context.Background(), name, in, engine.Params{Eps: eps})
 	return r.Tree, err
@@ -278,10 +279,11 @@ func TestBKH2BFSAgreesWithDFS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfs, err := exchange.BKH2BFS(context.Background(), in, eps)
+		start, err := build("bkrus", in, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bfs := exchange.BKH2BFS(start, in.DistMatrix(), core.UpperOnly(in, eps))
 		if math.Abs(dfs.Cost()-bfs.Cost()) > 1e-9 {
 			t.Errorf("trial %d (eps=%v): DFS %v vs BFS %v", trial, eps, dfs.Cost(), bfs.Cost())
 		}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -207,6 +208,15 @@ func TestAPILedger(t *testing.T) {
 		if want[k] != v {
 			t.Errorf("%s: digest %s, ledger %q", k, v, want[k])
 		}
+		delete(want, k)
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		t.Errorf("%s: in the ledger but no longer built", k)
 	}
 }
 
